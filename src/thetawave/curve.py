@@ -24,10 +24,17 @@ first constant, +2*pi/A- for the second) that select the representative
 entering the theta-function solution.  Both offsets are pinned down
 numerically by an independent PDE-residual fit and by the degenerate limits
 of the solution.
+
+Everything the solution takes from the curve depends on (a, b, c) alone: the
+seven integrals, p1, q0 and the centred K1, K2.  Each is computed once per
+(a, b, c) and memoized; lambda0 and Z enter ``build_solution_params`` only
+as closed-form transforms (K1 = -lambda0, K2 - 2*lambda0**2,
+kappa2 = 8*lambda0/A+, and the theta-argument shift 2Z).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -104,7 +111,7 @@ class PeriodLattice:
 
 
 # ---------------------------------------------------------------------------
-# moments and the normalization coefficients of the second-kind differentials
+# the second-kind differentials: normalization and asymptotic constants
 
 def _axis_moment(j, a, b, c, tol=1e-12):
     """int_0^a y**j dy / sqrt((a^2-y^2)(b^2-y^2)(c^2-y^2))."""
@@ -128,15 +135,6 @@ def _gap_moment(j, a, b, c, tol=1e-12):
     return val
 
 
-def _normalization(a, b, c):
-    """Coefficients p1, q0 of the a-cycle-normalized dOmega1, dOmega2."""
-    s1 = a * a + b * b + c * c
-    p1 = _gap_moment(3, a, b, c) / _gap_moment(1, a, b, c)
-    q0 = -(4.0 * _axis_moment(4, a, b, c)
-           - 2.0 * s1 * _axis_moment(2, a, b, c)) / _axis_moment(0, a, b, c)
-    return p1, q0
-
-
 def _w_real(x, a, b, c):
     return np.sqrt((x * x + a * a) * (x * x + b * b) * (x * x + c * c))
 
@@ -150,18 +148,28 @@ def _real_axis_tail(near_f, far_f, c, tol=1e-12):
     return near + far
 
 
-def second_kind_constants(a, b, c):
-    """Asymptotic constants (first, second) of the normalized second-kind
-    Abelian integrals on the centred curve, in the representative entering
-    the solution formula.  The first constant vanishes identically for this
-    symmetric family; it is still computed, as a cross-check."""
-    if not 0.0 < a < b < c:
-        raise ValueError("need 0 < a < b < c")
+@dataclass(frozen=True)
+class _SecondKind:
+    """Normalization coefficients and centred asymptotic constants of the
+    second-kind differentials of one curve."""
+
+    p1: float
+    q0: float
+    k1: float
+    k2: float
+
+
+@functools.lru_cache(maxsize=256)
+def _second_kind(a, b, c):
+    ell = curve_integrals(CurveParams(0.0, a, b, c))
     a2, b2, c2 = a * a, b * b, c * c
     s1 = a2 + b2 + c2
     e2 = a2 * b2 + a2 * c2 + b2 * c2
     e3 = a2 * b2 * c2
-    p1, q0 = _normalization(a, b, c)
+    # a-cycle normalization of dOmega1 and dOmega2
+    p1 = _gap_moment(3, a, b, c) / _gap_moment(1, a, b, c)
+    q0 = -(4.0 * _axis_moment(4, a, b, c)
+           - 2.0 * s1 * _axis_moment(2, a, b, c)) / _axis_moment(0, a, b, c)
 
     # vertical leg from i*a to 0 contributes only to the first constant
     k1_vert = p1 * _axis_moment(1, a, b, c) - _axis_moment(3, a, b, c)
@@ -200,10 +208,18 @@ def second_kind_constants(a, b, c):
         den = W * (4.0 + 2.0 * s1 * y2 + q0 * y2 * y2 + 4.0 * W)
         return num / den
 
-    ell = curve_integrals(CurveParams(0.0, a, b, c))
     k1 = k1_vert + _real_axis_tail(r1_near, r1_far, c) + math.pi / ell.a_plus
     k2 = _real_axis_tail(r2_near, r2_far, c) + 2.0 * math.pi / ell.a_minus
-    return k1, k2
+    return _SecondKind(p1, q0, k1, k2)
+
+
+def second_kind_constants(a, b, c):
+    """Asymptotic constants (first, second) of the normalized second-kind
+    Abelian integrals on the centred curve, in the representative entering
+    the solution formula.  The first constant vanishes identically for this
+    symmetric family; it is still computed, as a cross-check."""
+    sk = _second_kind(a, b, c)
+    return sk.k1, sk.k2
 
 
 def phase_constants(a, b, c):
@@ -220,7 +236,7 @@ def build_solution_params(params: CurveParams, Z=None) -> SolutionParams:
     ell = curve_integrals(params)
     delta = ell.b1_minus / ell.a_minus
     K0 = 1j * params.c * math.exp(ell.d_minus * delta - ell.f_minus)
-    K2 = phase_constants(params.a, params.b, params.c) \
+    K2 = _second_kind(params.a, params.b, params.c).k2 \
         - 2.0 * params.lambda0 ** 2
     if Z is None:
         Z = np.zeros(2, dtype=complex)
@@ -241,16 +257,14 @@ def build_solution_params(params: CurveParams, Z=None) -> SolutionParams:
 
 
 def wave_vectors(params: CurveParams, ell: EllipticConstants | None = None):
-    if ell is None:
-        ell = curve_integrals(params)
+    ell = ell or curve_integrals(params)
     U = np.array([0.0, -1.0 / ell.a_plus])
     V = np.array([2.0 / ell.a_minus, -4.0 * params.lambda0 / ell.a_plus])
     return WaveVectors(U=U, V=V)
 
 
 def period_matrix(params: CurveParams, ell: EllipticConstants | None = None):
-    if ell is None:
-        ell = curve_integrals(params)
+    ell = ell or curve_integrals(params)
     return PeriodMatrix.from_ratios(
         ell.b_minus / ell.a_minus, ell.b_plus / ell.a_plus
     )
@@ -258,8 +272,7 @@ def period_matrix(params: CurveParams, ell: EllipticConstants | None = None):
 
 def period_lattice(params: CurveParams, ell: EllipticConstants | None = None):
     """Solve X_j U + T_j V = e_j in closed form."""
-    if ell is None:
-        ell = curve_integrals(params)
+    ell = ell or curve_integrals(params)
     wv = wave_vectors(params, ell)
     M = np.column_stack([wv.U, wv.V])  # [X_j, T_j] solves M @ (X, T) = e_j
     det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
@@ -328,16 +341,16 @@ def b_period_errors(params: CurveParams):
     identities b-periods(dOmega1) = 2*pi*i*U, b-periods(dOmega2) = 2*pi*i*V
     in the centred frame (lambda0 = 0 wave vectors)."""
     a, b, c = params.a, params.b, params.c
-    ell = curve_integrals(CurveParams(0.0, a, b, c))
-    p1, q0 = _normalization(a, b, c)
+    ell = curve_integrals(params)
+    sk = _second_kind(a, b, c)
     s1 = a * a + b * b + c * c
     frbm = ell.b_minus / ell.a_minus
     frbp = ell.b_plus / ell.a_plus
 
     dU1 = lambda mu: 1j / (2.0 * ell.a_minus) + 0.0 * mu
     dU2 = lambda mu: -1j * mu / (2.0 * ell.a_plus)
-    dO1 = lambda mu: -1j * (mu ** 3 + p1 * mu)
-    dO2 = lambda mu: -1j * (4.0 * mu ** 4 + 2.0 * s1 * mu * mu + q0)
+    dO1 = lambda mu: -1j * (mu ** 3 + sk.p1 * mu)
+    dO2 = lambda mu: -1j * (4.0 * mu ** 4 + 2.0 * s1 * mu * mu + sk.q0)
 
     errs = {
         "B11": abs(_segment_cut(dU1, a, b, c) - 0.5j * frbm),
@@ -367,8 +380,6 @@ def connector_vector(a, b, c, tol=1e-12):
     Along that path every factor of w**2 stays in the upper half plane, so
     the principal square root of each factor is continuous and the branch
     with w ~ +mu**3 at infinity is selected automatically."""
-    if not 0.0 < a < b < c:
-        raise ValueError("need 0 < a < b < c")
     ell = curve_integrals(CurveParams(0.0, a, b, c))
 
     def w_path(s):
@@ -417,9 +428,10 @@ def connector_calibration(a, b, c, max_norm=3):
     Returns (D, n, m, residual): the computed vector, the integer lattice
     coordinates, and the leftover after subtracting the decomposition, which
     measures the internal consistency of the contour machinery."""
-    ell = curve_integrals(CurveParams(0.0, a, b, c))
+    centred = CurveParams(0.0, a, b, c)
+    ell = curve_integrals(centred)
     delta = ell.b1_minus / ell.a_minus
-    B = period_matrix(CurveParams(0.0, a, b, c), ell).entries
+    B = period_matrix(centred, ell).entries
     D = connector_vector(a, b, c)
     target = np.array([-0.5j * delta, -0.5])
 

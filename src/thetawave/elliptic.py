@@ -9,7 +9,8 @@ an independent closed Legendre reduction (for the final constant ``f_minus``,
 which has no closed Legendre form, an algebraically rationalized finite
 reformulation integrated by Gauss rules).  A disagreement between the two
 routes beyond 1e-8 relative aborts the computation, since it can only come
-from a convention bug.
+from a convention bug.  The integrals depend on (a, b, c) alone, so each
+curve is evaluated and cross-checked once and then served from a memo.
 
 Conventions: every Legendre routine takes the MODULUS ``k`` (not the
 parameter ``m = k**2``), and the first argument of the incomplete integral
@@ -19,6 +20,7 @@ requiring the closed forms to reproduce the quadrature values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +29,9 @@ from scipy.special import ellipkinc, ellipkm1, elliprf, elliprj
 from numpy.polynomial.legendre import leggauss
 
 from ._quad import tanh_sinh
+
+_TOL = 1e-12        # tanh-sinh level-to-level tolerance
+_CROSS_TOL = 1e-8   # largest relative gap allowed between the two routes
 
 __all__ = [
     "CurveParams",
@@ -280,14 +285,18 @@ def _closed_integrals(a, b, c):
     )
 
 
-def curve_integrals(params: CurveParams, tol=1e-12, cross_tol=1e-8):
+def curve_integrals(params: CurveParams):
     """Evaluate the seven integrals for ``params`` (lambda0 plays no role).
 
-    Both evaluation routes must agree within ``cross_tol`` relative on every
+    Both evaluation routes must agree within 1e-8 relative on every
     integral; the quadrature values are returned.
     """
-    a, b, c = params.a, params.b, params.c
-    quad = _quad_integrals(a, b, c, tol)
+    return _checked_integrals(params.a, params.b, params.c)
+
+
+@functools.lru_cache(maxsize=256)
+def _checked_integrals(a, b, c):
+    quad = _quad_integrals(a, b, c, _TOL)
     closed = _closed_integrals(a, b, c)
     for name in (
         "a_plus", "b_plus", "a_minus", "b_minus", "b1_minus", "d_minus",
@@ -296,7 +305,7 @@ def curve_integrals(params: CurveParams, tol=1e-12, cross_tol=1e-8):
         q = getattr(quad, name)
         cf = getattr(closed, name)
         rel = abs(q - cf) / max(abs(q), abs(cf))
-        if rel > cross_tol:
+        if rel > _CROSS_TOL:
             raise RuntimeError(
                 f"integral {name}: quadrature {q!r} and closed form {cf!r} "
                 f"disagree by {rel:.3e} relative"

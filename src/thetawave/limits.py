@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .elliptic import CurveParams, EllipticConstants, legendre_K
 from .theta import jacobi_theta
@@ -162,6 +161,8 @@ def dn_fit(xs, fs, k20=None, tol=1e-6):
     relations A = B, A**2 = 2*k20/(2 - ktilde**2) and the profile equation
     f'' = 2*k20*f - 2*f**3 are asserted to ``tol``.
     """
+    from scipy.optimize import least_squares  # slow import, needed only here
+
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
     fmax, fmin = float(np.max(fs)), float(np.min(fs))

@@ -28,7 +28,7 @@ from .curve import (
     wave_vectors,
 )
 from .elliptic import CurveParams
-from .theta import PeriodMatrix, jacobi_theta, riemann_theta2
+from .theta import PeriodMatrix, _H_with_scale, riemann_theta2
 
 __all__ = [
     "GridSpec",
@@ -82,28 +82,11 @@ class SampledField:
         object.__setattr__(self, "values", v)
 
 
-def _phases(x, t, sp: SolutionParams):
+def _quotient_terms(x, t, sp: SolutionParams):
+    """Theta arguments u1, u2, the numerator H(u1 + i*delta, u2 + 1) and the
+    denominator H(u1, u2), which must stay clear of zero."""
     u1 = sp.kappa1 * np.asarray(t) + 2.0 * sp.Z[0]
     u2 = sp.k * np.asarray(x) + sp.kappa2 * np.asarray(t) + 2.0 * sp.Z[1]
-    return u1, u2
-
-
-def _H_with_scale(u1, u2, frb_minus, frb_plus):
-    """H and a magnitude scale of its four products (for the zero test)."""
-    tau1 = 2j * frb_minus
-    tau2 = 2j * frb_plus
-    t31 = jacobi_theta(3, u1, tau1)
-    t21 = jacobi_theta(2, u1, tau1)
-    t32 = jacobi_theta(3, u2, tau2)
-    t22 = jacobi_theta(2, u2, tau2)
-    h = t31 * t32 + t21 * t32 + t31 * t22 - t21 * t22
-    scale = (np.abs(t31) + np.abs(t21)) * (np.abs(t32) + np.abs(t22))
-    return h, scale
-
-
-def eval_p(x, t, sp: SolutionParams):
-    """The solution p(x, t).  Vectorized over broadcastable x, t."""
-    u1, u2 = _phases(x, t, sp)
     num, _ = _H_with_scale(u1 + 1j * sp.delta, u2 + 1.0,
                            sp.frb_minus, sp.frb_plus)
     den, scale = _H_with_scale(u1, u2, sp.frb_minus, sp.frb_plus)
@@ -112,6 +95,12 @@ def eval_p(x, t, sp: SolutionParams):
             "theta denominator vanishes; the solution parameters do not "
             "describe a smooth real solution"
         )
+    return u1, u2, num, den
+
+
+def eval_p(x, t, sp: SolutionParams):
+    """The solution p(x, t).  Vectorized over broadcastable x, t."""
+    _, _, num, den = _quotient_terms(x, t, sp)
     phase = np.exp(2j * (sp.K1 * np.asarray(x) + sp.K2 * np.asarray(t)))
     out = -2j * sp.K0 * num / den * phase
     return complex(out) if np.ndim(out) == 0 else out
@@ -131,14 +120,9 @@ def eval_amp2(x, t, sp: SolutionParams):
                 "complex initial phase Z fails the reality condition "
                 "2 Im Z = Im(B N); the amplitude would not be real"
             )
-    u1, u2 = _phases(x, t, sp)
-    plus, _ = _H_with_scale(u1 + 1j * sp.delta, u2 + 1.0,
-                            sp.frb_minus, sp.frb_plus)
+    u1, u2, plus, den = _quotient_terms(x, t, sp)
     minus, _ = _H_with_scale(u1 - 1j * sp.delta, u2 - 1.0,
                              sp.frb_minus, sp.frb_plus)
-    den, scale = _H_with_scale(u1, u2, sp.frb_minus, sp.frb_plus)
-    if np.any(np.abs(den) < _DENOM_RTOL * scale):
-        raise ArithmeticError("theta denominator vanishes")
     val = -4.0 * sp.K0 ** 2 * plus * minus / (den * den)
     mag = np.abs(val)
     if np.any(np.abs(np.imag(val)) > 1e-10 * np.maximum(mag, 1.0)):

@@ -142,13 +142,20 @@ def theta_H(u1, u2, frb_minus, frb_plus):
     - theta2*theta2 at moduli 2i*frb_minus, 2i*frb_plus."""
     if frb_minus <= 0.0 or frb_plus <= 0.0:
         raise ValueError("period ratios must be positive")
+    return _H_with_scale(u1, u2, frb_minus, frb_plus)[0]
+
+
+def _H_with_scale(u1, u2, frb_minus, frb_plus):
+    """H and a magnitude scale of its four products (for the zero test)."""
     tau1 = 2j * frb_minus
     tau2 = 2j * frb_plus
     t31 = jacobi_theta(3, u1, tau1)
     t21 = jacobi_theta(2, u1, tau1)
     t32 = jacobi_theta(3, u2, tau2)
     t22 = jacobi_theta(2, u2, tau2)
-    return t31 * t32 + t21 * t32 + t31 * t22 - t21 * t22
+    h = t31 * t32 + t21 * t32 + t31 * t22 - t21 * t22
+    scale = (np.abs(t31) + np.abs(t21)) * (np.abs(t32) + np.abs(t22))
+    return h, scale
 
 
 def riemann_theta2(u, B: PeriodMatrix, chars: ThetaCharacteristics | None = None,

@@ -57,10 +57,9 @@ class EvolutionReport:
     l2_error: float
 
 
-def field_residual(field, spec: GridSpec, order=4):
-    """Max-norm residual of i p_t + p_xx + 2|p|**2 p on the grid interior,
-    normalized by max |p|**3.  ``field(x, t)`` must broadcast and is
-    re-evaluated exactly at every stencil node."""
+def _stencil_residual(field, spec: GridSpec, order):
+    """Field values p on the grid interior and i p_t + p_xx + 2|p|**2 p
+    there, by central differences of the given order."""
     if order not in (2, 4):
         raise ValueError("stencil order must be 2 or 4")
     xs, ts = spec.axes()
@@ -78,7 +77,14 @@ def field_residual(field, spec: GridSpec, order=4):
                + 16.0 * field(X - h, T) - field(X - 2 * h, T)) / (12.0 * h ** 2)
         pt = (-field(X, T + 2 * k) + 8.0 * field(X, T + k)
               - 8.0 * field(X, T - k) + field(X, T - 2 * k)) / (12.0 * k)
-    res = 1j * pt + pxx + 2.0 * np.abs(p) ** 2 * p
+    return p, 1j * pt + pxx + 2.0 * np.abs(p) ** 2 * p
+
+
+def field_residual(field, spec: GridSpec, order=4):
+    """Max-norm residual of i p_t + p_xx + 2|p|**2 p on the grid interior,
+    normalized by max |p|**3.  ``field(x, t)`` must broadcast and is
+    re-evaluated exactly at every stencil node."""
+    p, res = _stencil_residual(field, spec, order)
     scale = float(np.max(np.abs(p))) ** 3
     return float(np.max(np.abs(res))) / scale
 
@@ -104,23 +110,7 @@ def residual_fit_k2(params: CurveParams, spec: GridSpec, order=4):
     satisfies i F_t + F_xx + 2|F|**2 F = 2 K2 F, so K2 is the least-squares
     frequency Re<F, G> / (2 <F, F>).  Independent of the contour route."""
     sp0 = dataclasses.replace(build_solution_params(params), K2=0.0)
-    field = lambda x, t: eval_p(x, t, sp0)
-    xs, ts = spec.axes()
-    h = xs[1] - xs[0]
-    k = ts[1] - ts[0]
-    half = order // 2
-    X = xs[half:-half][:, None]
-    T = ts[half:-half][None, :]
-    F = field(X, T)
-    if order == 2:
-        fxx = (field(X + h, T) - 2.0 * F + field(X - h, T)) / h ** 2
-        ft = (field(X, T + k) - field(X, T - k)) / (2.0 * k)
-    else:
-        fxx = (-field(X + 2 * h, T) + 16.0 * field(X + h, T) - 30.0 * F
-               + 16.0 * field(X - h, T) - field(X - 2 * h, T)) / (12.0 * h ** 2)
-        ft = (-field(X, T + 2 * k) + 8.0 * field(X, T + k)
-              - 8.0 * field(X, T - k) + field(X, T - 2 * k)) / (12.0 * k)
-    G = 1j * ft + fxx + 2.0 * np.abs(F) ** 2 * F
+    F, G = _stencil_residual(lambda x, t: eval_p(x, t, sp0), spec, order)
     return float(np.real(np.vdot(F, G)) / (2.0 * np.real(np.vdot(F, F))))
 
 

@@ -126,6 +126,13 @@ class TestVerify:
         assert not ledger["residual"]["passed"]
         assert ledger["residual"]["residual_norm"] > 1e-4
 
+    def test_limit_entry_carries_no_verdict(self, capsys):
+        code, out = run(capsys, ["verify"] + BASE + ["--limit", "a_to_0"])
+        assert code == 0
+        ledger = json.loads(out)
+        assert "passed" not in ledger["limit"]
+        assert ledger["limit"]["sup_distance"] < 1e-3
+
 
 class TestLimits:
     def test_a_to_0_report(self, capsys):
