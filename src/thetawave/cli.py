@@ -101,14 +101,35 @@ _DEFAULTS = {
 }
 
 
+def _config_value(key, val):
+    """A config-file value checked against the type of its flag."""
+    if key not in _DEFAULTS:
+        raise ValueError(f"unknown config key {key!r}")
+    if key in ("nx", "nt"):
+        ok = isinstance(val, int) and not isinstance(val, bool)
+    elif key == "format":
+        ok = val in ("csv", "json", "pgm")
+    elif key == "out":
+        ok = val is None or isinstance(val, str)
+    else:
+        ok = (isinstance(val, (int, float)) and not isinstance(val, bool)) \
+            or (val is None and _DEFAULTS[key] is None)
+    if not ok:
+        raise ValueError(f"config key {key!r} has invalid value {val!r}")
+    return val
+
+
 def _resolve(args):
     """Merge defaults, config file and flags (flags win)."""
     cfg = dict(_DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError("config file must hold a JSON object")
         for key, val in loaded.items():
-            cfg[key.replace("-", "_")] = val
+            key = key.replace("-", "_")
+            cfg[key] = _config_value(key, val)
     for key in list(cfg):
         flag = getattr(args, key, None)
         if flag is not None:

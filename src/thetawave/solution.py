@@ -82,25 +82,43 @@ class SampledField:
         object.__setattr__(self, "values", v)
 
 
-def _quotient_terms(x, t, sp: SolutionParams):
-    """Theta arguments u1, u2, the numerator H(u1 + i*delta, u2 + 1) and the
-    denominator H(u1, u2), which must stay clear of zero."""
-    u1 = sp.kappa1 * np.asarray(t) + 2.0 * sp.Z[0]
-    u2 = sp.k * np.asarray(x) + sp.kappa2 * np.asarray(t) + 2.0 * sp.Z[1]
-    num, _ = _H_with_scale(u1 + 1j * sp.delta, u2 + 1.0,
-                           sp.frb_minus, sp.frb_plus)
+def _quotient_terms(x, t, sp: SolutionParams, signs):
+    """The denominator H(u1, u2), which must stay clear of zero, and the
+    numerators H(u1 + s*i*delta, u2 + s) for s in ``signs``, where
+    u1 = kappa1*t + 2*Z1 and u2 = k*x + kappa2*t + 2*Z2.
+
+    At kappa2 = 0, u2 is formed on x's shape alone and broadcasting against
+    u1 forms the grid, so a theta runs on n points instead of n**2.  With
+    kappa2 != 0 on an outer grid (x a column, t a row), u2 goes to the theta
+    as the separable triple (k*x, kappa2*t, 2*Z2).  Other inputs are
+    evaluated point by point."""
+    x = np.asarray(x)
+    t = np.asarray(t)
+    u1 = sp.kappa1 * t + 2.0 * sp.Z[0]
+    c = 2.0 * sp.Z[1]
+    if sp.kappa2 == 0.0:
+        u2 = sp.k * x + c
+        shift = lambda s: u2 + s
+    elif x.ndim == t.ndim == 2 and x.shape[1] == 1 and t.shape[0] == 1:
+        u2 = (sp.k * x, sp.kappa2 * t, c)
+        shift = lambda s: u2[:2] + (c + s,)
+    else:
+        u2 = sp.k * x + sp.kappa2 * t + c
+        shift = lambda s: u2 + s
     den, scale = _H_with_scale(u1, u2, sp.frb_minus, sp.frb_plus)
     if np.any(np.abs(den) < _DENOM_RTOL * scale):
         raise ArithmeticError(
             "theta denominator vanishes; the solution parameters do not "
             "describe a smooth real solution"
         )
-    return u1, u2, num, den
+    nums = [_H_with_scale(u1 + s * 1j * sp.delta, shift(s),
+                          sp.frb_minus, sp.frb_plus)[0] for s in signs]
+    return den, nums
 
 
 def eval_p(x, t, sp: SolutionParams):
     """The solution p(x, t).  Vectorized over broadcastable x, t."""
-    _, _, num, den = _quotient_terms(x, t, sp)
+    den, (num,) = _quotient_terms(x, t, sp, (1.0,))
     phase = np.exp(2j * (sp.K1 * np.asarray(x) + sp.K2 * np.asarray(t)))
     out = -2j * sp.K0 * num / den * phase
     return complex(out) if np.ndim(out) == 0 else out
@@ -120,9 +138,7 @@ def eval_amp2(x, t, sp: SolutionParams):
                 "complex initial phase Z fails the reality condition "
                 "2 Im Z = Im(B N); the amplitude would not be real"
             )
-    u1, u2, plus, den = _quotient_terms(x, t, sp)
-    minus, _ = _H_with_scale(u1 - 1j * sp.delta, u2 - 1.0,
-                             sp.frb_minus, sp.frb_plus)
+    den, (plus, minus) = _quotient_terms(x, t, sp, (1.0, -1.0))
     val = -4.0 * sp.K0 ** 2 * plus * minus / (den * den)
     mag = np.abs(val)
     if np.any(np.abs(np.imag(val)) > 1e-10 * np.maximum(mag, 1.0)):

@@ -71,6 +71,34 @@ class ThetaCharacteristics:
             object.__setattr__(self, name, v)
 
 
+def _theta_modes(j, tau, d):
+    """Fourier modes of theta_j(u | tau) kept for arguments with
+    |Im u| <= d: theta_j(u) = [1 +] 2 * sum_m coef_m * cs(base*mult_m*u),
+    cs = sin for j = 1 and cos otherwise, the 1 for j = 3, 4 only.
+
+    Truncation: with y = Im tau, the m-th term is bounded by
+    exp(-pi*y*m^2 + 2*pi*d*m + pi*y*m); stop once it falls 1e-17 below the
+    largest possible term.
+    """
+    y = tau.imag
+    bc = 2.0 * np.pi * d + np.pi * y
+    a_ = np.pi * y
+    mmax = int(np.ceil((bc + np.sqrt(bc * bc + 4.0 * a_ * (
+        _LOG_TERM_CUTOFF + np.pi * d * d / y))) / (2.0 * a_))) + 2
+
+    m = np.arange(1, mmax + 1, dtype=float)
+    if j in (2, 1):
+        base, mult, expo = np.pi, 2.0 * m - 1.0, (m - 0.5) ** 2
+    else:
+        base, mult, expo = 2.0 * np.pi, m, m ** 2
+    coef = np.exp(1j * np.pi * tau * expo)
+    if j == 4:
+        coef = coef * (-1.0) ** m
+    if j == 1:
+        coef = coef * (-1.0) ** (m - 1.0)
+    return base, mult, coef
+
+
 def jacobi_theta(j, u, tau):
     """Jacobi theta function theta_j(u | tau), j in 1..4.
 
@@ -104,29 +132,9 @@ def jacobi_theta(j, u, tau):
     if j in (1, 4):
         fac = fac * np.where(n.astype(int) % 2 == 0, 1.0, -1.0)
 
-    # truncation: with y = Im tau and d = max |Im u'|, the m-th term is
-    # bounded by exp(-pi*y*m^2 + 2*pi*d*m + pi*y*m); stop once it falls
-    # 1e-17 below the largest possible term
-    y = tau.imag
     d = float(np.max(np.abs(up.imag))) if up.size else 0.0
-    bc = 2.0 * np.pi * d + np.pi * y
-    a_ = np.pi * y
-    mmax = int(np.ceil((bc + np.sqrt(bc * bc + 4.0 * a_ * (
-        _LOG_TERM_CUTOFF + np.pi * d * d / y))) / (2.0 * a_))) + 2
-
-    m = np.arange(1, mmax + 1, dtype=float)
-    flat = up.ravel()
-    if j in (2, 1):
-        expo = (m - 0.5) ** 2
-        ang = np.pi * np.outer(2.0 * m - 1.0, flat)
-    else:
-        expo = m ** 2
-        ang = 2.0 * np.pi * np.outer(m, flat)
-    coef = np.exp(1j * np.pi * tau * expo)
-    if j == 4:
-        coef = coef * (-1.0) ** m
-    if j == 1:
-        coef = coef * (-1.0) ** (m - 1.0)
+    base, mult, coef = _theta_modes(j, tau, d)
+    ang = base * np.outer(mult, up.ravel())
     if j in (3, 4):
         val = 1.0 + 2.0 * np.sum(coef[:, None] * np.cos(ang), axis=0)
     elif j == 2:
@@ -145,14 +153,59 @@ def theta_H(u1, u2, frb_minus, frb_plus):
     return _H_with_scale(u1, u2, frb_minus, frb_plus)[0]
 
 
+def _theta_outer(j, u, tau):
+    """theta_j(ax + bt + c | tau), j in (2, 3), on the outer grid of a real
+    column ``ax`` (shape (nx, 1)) and a real row ``bt`` (shape (1, nt)),
+    with ``u = (ax, bt, c)`` and c a complex scalar.
+
+    The Fourier modes split cos(w*(ax + bt + c)) into column and row
+    factors, so the grid is one (nx x K)(K x nt) matrix product.  Im u = Im c
+    at every node, so one quasi-period reduction, on c, serves the grid.
+    """
+    ax, bt, c = u
+    tau = complex(tau)
+    c = complex(c)
+    n = round(c.imag / tau.imag)
+    c = c - n * tau
+    # real-period reduction (period 2) of each part keeps the angles small
+    ax = ax - 2.0 * np.round(ax / 2.0)
+    bt = bt - 2.0 * np.round(bt / 2.0)
+    c = c - 2.0 * round(c.real / 2.0)
+    if (np.pi * n * n * tau.imag + 2.0 * np.pi * n * c.imag) > _EXP_LIMIT:
+        raise OverflowError(
+            "theta quasi-periodicity factor exceeds the binary64 range"
+        )
+    v = bt + c
+    base, mult, coef = _theta_modes(j, tau, abs(c.imag))
+    w = base * mult
+    col = w * ax
+    row = w[:, None] * v
+    left = [np.cos(col), np.sin(col)]
+    right = [coef[:, None] * (2.0 * np.cos(row)),
+             coef[:, None] * (-2.0 * np.sin(row))]
+    if j == 3:
+        left.insert(0, np.ones_like(ax))
+        right.insert(0, np.ones_like(v))
+    # the peeled factor exp(-i*pi*n^2*tau - 2*pi*i*n*(ax + bt + c)), split
+    # into its column and row parts
+    left = np.hstack(left) * np.exp(-2j * np.pi * n * ax)
+    right = np.vstack(right) * np.exp(-1j * np.pi * n * n * tau
+                                      - 2j * np.pi * n * v)
+    return left @ right
+
+
 def _H_with_scale(u1, u2, frb_minus, frb_plus):
-    """H and a magnitude scale of its four products (for the zero test)."""
+    """H and a magnitude scale of its four products (for the zero test).
+
+    ``u2`` is an array of arguments, or a triple (ax, bt, c) standing for
+    the outer grid ax + bt + c that ``_theta_outer`` evaluates."""
     tau1 = 2j * frb_minus
     tau2 = 2j * frb_plus
+    theta_u2 = _theta_outer if isinstance(u2, tuple) else jacobi_theta
     t31 = jacobi_theta(3, u1, tau1)
     t21 = jacobi_theta(2, u1, tau1)
-    t32 = jacobi_theta(3, u2, tau2)
-    t22 = jacobi_theta(2, u2, tau2)
+    t32 = theta_u2(3, u2, tau2)
+    t22 = theta_u2(2, u2, tau2)
     h = t31 * t32 + t21 * t32 + t31 * t22 - t21 * t22
     scale = (np.abs(t31) + np.abs(t21)) * (np.abs(t32) + np.abs(t22))
     return h, scale

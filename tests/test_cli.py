@@ -162,3 +162,19 @@ class TestConfig:
     def test_missing_config_exit_3(self, capsys):
         code, _ = run(capsys, ["params", "--config", "/nonexistent.json"])
         assert code == 3
+
+    @pytest.mark.parametrize("command, payload", [
+        ("params", [6, 8, 9]),
+        ("params", {"a": "x"}),
+        ("grid", {"nx": 16.5}),
+        ("params", {"lamda0": 0.5}),
+    ])
+    def test_malformed_config_exit_2(self, capsys, tmp_path, command,
+                                     payload):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        code = main([command, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")

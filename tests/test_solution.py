@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetawave.curve import build_solution_params, period_lattice
 from thetawave.elliptic import CurveParams
@@ -17,6 +19,7 @@ from thetawave.solution import (
     general_theta_data,
     sample_grid,
 )
+from thetawave.theta import theta_H
 
 P689 = CurveParams(0.0, 6.0, 8.0, 9.0)
 
@@ -133,3 +136,81 @@ class TestGeneralRoute:
         assert np.max(np.abs(np.abs(g) - np.abs(j))) < 1e-10 * np.max(np.abs(j))
         ratio = g / j
         assert np.max(np.abs(ratio - ratio[0])) < 1e-10
+
+
+def _outer_vs_points(f, xs, ts, sp):
+    """f on the outer grid (xs column, ts row) and on its flattened nodes."""
+    X, T = np.meshgrid(xs, ts, indexing="ij")
+    grid = f(xs[:, None], ts[None, :], sp)
+    points = f(X.ravel(), T.ravel(), sp).reshape(X.shape)
+    return grid, points
+
+
+class TestSeparableEngine:
+    """Grids and stencils go through 1-D theta axes; point-wise evaluation
+    on scattered points is the reference they are held to."""
+
+    def test_kappa2_zero_grid_is_bit_identical(self, sp):
+        lat = period_lattice(P689, sp.ell)
+        xs, ts = GridSpec(-lat.X, 2 * lat.X, -lat.T, 3 * lat.T, 64, 48).axes()
+        grid, points = _outer_vs_points(eval_p, xs, ts, sp)
+        assert np.array_equal(grid, points)
+
+    @given(
+        b=st.floats(1.0, 10.0),
+        a_ratio=st.floats(0.3, 0.9),
+        c_ratio=st.floats(1.05, 1.6),
+        lambda0=st.floats(0.2, 1.0),
+        z_re=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        half=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+        complex_z=st.booleans(),
+        # window start and length in periods; 16+ nodes per axis make the
+        # grid's max|p| the field's scale
+        x_cells=st.tuples(st.floats(-3.0, 0.0), st.floats(2.0, 5.0)),
+        t_cells=st.tuples(st.floats(-3.0, 0.0), st.floats(2.0, 5.0)),
+        nx=st.integers(16, 48),
+        nt=st.integers(16, 48),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_outer_grid_matches_points(self, b, a_ratio, c_ratio, lambda0,
+                                       z_re, half, complex_z, x_cells,
+                                       t_cells, nx, nt):
+        curve = CurveParams(lambda0, a_ratio * b, b, c_ratio * b)
+        sp_c = build_solution_params(curve)
+        Z = np.array(z_re, dtype=complex)
+        if complex_z:
+            # Im Z = half-integer multiples of (frb-, frb+): the reality
+            # condition holds with the even witness N = 2 * half
+            Z = Z + 0.5j * np.array([sp_c.frb_minus * half[0],
+                                     sp_c.frb_plus * half[1]])
+        sp_z = dataclasses.replace(sp_c, Z=Z)
+        lat = period_lattice(curve, sp_c.ell)
+        xs = np.linspace(x_cells[0] * lat.X, (x_cells[0] + x_cells[1])
+                         * lat.X, nx)
+        ts = np.linspace(t_cells[0] * lat.T, (t_cells[0] + t_cells[1])
+                         * lat.T, nt)
+        for f in (eval_p, eval_amp2):
+            grid, points = _outer_vs_points(f, xs, ts, sp_z)
+            assert np.max(np.abs(grid - points)) \
+                <= 1e-13 * np.max(np.abs(points))
+
+    @pytest.mark.parametrize("lambda0", [0.0, 0.6])
+    def test_denominator_zero_on_grid_node_raises(self, lambda0):
+        curve = CurveParams(lambda0, 6.0, 8.0, 9.0)
+        sp_l = build_solution_params(curve)
+        lat = period_lattice(curve, sp_l.ell)
+        spec = GridSpec(0.0, lat.X, 0.0, lat.T, 64, 48)
+        xs, ts = spec.axes()
+        x, t = xs[20], ts[30]
+        # Newton on w -> H(u1, w) at the node's u1, then choose Z2 so that
+        # u2 = w there
+        u1 = sp_l.kappa1 * t
+        H = lambda w: theta_H(u1, w, sp_l.frb_minus, sp_l.frb_plus)
+        w, h = 0.5 + 1j * sp_l.frb_plus, 1e-6
+        for _ in range(30):
+            w = w - H(w) * 2.0 * h / (H(w + h) - H(w - h))
+        assert abs(H(w)) < 1e-14
+        z2 = (w - sp_l.k * x - sp_l.kappa2 * t) / 2.0
+        sp_z = dataclasses.replace(sp_l, Z=np.array([0.0, z2]))
+        with pytest.raises(ArithmeticError):
+            sample_grid(spec, sp_z)

@@ -15,6 +15,7 @@ from thetawave.theta import (
     theta_H,
     theta_reduction_check,
 )
+from thetawave.theta import _theta_outer
 
 TAU = 1.3j
 
@@ -88,6 +89,27 @@ class TestJacobiTheta:
             jacobi_theta(5, 0.0, TAU)
         with pytest.raises(ValueError):
             jacobi_theta(3, 0.0, 1.0 - 0.5j)
+
+
+class TestThetaOuter:
+    """The outer-grid evaluator against point-wise jacobi_theta."""
+
+    AX = np.linspace(-3.1, 5.3, 17)[:, None]
+    BT = np.linspace(-2.6, 1.7, 9)[None, :]
+
+    @pytest.mark.parametrize("j", [2, 3])
+    @pytest.mark.parametrize("c", [0.3 + 0.2j, -1.2 + 2.9j, 3.4 - 3.3j])
+    def test_matches_pointwise(self, j, c):
+        # Im c spans several quasi-periods, so the peeled factor is tested
+        grid = _theta_outer(j, (self.AX, self.BT, c), TAU)
+        points = jacobi_theta(j, (self.AX + self.BT + c).ravel(), TAU)
+        points = points.reshape(grid.shape)
+        assert np.max(np.abs(grid - points)) \
+            <= 1e-13 * np.max(np.abs(points))
+
+    def test_unrepresentable_value_raises(self):
+        with pytest.raises(OverflowError):
+            _theta_outer(3, (self.AX, self.BT, 0.2 + 40.0j), 2.0j)
 
 
 class TestPeriodMatrix:

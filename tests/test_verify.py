@@ -118,6 +118,21 @@ class TestSymmetrySuite:
         b = symmetry_suite(sp, rng_seed=1)
         assert a == b
 
+    def test_t_periodicity_with_galilean_drift(self):
+        # at lambda0 != 0, t -> t + 2T also moves u2 by kappa2*2T, so |p|
+        # repeats only after the x shift -8*lambda0*T; at fixed x it does not
+        curve = CurveParams(0.6, 6.0, 8.0, 9.0)
+        sp_l = build_solution_params(curve)
+        entry = symmetry_suite(sp_l)["t_periodicity"]
+        assert entry["passed"] and entry["tol"] == 1e-9
+        lat = period_lattice(curve, sp_l.ell)
+        rng = np.random.default_rng(0)
+        xs = rng.uniform(-0.4, 0.4, 40)
+        ts = rng.uniform(-0.03, 0.03, 40)
+        absp = np.abs(eval_p(xs, ts, sp_l))
+        fixed_x = np.abs(eval_p(xs, ts + 2.0 * lat.T, sp_l))
+        assert np.max(np.abs(fixed_x - absp)) / np.max(absp) > 0.1
+
     def test_needs_provenance(self, sp):
         bare = dataclasses.replace(sp, curve=None)
         with pytest.raises(ValueError):
