@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from thetawave.cli import main
+from thetawave.cli import _parser, _resolve, main
 
 BASE = ["--lambda0", "0", "--a", "6", "--b", "8", "--c", "9"]
 
@@ -162,6 +162,25 @@ class TestConfig:
     def test_missing_config_exit_3(self, capsys):
         code, _ = run(capsys, ["params", "--config", "/nonexistent.json"])
         assert code == 3
+
+    @pytest.mark.parametrize("key, value", [
+        ("lambda0", 0.5), ("a", 6.5), ("b", 8.5), ("c", 9.5),
+        ("z_re1", 0.25), ("z_im1", 0.125), ("z_re2", -0.25),
+        ("z_im2", 0.375), ("x0", -1.0), ("x1", 2.5), ("t0", -0.5),
+        ("t1", 0.75), ("nx", 32), ("nt", 24), ("out", "field.csv"),
+        ("format", "json"),
+    ])
+    def test_config_and_flag_resolve_alike(self, tmp_path, key, value):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        flag = "--" + key.replace("_", "-")
+        parser = _parser()
+        via_config = _resolve(parser.parse_args(
+            ["grid", "--config", str(cfg_file)]))
+        via_flag = _resolve(parser.parse_args(["grid", flag, str(value)]))
+        assert via_config == via_flag
+        assert via_flag[key] == value
+        assert via_flag != _resolve(parser.parse_args(["grid"]))
 
     @pytest.mark.parametrize("command, payload", [
         ("params", [6, 8, 9]),

@@ -21,12 +21,18 @@ CASES = {
     "params_lambda0": (["params", "--lambda0", "0.7"], 0),
     "grid_csv": (["grid", "--nx", "16", "--nt", "16"], 0),
     "grid_json": (["grid", "--nx", "16", "--nt", "16", "--format", "json"], 0),
+    "grid_csv_abs_lambda0": (["grid", "--lambda0", "0.6", "--nx", "16",
+                              "--nt", "16", "--abs-only"], 0),
+    "grid_json_lambda0": (["grid", "--lambda0", "0.6", "--nx", "8",
+                           "--nt", "8", "--format", "json"], 0),
+    "params_z_im2": (["params", "--z-im2", "0.446332530511924"], 0),
     "scan_c": (["scan", "--a", "3", "--b", "5", "--vary", "c",
                 "--start", "5.5", "--stop", "9", "--num", "5"], 0),
     "limits_a_to_0": (["limits", "--kind", "a_to_0", "--a", "0.001",
                        "--b", "8", "--c", "9"], 0),
     "verify": (["verify"], 0),
     "verify_corrupt_k2": (["verify", "--corrupt-k2"], 1),
+    "verify_limit_a_to_0": (["verify", "--limit", "a_to_0"], 0),
 }
 
 
