@@ -34,95 +34,86 @@ from .verify import nls_residual, split_step_evolve, symmetry_suite
 
 _FMT = "%.17g"
 
+# the flags every subcommand shares: name -> (type, or the tuple of allowed
+# values; default).  The parser, the defaults and the --config check all
+# read this table.
+_FLAGS = {
+    "lambda0": (float, 0.0), "a": (float, 6.0), "b": (float, 8.0),
+    "c": (float, 9.0),
+    "z_re1": (float, 0.0), "z_im1": (float, 0.0),
+    "z_re2": (float, 0.0), "z_im2": (float, 0.0),
+    "x0": (float, None), "x1": (float, None),
+    "t0": (float, None), "t1": (float, None),
+    "nx": (int, 128), "nt": (int, 128),
+    "out": (str, None), "format": (("csv", "json", "pgm"), "csv"),
+}
 
-def _f(x):
-    """Round-trippable float formatting."""
-    return float(_FMT % x) if math.isfinite(x) else x
+_LIMITS = ("c_to_b", "a_to_b", "a_to_0")
+
+# the largest nx or nt that grid and verify accept: 4x the largest grid in
+# use, so that a mistyped size fails before it allocates
+_MAX_NODES = 2048
 
 
 def _c(z):
-    return {"re": _f(z.real), "im": _f(z.imag)}
+    return {"re": z.real, "im": z.imag}
 
 
 def _parser():
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file; flags win")
+    for key, (kind, _) in _FLAGS.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(kind, tuple):
+            common.add_argument(flag, choices=kind)
+        else:
+            common.add_argument(flag, type=kind)
+
     p = argparse.ArgumentParser(
         prog="thetawave",
         description="Two-phase periodic fields of the focusing NLS equation",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--config", help="JSON config file; flags win")
-        sp.add_argument("--lambda0", type=float, default=None)
-        sp.add_argument("--a", type=float, default=None)
-        sp.add_argument("--b", type=float, default=None)
-        sp.add_argument("--c", type=float, default=None)
-        sp.add_argument("--z-re1", type=float, default=None)
-        sp.add_argument("--z-im1", type=float, default=None)
-        sp.add_argument("--z-re2", type=float, default=None)
-        sp.add_argument("--z-im2", type=float, default=None)
-        sp.add_argument("--x0", type=float, default=None)
-        sp.add_argument("--x1", type=float, default=None)
-        sp.add_argument("--t0", type=float, default=None)
-        sp.add_argument("--t1", type=float, default=None)
-        sp.add_argument("--nx", type=int, default=None)
-        sp.add_argument("--nt", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--format", default=None,
-                        choices=["csv", "json", "pgm"])
-
-    for name in ("params", "grid", "scan", "verify", "limits"):
-        sp = sub.add_parser(name)
-        add_common(sp)
-        if name == "grid":
-            sp.add_argument("--abs-only", action="store_true",
-                            help="omit the re_p,im_p CSV columns")
-        if name == "scan":
-            sp.add_argument("--vary", choices=["a", "c"], default=None)
-            sp.add_argument("--start", type=float, default=None)
-            sp.add_argument("--stop", type=float, default=None)
-            sp.add_argument("--num", type=int, default=None)
-        if name == "verify":
-            sp.add_argument("--corrupt-k2", action="store_true")
-            sp.add_argument("--limit", default=None,
-                            choices=["c_to_b", "a_to_b", "a_to_0"])
-            sp.add_argument("--eps", type=float, default=None)
-        if name == "limits":
-            sp.add_argument("--kind", default=None,
-                            choices=["c_to_b", "a_to_b", "a_to_0"])
+    sub.add_parser("params", parents=[common])
+    grid = sub.add_parser("grid", parents=[common])
+    grid.add_argument("--abs-only", action="store_true",
+                      help="omit the re_p,im_p CSV columns")
+    scan = sub.add_parser("scan", parents=[common])
+    scan.add_argument("--vary", choices=["a", "c"])
+    scan.add_argument("--start", type=float)
+    scan.add_argument("--stop", type=float)
+    scan.add_argument("--num", type=int)
+    verify = sub.add_parser("verify", parents=[common])
+    verify.add_argument("--corrupt-k2", action="store_true")
+    verify.add_argument("--limit", choices=_LIMITS)
+    verify.add_argument("--eps", type=float)
+    limits = sub.add_parser("limits", parents=[common])
+    limits.add_argument("--kind", choices=_LIMITS)
     return p
-
-
-_DEFAULTS = {
-    "lambda0": 0.0, "a": 6.0, "b": 8.0, "c": 9.0,
-    "z_re1": 0.0, "z_im1": 0.0, "z_re2": 0.0, "z_im2": 0.0,
-    "x0": None, "x1": None, "t0": None, "t1": None,
-    "nx": 128, "nt": 128, "out": None, "format": "csv",
-}
 
 
 def _config_value(key, val):
     """A config-file value checked against the type of its flag."""
-    if key not in _DEFAULTS:
+    if key not in _FLAGS:
         raise ValueError(f"unknown config key {key!r}")
-    if key in ("nx", "nt"):
-        ok = isinstance(val, int) and not isinstance(val, bool)
-    elif key == "format":
-        ok = val in ("csv", "json", "pgm")
-    elif key == "out":
-        ok = val is None or isinstance(val, str)
+    kind, default = _FLAGS[key]
+    if val is None:
+        ok = default is None
+    elif isinstance(kind, tuple):
+        ok = val in kind
     else:
-        ok = (isinstance(val, (int, float)) and not isinstance(val, bool)) \
-            or (val is None and _DEFAULTS[key] is None)
+        ok = (isinstance(val, (int, float) if kind is float else kind)
+              and not isinstance(val, bool))
     if not ok:
         raise ValueError(f"config key {key!r} has invalid value {val!r}")
-    return val
+    # a JSON integer for a float flag becomes the float the flag would give
+    return float(val) if kind is float and val is not None else val
 
 
 def _resolve(args):
     """Merge defaults, config file and flags (flags win)."""
-    cfg = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    cfg = {key: default for key, (_, default) in _FLAGS.items()}
+    if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
@@ -130,8 +121,8 @@ def _resolve(args):
         for key, val in loaded.items():
             key = key.replace("-", "_")
             cfg[key] = _config_value(key, val)
-    for key in list(cfg):
-        flag = getattr(args, key, None)
+    for key in cfg:
+        flag = getattr(args, key)
         if flag is not None:
             cfg[key] = flag
     return cfg
@@ -146,20 +137,39 @@ def _phase(cfg):
                      cfg["z_re2"] + 1j * cfg["z_im2"]])
 
 
+def _grid_size(cfg):
+    """(nx, nt), refused above _MAX_NODES."""
+    if max(cfg["nx"], cfg["nt"]) > _MAX_NODES:
+        raise ValueError(f"nx and nt must be at most {_MAX_NODES}")
+    return cfg["nx"], cfg["nt"]
+
+
 def _grid_spec(cfg, lat):
     x0 = cfg["x0"] if cfg["x0"] is not None else 0.0
     x1 = cfg["x1"] if cfg["x1"] is not None else 2.0 * lat.X
     t0 = cfg["t0"] if cfg["t0"] is not None else 0.0
     t1 = cfg["t1"] if cfg["t1"] is not None else 2.0 * lat.T
-    return GridSpec(x0, x1, t0, t1, cfg["nx"], cfg["nt"])
+    return GridSpec(x0, x1, t0, t1, *_grid_size(cfg))
 
 
-def _emit(text, out):
+def _emit(chunks, out):
+    """Write the text chunks to the file ``out``, or to stdout if None."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+
+
+def _emit_json(obj, out):
+    _emit([json.dumps(obj, indent=2) + "\n"], out)
+
+
+def _solution_constants(s):
+    """The phase constants of a SolutionParams or AsymptoticParams."""
+    return {"frb_minus": s.frb_minus, "frb_plus": s.frb_plus,
+            "kappa1": s.kappa1, "k": s.k, "kappa2": s.kappa2,
+            "delta": s.delta, "K0": _c(s.K0), "K1": s.K1, "K2": s.K2}
 
 
 def cmd_params(cfg):
@@ -172,35 +182,24 @@ def cmd_params(cfg):
     wv = wave_vectors(curve, ell)
     found, witness = reality_check(Z, B)
     report = {
-        "curve": {"lambda0": _f(curve.lambda0), "a": _f(curve.a),
-                  "b": _f(curve.b), "c": _f(curve.c)},
-        "elliptic": {k: _f(getattr(ell, k)) for k in (
-            "a_plus", "b_plus", "a_minus", "b_minus", "b1_minus",
-            "d_minus", "f_minus")},
-        "solution": {
-            "frb_minus": _f(sp.frb_minus), "frb_plus": _f(sp.frb_plus),
-            "kappa1": _f(sp.kappa1), "k": _f(sp.k),
-            "kappa2": _f(sp.kappa2), "delta": _f(sp.delta),
-            "K0": _c(sp.K0), "K1": _f(sp.K1), "K2": _f(sp.K2),
-            "Z": [_c(z) for z in Z],
-        },
-        "wave_vectors": {"U": [_f(v) for v in wv.U],
-                         "V": [_f(v) for v in wv.V]},
+        "curve": dataclasses.asdict(curve),
+        "elliptic": dataclasses.asdict(ell),
+        "solution": {**_solution_constants(sp), "Z": [_c(z) for z in Z]},
+        "wave_vectors": {"U": wv.U.tolist(), "V": wv.V.tolist()},
         "periods": {
-            "X": _f(lat.X), "T": _f(lat.T),
-            "Tprime": None if lat.Tprime is None else _f(lat.Tprime),
-            "lattice": {"X1": _f(lat.X1), "T1": _f(lat.T1),
-                        "X2": _f(lat.X2), "T2": _f(lat.T2)},
+            "X": lat.X, "T": lat.T, "Tprime": lat.Tprime,
+            "lattice": {"X1": lat.X1, "T1": lat.T1,
+                        "X2": lat.X2, "T2": lat.T2},
         },
         # the nome-style quantities as defined alongside the period ratios
         # (h = exp(-2*pi*frb)); a smaller value means weaker harmonics
-        "h_minus": _f(math.exp(-2.0 * math.pi * sp.frb_minus)),
-        "h_plus": _f(math.exp(-2.0 * math.pi * sp.frb_plus)),
+        "h_minus": math.exp(-2.0 * math.pi * sp.frb_minus),
+        "h_plus": math.exp(-2.0 * math.pi * sp.frb_plus),
         "reality": {"passed": found,
                     "witness": None if witness is None
                     else [int(n) for n in witness]},
     }
-    _emit(json.dumps(report, indent=2) + "\n", cfg["out"])
+    _emit_json(report, cfg["out"])
     return 0
 
 
@@ -213,10 +212,23 @@ def _write_pgm(path, field):
     with open(path, "wb") as fh:
         fh.write(header + img.tobytes())
     g = field.grid
-    side = {"min": _f(lo), "max": _f(hi), "nx": g.nx, "nt": g.nt,
-            "x0": _f(g.x0), "x1": _f(g.x1), "t0": _f(g.t0), "t1": _f(g.t1)}
-    with open(path + ".json", "w") as fh:
-        fh.write(json.dumps(side, indent=2) + "\n")
+    side = {"min": lo, "max": hi, "nx": g.nx, "nt": g.nt,
+            "x0": g.x0, "x1": g.x1, "t0": g.t0, "t1": g.t1}
+    _emit_json(side, path + ".json")
+
+
+def _csv_blocks(xs, ts, values, abs_only):
+    """The CSV text, one block of rows per x; each axis formatted once."""
+    yield "x,t,abs_p\n" if abs_only else "x,t,abs_p,re_p,im_p\n"
+    tf = [_FMT % t for t in ts]
+    cell = ",%s,%.17g\n" if abs_only else ",%s,%.17g,%.17g,%.17g\n"
+    for x, row in zip(xs, values):
+        # the scalar abs: the array np.abs differs from it in the last bit
+        cols = [[abs(v) for v in row]]
+        if not abs_only:
+            cols += [row.real.tolist(), row.imag.tolist()]
+        line = _FMT % x + cell
+        yield "".join([line % c for c in zip(tf, *cols)])
 
 
 def cmd_grid(cfg, abs_only=False):
@@ -231,24 +243,11 @@ def cmd_grid(cfg, abs_only=False):
         if cfg["out"] is None:
             raise OSError("pgm output requires --out")
         _write_pgm(cfg["out"], field)
-        return 0
-    if fmt == "json":
-        payload = {
-            "x": [_f(v) for v in xs],
-            "t": [_f(v) for v in ts],
-            "abs_p": [[_f(v) for v in row] for row in np.abs(field.values)],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg["out"])
-        return 0
-    lines = ["x,t,abs_p" if abs_only else "x,t,abs_p,re_p,im_p"]
-    for i, x in enumerate(xs):
-        for j, t in enumerate(ts):
-            v = field.values[i, j]
-            row = [_FMT % x, _FMT % t, _FMT % abs(v)]
-            if not abs_only:
-                row += [_FMT % v.real, _FMT % v.imag]
-            lines.append(",".join(row))
-    _emit("\n".join(lines) + "\n", cfg["out"])
+    elif fmt == "json":
+        _emit_json({"x": xs.tolist(), "t": ts.tolist(),
+                    "abs_p": np.abs(field.values).tolist()}, cfg["out"])
+    else:
+        _emit(_csv_blocks(xs, ts, field.values, abs_only), cfg["out"])
     return 0
 
 
@@ -256,7 +255,7 @@ def cmd_scan(cfg, vary, start, stop, num):
     if vary is None or start is None or stop is None:
         raise ValueError("scan needs --vary, --start and --stop")
     num = num or 40
-    lines = ["value,X,T,h_minus,h_plus"]
+    lines = ["value,X,T,h_minus,h_plus\n"]
     for val in np.linspace(start, stop, num):
         if vary == "a":
             curve = CurveParams(cfg["lambda0"], float(val), cfg["b"], cfg["c"])
@@ -267,8 +266,8 @@ def cmd_scan(cfg, vary, start, stop, num):
         hm = math.exp(-2.0 * math.pi * ell.b_minus / ell.a_minus)
         hp = math.exp(-2.0 * math.pi * ell.b_plus / ell.a_plus)
         lines.append(",".join(
-            _FMT % v for v in (val, lat.X, lat.T, hm, hp)))
-    _emit("\n".join(lines) + "\n", cfg["out"])
+            _FMT % v for v in (val, lat.X, lat.T, hm, hp)) + "\n")
+    _emit(lines, cfg["out"])
     return 0
 
 
@@ -280,13 +279,13 @@ def cmd_verify(cfg, corrupt_k2=False, limit=None, eps=None):
 
     if corrupt_k2:
         sp = dataclasses.replace(sp, K2=sp.K2 + 0.1)
-    spec = GridSpec(0.0, lat.X, 0.0, lat.T, cfg["nx"], cfg["nt"])
+    spec = GridSpec(0.0, lat.X, 0.0, lat.T, *_grid_size(cfg))
     rep = nls_residual(sp, spec, order=4)
     ledger["residual"] = {
         "passed": bool(rep.residual_norm < 1e-6
                        and 3.3 <= rep.order_estimate <= 4.7),
-        "residual_norm": _f(rep.residual_norm),
-        "order_estimate": _f(rep.order_estimate),
+        "residual_norm": rep.residual_norm,
+        "order_estimate": rep.order_estimate,
     }
 
     if curve.lambda0 == 0.0 and not corrupt_k2:
@@ -298,15 +297,10 @@ def cmd_verify(cfg, corrupt_k2=False, limit=None, eps=None):
                                     lat.T / steps, steps)
         ref = eval_p(xs, lat.T, sp)
         err = float(np.linalg.norm(evolved - ref) / np.linalg.norm(ref))
-        ledger["split_step"] = {"passed": err < 1e-5, "l2_error": _f(err)}
+        ledger["split_step"] = {"passed": err < 1e-5, "l2_error": err}
 
     if not corrupt_k2:
-        suite = symmetry_suite(sp)
-        ledger["symmetries"] = {
-            name: {"passed": entry["passed"], "error": _f(entry["error"]),
-                   "tol": _f(entry["tol"])}
-            for name, entry in suite.items()
-        }
+        ledger["symmetries"] = symmetry_suite(sp)
 
     if limit is not None:
         from .limits import dn_wave_theta, plane_wave_ab, plane_wave_cb
@@ -327,15 +321,14 @@ def cmd_verify(cfg, corrupt_k2=False, limit=None, eps=None):
             spd = build_solution_params(deg)
             ref = dn_wave_theta(xs, ts, 0.0, b, c)
         sup = float(np.max(np.abs(eval_p(xs, ts, spd) - ref)))
-        ledger["limit"] = {"kind": limit, "eps": _f(eps),
-                           "sup_distance": _f(sup)}
+        ledger["limit"] = {"kind": limit, "eps": eps, "sup_distance": sup}
 
     # the limit entry carries no verdict and the symmetry verdicts sit one
     # level down
     verdicts = [e for e in ledger.values() if "passed" in e]
     verdicts += ledger.get("symmetries", {}).values()
     ok = all(e["passed"] for e in verdicts)
-    _emit(json.dumps(ledger, indent=2) + "\n", cfg["out"])
+    _emit_json(ledger, cfg["out"])
     return 0 if ok else 1
 
 
@@ -345,32 +338,19 @@ def cmd_limits(cfg, kind):
     curve = _curve(cfg)
     case = LimitCase(kind, curve)
     ap = asymptotic_constants(case)
-    ell = curve_integrals(curve)
-    names = ("a_plus", "b_plus", "a_minus", "b_minus", "b1_minus",
-             "d_minus", "f_minus")
     table = {}
-    for name in names:
-        num = getattr(ell, name)
+    for name, num in dataclasses.asdict(curve_integrals(curve)).items():
         asy = getattr(ap.ell, name)
         rel = (abs(num - asy) / abs(num)) if math.isfinite(asy) and num != 0 \
             else None
-        table[name] = {"numeric": _f(num),
-                       "asymptotic": asy if not math.isfinite(asy)
-                       else _f(asy),
-                       "rel_err": None if rel is None else _f(rel)}
+        table[name] = {"numeric": num, "asymptotic": asy, "rel_err": rel}
     report = {
         "kind": kind,
-        "small_parameter": _f(case.small),
+        "small_parameter": case.small,
         "integrals": table,
-        "derived": {
-            "frb_minus": ap.frb_minus, "frb_plus": ap.frb_plus,
-            "kappa1": _f(ap.kappa1), "k": _f(ap.k),
-            "kappa2": _f(ap.kappa2), "delta": _f(ap.delta),
-            "K0": _c(ap.K0), "K1": _f(ap.K1), "K2": _f(ap.K2),
-            "Z": [list(ap.Z)[0], list(ap.Z)[1]],
-        },
+        "derived": {**_solution_constants(ap), "Z": list(ap.Z)},
     }
-    _emit(json.dumps(report, indent=2) + "\n", cfg["out"])
+    _emit_json(report, cfg["out"])
     return 0
 
 
@@ -388,7 +368,9 @@ def main(argv=None):
             return cmd_verify(cfg, corrupt_k2=args.corrupt_k2,
                               limit=args.limit, eps=args.eps)
         return cmd_limits(cfg, args.kind)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        # RuntimeError: a quadrature that does not converge on a curve
+        # outside the numerically supported envelope
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -119,7 +119,12 @@ def _quotient_terms(x, t, sp: SolutionParams, signs):
 def eval_p(x, t, sp: SolutionParams):
     """The solution p(x, t).  Vectorized over broadcastable x, t."""
     den, (num,) = _quotient_terms(x, t, sp, (1.0,))
-    phase = np.exp(2j * (sp.K1 * np.asarray(x) + sp.K2 * np.asarray(t)))
+    # Im Z1 = n*frb_minus moves u1 by n quasi-periods tau1 = 2i*frb_minus;
+    # theta(u + n*tau1) = exp(-i*pi*n^2*tau1 - 2*pi*i*n*u) theta(u), so the
+    # numerator's extra i*delta leaves exp(2*pi*n*delta) in the quotient
+    n = sp.Z[0].imag / sp.frb_minus
+    phase = np.exp(2j * (sp.K1 * np.asarray(x) + sp.K2 * np.asarray(t))
+                   - 2.0 * np.pi * n * sp.delta)
     out = -2j * sp.K0 * num / den * phase
     return complex(out) if np.ndim(out) == 0 else out
 
@@ -193,6 +198,11 @@ def eval_p_general(x, t, params: CurveParams, Z=None, data=None):
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if x_arr.shape != t_arr.shape:
         raise ValueError("x and t must have matching shapes")
+    # Im Z = Im(B) M moves v by B M off a real point; theta(v + B M)
+    # = exp(-i*pi*M.B.M - 2*pi*i*M.v) theta(v), so the shift by -D leaves
+    # exp(2*pi*i*M.D) in the quotient
+    M = np.linalg.solve(B.entries.imag, sp.Z.imag)
+    quasi = 2j * np.pi * (M @ D)
     out = np.empty(x_arr.shape, dtype=complex)
     for idx in np.ndindex(x_arr.shape):
         xv, tv = x_arr[idx], t_arr[idx]
@@ -200,6 +210,6 @@ def eval_p_general(x, t, params: CurveParams, Z=None, data=None):
         num = riemann_theta2(v - D, B)
         den = riemann_theta2(v, B)
         out[idx] = (-2j * sp.K0 * num / den
-                    * np.exp(2j * (K1g * xv + K2g * tv)))
+                    * np.exp(2j * (K1g * xv + K2g * tv) - quasi))
     return complex(out[()]) if np.ndim(x) == 0 and np.ndim(t) == 0 \
         else out.reshape(np.shape(x) or np.shape(t))

@@ -41,6 +41,14 @@ class TestParams:
         code, _ = run(capsys, ["params", "--a", "9", "--b", "8", "--c", "6"])
         assert code == 2
 
+    def test_non_converging_curve_exit_2(self, capsys):
+        # c - b = 1e-8 lies outside the envelope where tanh-sinh converges
+        code = main(["params", "--a", "6", "--b", "8", "--c", "8.00000001"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_deterministic(self, capsys):
         _, out1 = run(capsys, ["params"] + BASE)
         _, out2 = run(capsys, ["params"] + BASE)
@@ -81,6 +89,16 @@ class TestGrid:
         assert len(raw) == len(b"P5\n8 8\n255\n") + 64
         side = json.loads((tmp_path / "field.pgm.json").read_text())
         assert side["max"] > side["min"] > 0.0
+
+    @pytest.mark.parametrize("command", ["grid", "verify"])
+    @pytest.mark.parametrize("nx, nt", [("2049", "2"), ("2", "2049")])
+    def test_grid_size_bound_exit_2(self, capsys, command, nx, nt):
+        code = main([command, "--nx", nx, "--nt", nt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "2048" in captured.err
 
     def test_json_format(self, capsys):
         code, out = run(capsys, ["grid"] + BASE
@@ -125,6 +143,13 @@ class TestVerify:
         ledger = json.loads(out)
         assert not ledger["residual"]["passed"]
         assert ledger["residual"]["residual_norm"] > 1e-4
+
+    def test_passes_at_first_slot_imaginary_shift(self, capsys):
+        # Z1 = i*frb_minus/2 has the reality witness N = (2, 0)
+        code, out = run(capsys, ["verify", "--z-im1", "0.6691876313837515"])
+        assert code == 0
+        ledger = json.loads(out)
+        assert ledger["symmetries"]["amplitude_consistency"]["passed"]
 
     def test_limit_entry_carries_no_verdict(self, capsys):
         code, out = run(capsys, ["verify"] + BASE + ["--limit", "a_to_0"])
@@ -181,6 +206,14 @@ class TestConfig:
         assert via_config == via_flag
         assert via_flag[key] == value
         assert via_flag != _resolve(parser.parse_args(["grid"]))
+
+    def test_integer_config_prints_as_its_flag(self, capsys, tmp_path):
+        # K1 = -lambda0 is -0.0 for the float 0.0 but 0 for the integer 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda0": 0, "a": 6, "b": 8, "c": 9}))
+        _, via_config = run(capsys, ["params", "--config", str(cfg)])
+        _, via_flags = run(capsys, ["params"] + BASE)
+        assert via_config == via_flags
 
     @pytest.mark.parametrize("command, payload", [
         ("params", [6, 8, 9]),

@@ -104,6 +104,25 @@ class TestComplexPhase:
         with pytest.raises(ValueError):
             eval_amp2(0.0, 0.0, sp_bad)
 
+    @pytest.mark.parametrize("curve", [P689, CurveParams(0.7, 1.0, 2.0, 3.0)])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_first_slot_imaginary_shift_keeps_modulus(self, curve, m):
+        # Z = (i*m*frb_minus/2, 0) has the modulus of the real shift
+        # Z = (0, m/2) on both p routes, and |p|^2 = eval_amp2
+        z_c = np.array([0.5j * m * build_solution_params(curve).frb_minus,
+                        0.0])
+        sp_c = build_solution_params(curve, z_c)
+        sp_r = build_solution_params(curve, np.array([0.0, 0.5 * m]))
+        rng = np.random.default_rng(m)
+        xs = rng.uniform(-0.4, 0.4, 12)
+        ts = rng.uniform(-0.03, 0.03, 12)
+        ref = np.abs(eval_p(xs, ts, sp_r))
+        p = eval_p(xs, ts, sp_c)
+        for route in (p, eval_p_general(xs, ts, curve, z_c)):
+            assert np.max(np.abs(np.abs(route) - ref) / ref) <= 1e-12
+        amp = eval_amp2(xs, ts, sp_c)
+        assert np.max(np.abs(amp - np.abs(p) ** 2) / amp) <= 1e-10
+
 
 class TestGrid:
     def test_sample_grid_shape(self, sp):
