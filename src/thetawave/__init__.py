@@ -50,7 +50,6 @@ from .theta import (
     theta_reduction_check,
 )
 from .verify import (
-    EvolutionReport,
     ResidualReport,
     field_residual,
     nls_residual,
@@ -99,7 +98,6 @@ __all__ = [
     "jacobi_dn",
     "asymptotic_constants",
     "ResidualReport",
-    "EvolutionReport",
     "field_residual",
     "nls_residual",
     "residual_fit_k2",

@@ -17,6 +17,8 @@ __all__ = ["tanh_sinh"]
 # |t| beyond ~6 produces node distances below ~1e-276; further nodes only
 # risk underflow to exactly zero without contributing anything.
 _T_MAX = 6.0
+# refinement budget: levels of step halving before RuntimeError
+_MAX_LEVEL = 16
 
 
 def _nodes(t):
@@ -34,14 +36,14 @@ def _nodes(t):
     return u, v, w
 
 
-def tanh_sinh(f, length, tol=1e-12, max_level=16, scale=1.0):
+def tanh_sinh(f, length, tol=1e-12, scale=1.0):
     """Integrate ``f`` over ``(0, length)``.
 
     f        -- vectorized callable f(u, v) of node distances from the ends
     length   -- positive interval length
     tol      -- tolerance on the level-to-level change, taken relative to
-                max(scale, |value|); scale=0 makes it purely relative
-    max_level-- refinement budget; RuntimeError when exhausted
+                max(scale, |value|); scale=0 makes it purely relative;
+                RuntimeError after _MAX_LEVEL halvings without it
 
     Returns (value, error_estimate).  Complex integrands are supported.
     """
@@ -60,7 +62,7 @@ def tanh_sinh(f, length, tol=1e-12, max_level=16, scale=1.0):
     value = h * total
     prev = value
     err = np.inf
-    for _ in range(1, max_level + 1):
+    for _ in range(1, _MAX_LEVEL + 1):
         h *= 0.5
         # new nodes sit at odd multiples of the refined step
         kmax = int(_T_MAX / h)
@@ -74,6 +76,6 @@ def tanh_sinh(f, length, tol=1e-12, max_level=16, scale=1.0):
             return value, err
         prev = value
     raise RuntimeError(
-        f"tanh_sinh did not converge to {tol:g} within {max_level} levels "
+        f"tanh_sinh did not converge to {tol:g} within {_MAX_LEVEL} levels "
         f"(last change {err:g})"
     )

@@ -28,7 +28,7 @@ from .curve import (
     wave_vectors,
 )
 from .elliptic import CurveParams, curve_integrals
-from .limits import LimitCase, asymptotic_constants
+from .limits import _KINDS, LimitCase, asymptotic_constants
 from .solution import GridSpec, eval_p, sample_grid
 from .verify import nls_residual, split_step_evolve, symmetry_suite
 
@@ -47,8 +47,6 @@ _FLAGS = {
     "nx": (int, 128), "nt": (int, 128),
     "out": (str, None), "format": (("csv", "json", "pgm"), "csv"),
 }
-
-_LIMITS = ("c_to_b", "a_to_b", "a_to_0")
 
 # the largest nx or nt that grid and verify accept: 4x the largest grid in
 # use, so that a mistyped size fails before it allocates
@@ -85,10 +83,10 @@ def _parser():
     scan.add_argument("--num", type=int)
     verify = sub.add_parser("verify", parents=[common])
     verify.add_argument("--corrupt-k2", action="store_true")
-    verify.add_argument("--limit", choices=_LIMITS)
+    verify.add_argument("--limit", choices=_KINDS)
     verify.add_argument("--eps", type=float)
     limits = sub.add_parser("limits", parents=[common])
-    limits.add_argument("--kind", choices=_LIMITS)
+    limits.add_argument("--kind", choices=_KINDS)
     return p
 
 

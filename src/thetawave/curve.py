@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._quad import tanh_sinh
-from .elliptic import CurveParams, EllipticConstants, curve_integrals
+from .elliptic import _TOL, CurveParams, EllipticConstants, curve_integrals
 from .theta import PeriodMatrix
 
 __all__ = [
@@ -59,6 +59,10 @@ __all__ = [
     "connector_vector",
     "connector_calibration",
 ]
+
+# largest mismatch of a reality witness: |Im(B N) - 2 Im Z| and the
+# distance of Re(B N) from the integers
+_REALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -113,25 +117,25 @@ class PeriodLattice:
 # ---------------------------------------------------------------------------
 # the second-kind differentials: normalization and asymptotic constants
 
-def _axis_moment(j, a, b, c, tol=1e-12):
+def _axis_moment(j, a, b, c):
     """int_0^a y**j dy / sqrt((a^2-y^2)(b^2-y^2)(c^2-y^2))."""
     def f(u, v):
         y = u
         return y ** j / np.sqrt(
             v * (2.0 * a - v) * (b - y) * (b + y) * (c - y) * (c + y)
         )
-    val, _ = tanh_sinh(f, a, tol, scale=0.0)
+    val, _ = tanh_sinh(f, a, _TOL, scale=0.0)
     return val
 
 
-def _gap_moment(j, a, b, c, tol=1e-12):
+def _gap_moment(j, a, b, c):
     """int_a^b y**j dy / sqrt((y^2-a^2)(b^2-y^2)(c^2-y^2))."""
     def f(u, v):
         y = a + u
         return y ** j / np.sqrt(
             u * (y + a) * v * (y + b) * (c - y) * (c + y)
         )
-    val, _ = tanh_sinh(f, b - a, tol, scale=0.0)
+    val, _ = tanh_sinh(f, b - a, _TOL, scale=0.0)
     return val
 
 
@@ -139,12 +143,12 @@ def _w_real(x, a, b, c):
     return np.sqrt((x * x + a * a) * (x * x + b * b) * (x * x + c * c))
 
 
-def _real_axis_tail(near_f, far_f, c, tol=1e-12):
+def _real_axis_tail(near_f, far_f, c):
     """Integrate over (0, inf), split at c.  ``near_f(x)`` covers (0, c);
     ``far_f(y)`` is the integrand after x = c/y (Jacobian included), written
     in the reciprocal variable so huge x never appears."""
-    near, _ = tanh_sinh(lambda u, v: near_f(u), c, tol)
-    far, _ = tanh_sinh(lambda u, v: far_f(u), 1.0, tol)
+    near, _ = tanh_sinh(lambda u, v: near_f(u), c, _TOL)
+    far, _ = tanh_sinh(lambda u, v: far_f(u), 1.0, _TOL)
     return near + far
 
 
@@ -290,47 +294,41 @@ def period_lattice(params: CurveParams, ell: EllipticConstants | None = None):
     )
 
 
-def reality_check(Z, B: PeriodMatrix, max_norm=8, tol=1e-9):
-    """Search for an integer witness N with 2*Im Z = Im(B N) and
-    Re(B N) integral.  Returns (found, N or None)."""
+def reality_check(Z, B: PeriodMatrix):
+    """The integer witness N with 2*Im Z = Im(B N) and Re(B N) integral.
+    Im B is positive definite, so the only candidate is the rounded
+    B-coordinate vector of 2Z.  Returns (found, N or None)."""
     Z = np.asarray(Z, dtype=complex)
-    target = 2.0 * Z.imag
-    Bm = B.entries
-    rng = range(-max_norm, max_norm + 1)
-    for n1 in rng:
-        for n2 in rng:
-            N = np.array([n1, n2], dtype=float)
-            BN = Bm @ N
-            if np.max(np.abs(BN.imag - target)) > tol:
-                continue
-            if np.max(np.abs(BN.real - np.round(BN.real))) > tol:
-                continue
-            return True, np.array([n1, n2], dtype=int)
-    return False, None
+    N = np.round(B.b_coordinates(2.0 * Z))
+    BN = B.entries @ N
+    # written as <= so that a NaN phase is refused
+    ok = (np.all(np.abs(BN.imag - 2.0 * Z.imag) <= _REALITY_TOL)
+          and np.all(np.abs(BN.real - np.round(BN.real)) <= _REALITY_TOL))
+    return (True, N.astype(int)) if ok else (False, None)
 
 
 # ---------------------------------------------------------------------------
 # contour cross-checks on the curve
 
-def _segment_cut(poly, a, b, c, tol=1e-12):
+def _segment_cut(poly, a, b, c):
     """2 * int over the cut segment [ia, ib]: 2 int_a^b poly(iy)/sqrt(g) dy,
     g = (y^2-a^2)(b^2-y^2)(c^2-y^2)."""
     def f(u, v):
         y = a + u
         g = u * (y + a) * v * (y + b) * (c - y) * (c + y)
         return poly(1j * y) / np.sqrt(g)
-    val, _ = tanh_sinh(f, b - a, tol, scale=1.0)
+    val, _ = tanh_sinh(f, b - a, _TOL, scale=1.0)
     return 2.0 * val
 
 
-def _segment_between(poly, a, b, c, tol=1e-12):
+def _segment_between(poly, a, b, c):
     """2 * int over [ib, ic] (off the cuts, w real there):
     2 int_b^c poly(iy)*i/sqrt(g) dy, g = (y^2-a^2)(y^2-b^2)(c^2-y^2)."""
     def f(u, v):
         y = b + u
         g = (y - a) * (y + a) * u * (y + b) * v * (c + y)
         return poly(1j * y) * 1j / np.sqrt(g)
-    val, _ = tanh_sinh(f, c - b, tol, scale=1.0)
+    val, _ = tanh_sinh(f, c - b, _TOL, scale=1.0)
     return 2.0 * val
 
 
@@ -372,7 +370,7 @@ def b_period_errors(params: CurveParams):
 # ---------------------------------------------------------------------------
 # connector vector between the two points at infinity
 
-def connector_vector(a, b, c, tol=1e-12):
+def connector_vector(a, b, c):
     """The vector of normalized holomorphic integrals between the two points
     at infinity, computed as twice the integral from the branch point i*c
     along the straight path i*c + s, s in (0, inf).
@@ -415,34 +413,28 @@ def connector_vector(a, b, c, tol=1e-12):
         (lambda mu: 1.0 + 0.0 * mu, f_far_const, 1j / ell.a_minus),
         (lambda mu: mu, f_far_mu, -1j / ell.a_plus),
     ):
-        near, _ = tanh_sinh(f_near(num), c, tol)
-        far_v, _ = tanh_sinh(far, 1.0, tol)
+        near, _ = tanh_sinh(f_near(num), c, _TOL)
+        far_v, _ = tanh_sinh(far, 1.0, _TOL)
         comps.append(coef * (near + far_v))
     return np.array(comps)
 
 
-def connector_calibration(a, b, c, max_norm=3):
+def connector_calibration(a, b, c):
     """Express the computed connector vector as the canonical representative
     (-i*delta/2, -1/2) plus a lattice vector m + B n of the period matrix.
 
     Returns (D, n, m, residual): the computed vector, the integer lattice
     coordinates, and the leftover after subtracting the decomposition, which
-    measures the internal consistency of the contour machinery."""
+    measures the internal consistency of the contour machinery.  n is the
+    rounded B-coordinate vector of D minus the representative, and m the
+    rounded real part of what B n leaves."""
     centred = CurveParams(0.0, a, b, c)
     ell = curve_integrals(centred)
     delta = ell.b1_minus / ell.a_minus
-    B = period_matrix(centred, ell).entries
+    B = period_matrix(centred, ell)
     D = connector_vector(a, b, c)
-    target = np.array([-0.5j * delta, -0.5])
-
-    best = None
-    for n1 in range(-max_norm, max_norm + 1):
-        for n2 in range(-max_norm, max_norm + 1):
-            n = np.array([n1, n2], dtype=float)
-            r = D - target - B @ n
-            m = np.round(r.real)
-            err = float(np.max(np.abs(r - m)))
-            if best is None or err < best[3]:
-                best = (n.astype(int), m.astype(int), r - m, err)
-    n, m, resid, err = best
-    return D, n, m, err
+    offset = D - np.array([-0.5j * delta, -0.5])
+    n = np.round(B.b_coordinates(offset))
+    r = offset - B.entries @ n
+    m = np.round(r.real)
+    return D, n.astype(int), m.astype(int), float(np.max(np.abs(r - m)))

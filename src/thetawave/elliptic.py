@@ -30,7 +30,7 @@ from numpy.polynomial.legendre import leggauss
 
 from ._quad import tanh_sinh
 
-_TOL = 1e-12        # tanh-sinh level-to-level tolerance
+_TOL = 1e-12        # level-to-level tolerance of every quadrature
 _CROSS_TOL = 1e-8   # largest relative gap allowed between the two routes
 
 __all__ = [
@@ -94,18 +94,6 @@ def _K_from_m1(m1):
     return float(ellipkm1(m1))
 
 
-def _Pi_from_m1(n, m1):
-    """Complete integral of the third kind via Carlson symmetric forms."""
-    if n >= 1.0:
-        raise ValueError(f"characteristic must satisfy n < 1, got {n}")
-    if m1 <= 0.0:
-        raise ValueError("modulus must satisfy k < 1")
-    rf = elliprf(0.0, m1, 1.0)
-    if n == 0.0:
-        return float(rf)
-    return float(rf + n / 3.0 * elliprj(0.0, m1, 1.0, 1.0 - n))
-
-
 def legendre_K(k):
     """Complete elliptic integral of the first kind, modulus convention."""
     if not 0.0 <= k < 1.0:
@@ -125,10 +113,19 @@ def legendre_F(sin_phi, k):
 
 
 def legendre_Pi(n, k):
-    """Complete elliptic integral of the third kind, modulus convention."""
+    """Complete elliptic integral of the third kind, modulus convention,
+    via Carlson symmetric forms."""
     if not 0.0 <= k < 1.0:
         raise ValueError(f"modulus must lie in [0, 1), got {k}")
-    return _Pi_from_m1(n, (1.0 - k) * (1.0 + k))
+    if n >= 1.0:
+        raise ValueError(f"characteristic must satisfy n < 1, got {n}")
+    m1 = (1.0 - k) * (1.0 + k)
+    if m1 <= 0.0:
+        raise ValueError("modulus must satisfy k < 1")
+    rf = elliprf(0.0, m1, 1.0)
+    if n == 0.0:
+        return float(rf)
+    return float(rf + n / 3.0 * elliprj(0.0, m1, 1.0, 1.0 - n))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +194,7 @@ def _quad_integrals(a, b, c, tol):
 # ---------------------------------------------------------------------------
 # closed Legendre route (and the rationalized Gauss route for f_minus)
 
-def _f_minus_gauss(a, b, c, tol=1e-12, n_max=4096):
+def _f_minus_gauss(a, b, c):
     """Second, quadrature-independent route to the tail integral f_minus.
 
     After t = c**2/v**2 the integral becomes
@@ -208,7 +205,7 @@ def _f_minus_gauss(a, b, c, tol=1e-12, n_max=4096):
     smooth and positive, leaving the analytic integrand
         2 P(1 - s**2) / (g(s) * (1 + s*g(s)))
     on (0, 1), which Gauss-Legendre handles at spectral accuracy.  Node
-    counts double until the result is stable.
+    counts double, up to 4096, until the result is stable.
     """
     a2, b2, c2 = a * a, b * b, c * c
     alpha, beta = a2 / c2, b2 / c2
@@ -236,13 +233,14 @@ def _f_minus_gauss(a, b, c, tol=1e-12, n_max=4096):
 
     prev = None
     n = 24
-    while n <= n_max:
+    while n <= 4096:
         xg, wg = leggauss(n)
         value = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
             half = 0.5 * (hi - lo)
             value += half * float(np.sum(wg * integrand(lo + half * (xg + 1.0))))
-        if prev is not None and abs(value - prev) <= tol * max(1.0, abs(value)):
+        if prev is not None \
+                and abs(value - prev) <= _TOL * max(1.0, abs(value)):
             return value
         prev = value
         n *= 2

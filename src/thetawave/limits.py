@@ -203,10 +203,10 @@ def dn_fit(xs, fs, k20=None, tol=1e-6):
     return A, B, kt, x0
 
 
-def asymptotic_constants(case: LimitCase, lambda0=None):
+def asymptotic_constants(case: LimitCase):
     """Leading-order values of all constants in the given limit regime."""
     p = case.params
-    lam = p.lambda0 if lambda0 is None else lambda0
+    lam = p.lambda0
     inf = math.inf
 
     if case.kind == "c_to_b":

@@ -201,7 +201,7 @@ def eval_p_general(x, t, params: CurveParams, Z=None, data=None):
     # Im Z = Im(B) M moves v by B M off a real point; theta(v + B M)
     # = exp(-i*pi*M.B.M - 2*pi*i*M.v) theta(v), so the shift by -D leaves
     # exp(2*pi*i*M.D) in the quotient
-    M = np.linalg.solve(B.entries.imag, sp.Z.imag)
+    M = B.b_coordinates(sp.Z)
     quasi = 2j * np.pi * (M @ D)
     out = np.empty(x_arr.shape, dtype=complex)
     for idx in np.ndindex(x_arr.shape):

@@ -55,6 +55,11 @@ class PeriodMatrix:
             [[0.5j * frb_minus, -0.5], [-0.5, 0.5j * frb_plus]]
         ))
 
+    def b_coordinates(self, v):
+        """The real M with Im v = Im(B) M: where v sits along the b-periods.
+        Im B is positive definite, so M exists and is unique."""
+        return np.linalg.solve(self.entries.imag, np.imag(v))
+
 
 @dataclass(frozen=True)
 class ThetaCharacteristics:
@@ -233,7 +238,7 @@ def riemann_theta2(u, B: PeriodMatrix, chars: ThetaCharacteristics | None = None
     lam_min = float(np.min(np.linalg.eigvalsh(Y)))
 
     eta, zeta = chars.eta, chars.zeta
-    center = -eta - np.linalg.solve(Y, (u + zeta).imag)
+    center = -eta - B.b_coordinates(u + zeta)
     radius = int(np.ceil(np.sqrt(14.0 * np.log(10.0) / (np.pi * lam_min)))) + 2
     radius += int(radius_margin)
 

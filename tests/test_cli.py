@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from thetawave.cli import _parser, _resolve, main
+from thetawave.curve import build_solution_params
+from thetawave.elliptic import CurveParams
 
 BASE = ["--lambda0", "0", "--a", "6", "--b", "8", "--c", "9"]
+FRB_PLUS = float(
+    build_solution_params(CurveParams(0.0, 6.0, 8.0, 9.0)).frb_plus)
 
 
 def run(capsys, argv):
@@ -48,6 +52,13 @@ class TestParams:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_witness_beyond_eight(self, capsys):
+        code, out = run(capsys, ["params"] + BASE
+                        + ["--z-im2", repr(2.5 * FRB_PLUS)])
+        assert code == 0
+        assert json.loads(out)["reality"] == {"passed": True,
+                                              "witness": [0, 10]}
 
     def test_deterministic(self, capsys):
         _, out1 = run(capsys, ["params"] + BASE)
@@ -150,6 +161,25 @@ class TestVerify:
         assert code == 0
         ledger = json.loads(out)
         assert ledger["symmetries"]["amplitude_consistency"]["passed"]
+
+    def test_passes_at_full_b_period_shift(self, capsys):
+        # Im Z2 = 2 frb_plus has the witness (0, 8); the ledger's shifted
+        # phase needs (0, 10)
+        code, out = run(capsys, ["verify"] + BASE
+                        + ["--z-im2", repr(2.0 * FRB_PLUS)])
+        assert code == 0
+        ledger = json.loads(out)
+        assert ledger["symmetries"]["complex_phase_reality"]["passed"]
+
+    @pytest.mark.parametrize("flag, value", [("--nt", "4"), ("--nx", "3")])
+    def test_grid_below_stencil_width_exit_2(self, capsys, flag, value):
+        code = main(["verify"] + BASE + [flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        # names the flag and its value (numpy's own message names neither)
+        assert f"{flag[2:]}={value}" in captured.err
 
     def test_limit_entry_carries_no_verdict(self, capsys):
         code, out = run(capsys, ["verify"] + BASE + ["--limit", "a_to_0"])

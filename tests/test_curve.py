@@ -86,6 +86,17 @@ class TestConnector:
         assert D[0] == pytest.approx(-0.5j * sp.delta, rel=1e-10)
         assert D[1] == pytest.approx(-0.5, rel=1e-10)
 
+    # the reference curve and the 8 corners of the benchmark's curve sweep:
+    # b in {0.1, 100}, a/b in {1e-3, 0.95}, c/b in {1.001, 3}
+    @pytest.mark.parametrize("abc", [(6.0, 8.0, 9.0)] + [
+        (ar * b, b, cr * b) for b in (0.1, 100.0) for ar in (1e-3, 0.95)
+        for cr in (1.001, 3.0)])
+    def test_representative_needs_no_lattice_shift(self, abc):
+        _, n, m, resid = connector_calibration(*abc)
+        assert tuple(n) == (0, 0)
+        assert tuple(m) == (0, 0)
+        assert resid < 1e-10
+
 
 class TestPeriodLattice:
     def test_lattice_solves_linear_system(self):
@@ -127,4 +138,21 @@ class TestRealityCheck:
 
     def test_generic_complex_rejected(self):
         ok, n = reality_check(np.array([0.0, 0.3j]), self.B)
+        assert not ok and n is None
+
+    def test_witness_beyond_eight(self):
+        # 2 Im Z = 5 frb gives N = 10 in that slot
+        z2 = np.array([0.0, 2.5j * self.sp.frb_plus])
+        ok, n = reality_check(z2, self.B)
+        assert ok and tuple(n) == (0, 10)
+        z1 = np.array([2.5j * self.sp.frb_minus, 0.0])
+        ok, n = reality_check(z1, self.B)
+        assert ok and tuple(n) == (10, 0)
+
+    def test_quarter_b_period_rejected_by_real_part(self):
+        # N = (0, 1) matches Im(B N) = 2 Im Z, but Re(B N) = (-1/2, 0)
+        z = np.array([0.0, 0.25j * self.sp.frb_plus])
+        BN = self.B.entries @ np.array([0.0, 1.0])
+        assert np.allclose(BN.imag, 2.0 * z.imag, rtol=0.0, atol=1e-12)
+        ok, n = reality_check(z, self.B)
         assert not ok and n is None

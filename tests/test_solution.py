@@ -99,6 +99,15 @@ class TestComplexPhase:
         b = eval_amp2(xs, 0.004, sp_r)
         assert np.max(np.abs(a - b)) < 1e-9 * np.max(np.abs(a))
 
+    def test_amp2_at_witness_beyond_eight(self, sp):
+        # Im Z2 = 5 frb_plus/2 has the reality witness N = (0, 10)
+        sp_c = dataclasses.replace(
+            sp, Z=np.array([0.0, 2.5j * sp.frb_plus]))
+        xs = np.linspace(-0.3, 0.3, 11)
+        amp = eval_amp2(xs, 0.004, sp_c)
+        p = eval_p(xs, 0.004, sp_c)
+        assert np.max(np.abs(amp - np.abs(p) ** 2) / amp) <= 1e-10
+
     def test_generic_complex_Z_rejected(self, sp):
         sp_bad = dataclasses.replace(sp, Z=np.array([0.0, 0.3j]))
         with pytest.raises(ValueError):
