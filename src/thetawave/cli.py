@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -80,11 +81,11 @@ def _parser():
     scan.add_argument("--vary", choices=["a", "c"])
     scan.add_argument("--start", type=float)
     scan.add_argument("--stop", type=float)
-    scan.add_argument("--num", type=int)
+    scan.add_argument("--num", type=int, default=40)
     verify = sub.add_parser("verify", parents=[common])
     verify.add_argument("--corrupt-k2", action="store_true")
     verify.add_argument("--limit", choices=_KINDS)
-    verify.add_argument("--eps", type=float)
+    verify.add_argument("--eps", type=float, default=1e-4)
     limits = sub.add_parser("limits", parents=[common])
     limits.add_argument("--kind", choices=_KINDS)
     return p
@@ -160,7 +161,9 @@ def _emit(chunks, out):
 
 
 def _emit_json(obj, out):
-    _emit([json.dumps(obj, indent=2) + "\n"], out)
+    # streamed: one json.dumps string of a 512**2 grid holds tens of MiB
+    chunks = json.JSONEncoder(indent=2).iterencode(obj)
+    _emit(itertools.chain(chunks, ["\n"]), out)
 
 
 def _solution_constants(s):
@@ -252,7 +255,8 @@ def cmd_grid(cfg, abs_only=False):
 def cmd_scan(cfg, vary, start, stop, num):
     if vary is None or start is None or stop is None:
         raise ValueError("scan needs --vary, --start and --stop")
-    num = num or 40
+    if num < 1:
+        raise ValueError(f"--num must be at least 1, got {num}")
     lines = ["value,X,T,h_minus,h_plus\n"]
     for val in np.linspace(start, stop, num):
         if vary == "a":
@@ -269,7 +273,9 @@ def cmd_scan(cfg, vary, start, stop, num):
     return 0
 
 
-def cmd_verify(cfg, corrupt_k2=False, limit=None, eps=None):
+def cmd_verify(cfg, corrupt_k2=False, limit=None, eps=1e-4):
+    if not eps > 0.0:
+        raise ValueError(f"--eps must be positive, got {eps}")
     curve = _curve(cfg)
     sp = build_solution_params(curve, _phase(cfg))
     lat = period_lattice(curve, sp.ell)
@@ -302,7 +308,6 @@ def cmd_verify(cfg, corrupt_k2=False, limit=None, eps=None):
 
     if limit is not None:
         from .limits import dn_wave_theta, plane_wave_ab, plane_wave_cb
-        eps = eps or 1e-4
         b, c = cfg["b"], cfg["c"]
         xs = np.linspace(-0.2, 0.2, 21)[:, None]
         ts = np.linspace(-0.01, 0.01, 5)[None, :]

@@ -7,10 +7,13 @@ elliptic quotient curves.  Each integral is evaluated twice: by
 singularity-removing tanh-sinh quadrature of its defining form, and through
 an independent closed Legendre reduction (for the final constant ``f_minus``,
 which has no closed Legendre form, an algebraically rationalized finite
-reformulation integrated by Gauss rules).  A disagreement between the two
-routes beyond 1e-8 relative aborts the computation, since it can only come
-from a convention bug.  The integrals depend on (a, b, c) alone, so each
-curve is evaluated and cross-checked once and then served from a memo.
+reformulation integrated by Gauss rules).  The Legendre integrals are
+Carlson's R_F and R_J, computed here by duplication (Carlson, Numer.
+Algorithms 10, 1995) from arguments formed without cancellation.  A
+disagreement between the two routes beyond 1e-8 relative aborts the
+computation, since it can only come from a convention bug.  The integrals
+depend on (a, b, c) alone, so each curve is evaluated and cross-checked
+once and then served from a memo.
 
 Conventions: every Legendre routine takes the MODULUS ``k`` (not the
 parameter ``m = k**2``), and the first argument of the incomplete integral
@@ -25,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ellipkinc, ellipkm1, elliprf, elliprj
 from numpy.polynomial.legendre import leggauss
 
 from ._quad import tanh_sinh
@@ -85,13 +87,75 @@ class EllipticConstants:
 
 
 # ---------------------------------------------------------------------------
-# Legendre integrals (modulus convention)
+# Legendre integrals (modulus convention) via Carlson symmetric forms
+
+# Carlson's stopping bounds (3r)**(-1/6) and (r/4)**(-1/6) at r = 1e-17
+_Q_RF = 3e-17 ** (-1.0 / 6.0)
+_Q_RJ = 2.5e-18 ** (-1.0 / 6.0)
+
+
+def _rf(x, y, z):
+    """R_F(x, y, z) for x, y, z >= 0, at most one of them zero."""
+    a0 = an = (x + y + z) / 3.0
+    dx, dy = a0 - x, a0 - y
+    q = _Q_RF * max(abs(dx), abs(dy), abs(a0 - z))
+    f = 1.0
+    while f * q >= an:
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        x, y, z = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0
+        an = (an + lam) / 4.0
+        f /= 4.0
+    X, Y = dx * f / an, dy * f / an
+    e2, e3 = X * Y - (X + Y) ** 2, -X * Y * (X + Y)
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0
+            - 3.0 * e2 * e3 / 44.0) / math.sqrt(an)
+
+
+def _rc1(w):
+    """R_C(1, w) for w > 0 in the atan/atanh form (the acos form loses half
+    the digits as w -> 1); atanh(s) = log1p(2s(1 + s)/w)/2 keeps w -> 0."""
+    s = math.sqrt(abs(w - 1.0))
+    if w > 1.0:
+        return math.atan(s) / s
+    if w < 1.0:
+        return math.log1p(2.0 * s * (1.0 + s) / w) / (2.0 * s)
+    return 1.0
+
+
+def _rj(x, y, z, p):
+    """R_J(x, y, z, p) for x, y, z >= 0, at most one of them zero, p > 0."""
+    a0 = an = (x + y + z + 2.0 * p) / 5.0
+    dx, dy, dz = a0 - x, a0 - y, a0 - z
+    q = _Q_RJ * max(abs(dx), abs(dy), abs(dz), abs(a0 - p))
+    f, tail = 1.0, 0.0
+    while f * q >= an:
+        sx, sy, sz, sp = map(math.sqrt, (x, y, z, p))
+        lam = sx * sy + sx * sz + sy * sz
+        d = (sp + sx) * (sp + sy) * (sp + sz)
+        # Carlson's 1 + e_m = 1 + (p - x)(p - y)(p - z)/d**2 cancels when
+        # p is small; expanding the products gives it as 2 sqrt(p)(p + lam)/d
+        tail += f / d * _rc1(2.0 * sp * (p + lam) / d)
+        x, y, z = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0
+        p = (p + lam) / 4.0
+        an = (an + lam) / 4.0
+        f /= 4.0
+    X, Y, Z = dx * f / an, dy * f / an, dz * f / an
+    P = -(X + Y + Z) / 2.0
+    e2 = X * Y + X * Z + Y * Z - 3.0 * P * P
+    e3 = X * Y * Z + 2.0 * e2 * P + 4.0 * P ** 3
+    e4 = (2.0 * X * Y * Z + e2 * P + 3.0 * P ** 3) * P
+    e5 = X * Y * Z * P * P
+    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0
+              - 3.0 * e4 / 22.0 - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+    return f * series / (an * math.sqrt(an)) + 6.0 * tail
+
 
 def _K_from_m1(m1):
     """Complete integral of the first kind from the complementary parameter."""
     if m1 <= 0.0:
         raise ValueError("modulus must satisfy k < 1")
-    return float(ellipkm1(m1))
+    return _rf(0.0, m1, 1.0)
 
 
 def legendre_K(k):
@@ -107,25 +171,25 @@ def legendre_F(sin_phi, k):
         raise ValueError(f"sin(phi) must lie in [0, 1], got {sin_phi}")
     if not 0.0 <= k < 1.0:
         raise ValueError(f"modulus must lie in [0, 1), got {k}")
-    if sin_phi == 1.0:
-        return legendre_K(k)
-    return float(ellipkinc(math.asin(sin_phi), k * k))
+    # F = s R_F(1 - s**2, 1 - k**2 s**2, 1), arguments without cancellation
+    c2 = (1.0 - sin_phi) * (1.0 + sin_phi)
+    m1 = (1.0 - k) * (1.0 + k)
+    return sin_phi * _rf(c2, c2 + sin_phi * sin_phi * m1, 1.0)
 
 
 def legendre_Pi(n, k):
-    """Complete elliptic integral of the third kind, modulus convention,
-    via Carlson symmetric forms."""
+    """Complete elliptic integral of the third kind, modulus convention."""
     if not 0.0 <= k < 1.0:
         raise ValueError(f"modulus must lie in [0, 1), got {k}")
     if n >= 1.0:
         raise ValueError(f"characteristic must satisfy n < 1, got {n}")
     m1 = (1.0 - k) * (1.0 + k)
-    if m1 <= 0.0:
-        raise ValueError("modulus must satisfy k < 1")
-    rf = elliprf(0.0, m1, 1.0)
-    if n == 0.0:
-        return float(rf)
-    return float(rf + n / 3.0 * elliprj(0.0, m1, 1.0, 1.0 - n))
+    rf, w = _rf(0.0, m1, 1.0), 1.0 - n
+    if n >= 0.0:
+        return rf + n / 3.0 * _rj(0.0, m1, 1.0, w)
+    # n < 0: K + n/3 R_J cancels; u -> K - u maps n to (k**2 - n)/(1 - n)
+    # in (k**2, 1), where every term is positive
+    return (rf - n * m1 / (3.0 * w) * _rj(0.0, m1, 1.0, m1 / w)) / w
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +324,14 @@ def _closed_integrals(a, b, c):
     b_plus = 2.0 * _K_from_m1(ba / ca) / rca
     a_minus = 2.0 * _K_from_m1(c2 * ba / (b2 * ca)) / (b * rca)
     b_minus = 2.0 * _K_from_m1(a2 * cb / (b2 * ca)) / (b * rca)
-    b1_minus = 2.0 * float(
-        ellipkinc(math.asin(b / c), c2 * ba / (b2 * ca))
-    ) / (b * rca)
+    # F(asin(b/c) | m) with 1 - (b/c)**2 = cb/c2 and 1 - m (b/c)**2 = cb/ca
+    b1_minus = 2.0 * _rf(cb / c2, cb / ca, 1.0) / (c * rca)
     # K(k) - Pi(n, k) collapses to a single Carlson R_J term, avoiding the
     # cancellation that would otherwise dominate for small a
     k_am1 = c2 * ba / (b2 * ca)  # complement of the a_minus modulus
     n_char = a2 / (a2 - c2)
-    d_minus = c2 * (
-        -n_char / 3.0 * float(elliprj(0.0, k_am1, 1.0, 1.0 - n_char))
-    ) / (b * rca)
+    d_minus = c2 * (-n_char / 3.0 * _rj(0.0, k_am1, 1.0, 1.0 - n_char)) \
+        / (b * rca)
     f_minus = _f_minus_gauss(a, b, c)
 
     return EllipticConstants(

@@ -161,8 +161,6 @@ def dn_fit(xs, fs, k20=None, tol=1e-6):
     relations A = B, A**2 = 2*k20/(2 - ktilde**2) and the profile equation
     f'' = 2*k20*f - 2*f**3 are asserted to ``tol``.
     """
-    from scipy.optimize import least_squares  # slow import, needed only here
-
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
     fmax, fmin = float(np.max(fs)), float(np.min(fs))
@@ -171,20 +169,34 @@ def dn_fit(xs, fs, k20=None, tol=1e-6):
     k0 = math.sqrt(max(0.0, 1.0 - (fmin / fmax) ** 2))
     x00 = float(xs[int(np.argmax(fs))])
 
-    def model(p, x):
+    def residual(p):
         A, B, kt, x0 = p
-        return A * jacobi_dn(B * (x - x0), kt)
+        return A * jacobi_dn(B * (xs - x0), kt) - fs
 
-    res = least_squares(
-        lambda p: model(p, xs) - fs,
-        x0=[fmax, fmax, min(max(k0, 1e-6), 1.0 - 1e-9), x00],
-        bounds=([0.0, 0.0, 0.0, -np.inf],
-                [np.inf, np.inf, 1.0 - 1e-9, np.inf]),
-        xtol=1e-15, ftol=1e-15, gtol=1e-15,
-    )
-    if not res.success:
-        raise RuntimeError(f"dn profile fit failed: {res.message}")
-    A, B, kt, x0 = (float(v) for v in res.x)
+    # Levenberg-Marquardt on a forward-difference Jacobian, each trial
+    # clipped to the bounds A, B >= 0, 0 <= ktilde < 1
+    p = np.array([fmax, fmax, min(max(k0, 1e-6), 1.0 - 1e-9), x00])
+    r, mu = residual(p), 1e-3
+    for _ in range(100):
+        h = 1e-8 * np.maximum(1.0, np.abs(p))
+        h[2] *= -1.0 if p[2] > 0.5 else 1.0  # the ktilde step stays in [0, 1)
+        jac = (np.array([residual(p + dp) for dp in np.diag(h)]) - r).T / h
+        jtj = jac.T @ jac
+        step = np.linalg.solve(jtj + mu * np.diag(np.diag(jtj)), -jac.T @ r)
+        trial = np.clip(p + step, [0.0, 0.0, 0.0, -np.inf],
+                        [np.inf, np.inf, 1.0 - 1e-9, np.inf])
+        rt = residual(trial)
+        if rt @ rt < r @ r:
+            p, r, mu = trial, rt, mu / 10.0
+            if np.all(np.abs(step) <= 1e-13 * (np.abs(p) + 1e-13)):
+                break
+        elif mu > 1e12:
+            break  # no step lowers the residual: converged to rounding
+        else:
+            mu *= 10.0
+    else:
+        raise RuntimeError("dn profile fit did not converge")
+    A, B, kt, x0 = (float(v) for v in p)
     if k20 is not None:
         if abs(A - B) > tol * abs(A):
             raise AssertionError(f"fit violates A = B: {A} vs {B}")

@@ -1,6 +1,10 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +140,23 @@ class TestScan:
         code, _ = run(capsys, ["scan"] + BASE)
         assert code == 2
 
+    def test_default_num(self, capsys):
+        code, out = run(capsys, ["scan", "--a", "3", "--b", "5", "--vary",
+                                 "c", "--start", "5.5", "--stop", "9"])
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 40
+
+    @pytest.mark.parametrize("num", ["0", "-2"])
+    def test_num_below_one_exit_2(self, capsys, num):
+        # an explicit 0 used to fall back to the default 40 rows
+        code = main(["scan", "--a", "3", "--b", "5", "--vary", "c",
+                     "--start", "5.5", "--stop", "9", "--num", num])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert f"--num must be at least 1, got {num}" in captured.err
+
 
 class TestVerify:
     def test_passes_at_reference(self, capsys):
@@ -180,6 +201,16 @@ class TestVerify:
         assert captured.err.startswith("error:")
         # names the flag and its value (numpy's own message names neither)
         assert f"{flag[2:]}={value}" in captured.err
+
+    @pytest.mark.parametrize("eps", ["0", "-0.0001", "nan"])
+    def test_eps_not_positive_exit_2(self, capsys, eps):
+        # an explicit 0 used to run silently at the default 1e-4
+        code = main(["verify", "--limit", "a_to_0", "--eps", eps])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "--eps must be positive" in captured.err
 
     def test_limit_entry_carries_no_verdict(self, capsys):
         code, out = run(capsys, ["verify"] + BASE + ["--limit", "a_to_0"])
@@ -260,3 +291,24 @@ class TestConfig:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test-only dependency; importing it would add about 0.3 s
+    # to every CLI call
+    probe = """
+import contextlib, io, sys
+import thetawave
+from thetawave.cli import main
+for argv in (["params"], ["grid", "--format", "json"],
+             ["limits", "--kind", "a_to_0"], ["verify", "--limit", "a_to_0"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    res = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
