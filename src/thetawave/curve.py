@@ -128,15 +128,19 @@ def _axis_moment(j, a, b, c):
     return val
 
 
+def _cut_integral(f, a, b, c, scale):
+    """int_a^b f(y) dy / sqrt(g) over the cut [ia, ib],
+    g = (y^2-a^2)(b^2-y^2)(c^2-y^2); ``scale`` as in ``tanh_sinh``."""
+    def integrand(u, v):
+        y = a + u
+        return f(y) / np.sqrt(u * (y + a) * v * (y + b) * (c - y) * (c + y))
+    val, _ = tanh_sinh(integrand, b - a, _TOL, scale=scale)
+    return val
+
+
 def _gap_moment(j, a, b, c):
     """int_a^b y**j dy / sqrt((y^2-a^2)(b^2-y^2)(c^2-y^2))."""
-    def f(u, v):
-        y = a + u
-        return y ** j / np.sqrt(
-            u * (y + a) * v * (y + b) * (c - y) * (c + y)
-        )
-    val, _ = tanh_sinh(f, b - a, _TOL, scale=0.0)
-    return val
+    return _cut_integral(lambda y: y ** j, a, b, c, 0.0)
 
 
 def _w_real(x, a, b, c):
@@ -313,12 +317,7 @@ def reality_check(Z, B: PeriodMatrix):
 def _segment_cut(poly, a, b, c):
     """2 * int over the cut segment [ia, ib]: 2 int_a^b poly(iy)/sqrt(g) dy,
     g = (y^2-a^2)(b^2-y^2)(c^2-y^2)."""
-    def f(u, v):
-        y = a + u
-        g = u * (y + a) * v * (y + b) * (c - y) * (c + y)
-        return poly(1j * y) / np.sqrt(g)
-    val, _ = tanh_sinh(f, b - a, _TOL, scale=1.0)
-    return 2.0 * val
+    return 2.0 * _cut_integral(lambda y: poly(1j * y), a, b, c, 1.0)
 
 
 def _segment_between(poly, a, b, c):
@@ -386,8 +385,8 @@ def connector_vector(a, b, c):
         return mu, f_c * np.sqrt(mu * mu + a * a) * np.sqrt(mu * mu + b * b)
 
     def f_near(num):
-        def f(u, v):
-            mu, w = w_path(u)
+        def f(s):
+            mu, w = w_path(s)
             return num(mu) / w
         return f
 
@@ -398,25 +397,19 @@ def connector_vector(a, b, c):
                 * np.sqrt(one + a * a * h * h)
                 * np.sqrt(one + b * b * h * h))
 
-    def f_far_const(u, v):
+    def f_far_const(u):
         # integrand dmu/w after s = c/u, with the Jacobian c/u**2
-        h = u / c
-        return u / (c * c * g_of(h))
+        return u / (c * c * g_of(u / c))
 
-    def f_far_mu(u, v):
+    def f_far_mu(u):
         # integrand mu*dmu/w after the same substitution
-        h = u / c
-        return (1.0 + 1j * c * h) / (c * g_of(h))
+        return (1.0 + 1j * c * (u / c)) / (c * g_of(u / c))
 
-    comps = []
-    for num, far, coef in (
-        (lambda mu: 1.0 + 0.0 * mu, f_far_const, 1j / ell.a_minus),
-        (lambda mu: mu, f_far_mu, -1j / ell.a_plus),
-    ):
-        near, _ = tanh_sinh(f_near(num), c, _TOL)
-        far_v, _ = tanh_sinh(far, 1.0, _TOL)
-        comps.append(coef * (near + far_v))
-    return np.array(comps)
+    return np.array([
+        1j / ell.a_minus * _real_axis_tail(f_near(lambda mu: 1.0),
+                                           f_far_const, c),
+        -1j / ell.a_plus * _real_axis_tail(f_near(lambda mu: mu), f_far_mu, c),
+    ])
 
 
 def connector_calibration(a, b, c):

@@ -62,9 +62,13 @@ class CurveParams:
         for name in ("lambda0", "a", "b", "c"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if not 0.0 < self.a < self.b < self.c:
+        a, b, c = self.a, self.b, self.c
+        # the tanh-sinh interval lengths of _quad_integrals, formed as there
+        if not (0.0 < a < b < c and all(0.0 < g < math.inf for g in (
+                a * a, (b - a) * (b + a), (c - b) * (c + b)))):
             raise ValueError(
-                f"need 0 < a < b < c, got a={self.a}, b={self.b}, c={self.c}"
+                f"need 0 < a < b < c with a**2, b**2 - a**2 and c**2 - b**2 "
+                f"positive and finite in binary64, got a={a}, b={b}, c={c}"
             )
 
 

@@ -185,7 +185,8 @@ def general_theta_data(params: CurveParams, Z=None):
 
 
 def eval_p_general(x, t, params: CurveParams, Z=None, data=None):
-    """p(x, t) through the genus-2 Riemann theta directly.
+    """p(x, t) through the genus-2 Riemann theta directly.  Vectorized over
+    broadcastable x, t.
 
     Agrees with ``eval_p`` in modulus exactly and in phase up to one global
     unimodular constant (the free normalization of the general form).
@@ -194,22 +195,14 @@ def eval_p_general(x, t, params: CurveParams, Z=None, data=None):
     if data is None:
         data = general_theta_data(params, Z)
     sp, B, wv, D, n, K1g, K2g = data
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if x_arr.shape != t_arr.shape:
-        raise ValueError("x and t must have matching shapes")
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(t, dtype=float))
     # Im Z = Im(B) M moves v by B M off a real point; theta(v + B M)
     # = exp(-i*pi*M.B.M - 2*pi*i*M.v) theta(v), so the shift by -D leaves
     # exp(2*pi*i*M.D) in the quotient
-    M = B.b_coordinates(sp.Z)
-    quasi = 2j * np.pi * (M @ D)
-    out = np.empty(x_arr.shape, dtype=complex)
-    for idx in np.ndindex(x_arr.shape):
-        xv, tv = x_arr[idx], t_arr[idx]
-        v = wv.U * xv + wv.V * tv + sp.Z
-        num = riemann_theta2(v - D, B)
-        den = riemann_theta2(v, B)
-        out[idx] = (-2j * sp.K0 * num / den
-                    * np.exp(2j * (K1g * xv + K2g * tv) - quasi))
-    return complex(out[()]) if np.ndim(x) == 0 and np.ndim(t) == 0 \
-        else out.reshape(np.shape(x) or np.shape(t))
+    quasi = 2j * np.pi * (B.b_coordinates(sp.Z) @ D)
+    # U and V are real, so Im v = Im Z at every point: one lattice box
+    v = x[..., None] * wv.U + t[..., None] * wv.V + sp.Z
+    out = (-2j * sp.K0 * riemann_theta2(v - D, B) / riemann_theta2(v, B)
+           * np.exp(2j * (K1g * x + K2g * t) - quasi))
+    return complex(out) if np.ndim(out) == 0 else out

@@ -27,6 +27,7 @@ __all__ = [
 
 _LOG_TERM_CUTOFF = 17.0 * np.log(10.0)
 _EXP_LIMIT = 700.0
+_BLOCK_TERMS = 1 << 20  # points x box terms riemann_theta2 sums at once
 
 
 @dataclass(frozen=True)
@@ -56,9 +57,11 @@ class PeriodMatrix:
         ))
 
     def b_coordinates(self, v):
-        """The real M with Im v = Im(B) M: where v sits along the b-periods.
-        Im B is positive definite, so M exists and is unique."""
-        return np.linalg.solve(self.entries.imag, np.imag(v))
+        """The real M with Im v = Im(B) M: where v sits along the b-periods,
+        for v of shape (..., 2).  Im B is positive definite, so M exists and
+        is unique."""
+        return np.linalg.solve(self.entries.imag,
+                               np.imag(v)[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -218,41 +221,52 @@ def _H_with_scale(u1, u2, frb_minus, frb_plus):
 
 def riemann_theta2(u, B: PeriodMatrix, chars: ThetaCharacteristics | None = None,
                    radius_margin=0):
-    """Genus-2 Riemann theta with characteristics.
+    """Genus-2 Riemann theta with characteristics, vectorized over ``u`` of
+    shape (..., 2); one 2-vector gives a Python complex.
 
     Theta[eta, zeta](u | B) = sum over m in Z^2 of
         exp{i*pi*(m+eta)^T B (m+eta) + 2*pi*i*(m+eta)^T (u+zeta)}.
 
-    The lattice sum runs over a box centred on the maximizer of the Gaussian
-    term, with radius set by the smallest eigenvalue of Im B so the omitted
-    tail is below 1e-14 of the retained sum.  ``radius_margin`` enlarges the
-    box (used by the truncation-robustness test).
+    The lattice sum runs over one box around every point's maximizer of the
+    Gaussian term, with radius set by the smallest eigenvalue of Im B so the
+    omitted tail is below 1e-14 of the retained sum.  Each point is scaled
+    by its own largest term; blocks of points hold at most ``_BLOCK_TERMS``
+    terms.  ``radius_margin`` enlarges the box (used by the
+    truncation-robustness test).
     """
     if chars is None:
         chars = ThetaCharacteristics()
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2,):
-        raise ValueError("theta argument must be a complex 2-vector")
+    if u.ndim == 0 or u.shape[-1] != 2:
+        raise ValueError("theta argument must have shape (..., 2)")
     Bm = B.entries
-    Y = Bm.imag
-    lam_min = float(np.min(np.linalg.eigvalsh(Y)))
-
+    lam_min = float(np.min(np.linalg.eigvalsh(Bm.imag)))
     eta, zeta = chars.eta, chars.zeta
-    center = -eta - B.b_coordinates(u + zeta)
+    w = (u + zeta).reshape(-1, 2)
+    if not len(w):
+        return np.empty(u.shape[:-1], dtype=complex)
+    center = -eta - B.b_coordinates(w)
     radius = int(np.ceil(np.sqrt(14.0 * np.log(10.0) / (np.pi * lam_min)))) + 2
     radius += int(radius_margin)
 
-    r1 = np.arange(np.floor(center[0]) - radius, np.floor(center[0]) + radius + 1)
-    r2 = np.arange(np.floor(center[1]) - radius, np.floor(center[1]) + radius + 1)
-    m1, m2 = np.meshgrid(r1, r2, indexing="ij")
-    n1 = m1 + eta[0]
-    n2 = m2 + eta[1]
-    w = u + zeta
-    expo = 1j * np.pi * (
+    lo = np.floor(center.min(axis=0)) - radius
+    hi = np.floor(center.max(axis=0)) + radius
+    m1, m2 = np.meshgrid(np.arange(lo[0], hi[0] + 1),
+                         np.arange(lo[1], hi[1] + 1), indexing="ij")
+    n1 = m1.ravel() + eta[0]
+    n2 = m2.ravel() + eta[1]
+    gauss = 1j * np.pi * (
         Bm[0, 0] * n1 * n1 + 2.0 * Bm[0, 1] * n1 * n2 + Bm[1, 1] * n2 * n2
-    ) + 2j * np.pi * (n1 * w[0] + n2 * w[1])
-    peak = float(np.max(expo.real))
-    return complex(np.exp(peak) * np.sum(np.exp(expo - peak)))
+    )
+    out = np.empty(len(w), dtype=complex)
+    step = max(1, _BLOCK_TERMS // n1.size)
+    for s in range(0, len(w), step):
+        expo = gauss + 2j * np.pi * (n1 * w[s:s + step, :1]
+                                     + n2 * w[s:s + step, 1:])
+        peak = np.max(expo.real, axis=1, keepdims=True)
+        out[s:s + step] = np.exp(peak[:, 0]) * np.sum(np.exp(expo - peak),
+                                                      axis=1)
+    return complex(out[0]) if u.ndim == 1 else out.reshape(u.shape[:-1])
 
 
 def theta_reduction_check(u, frb_minus, frb_plus):

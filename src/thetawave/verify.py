@@ -41,30 +41,23 @@ class ResidualReport:
 
 def _stencil_residual(field, spec: GridSpec, order):
     """Field values p on the grid interior and i p_t + p_xx + 2|p|**2 p
-    there, by central differences of the given order."""
-    if order not in (2, 4):
-        raise ValueError("stencil order must be 2 or 4")
-    if min(spec.nx, spec.nt) <= order:
-        # the stencil needs order/2 nodes on each side of an interior node
-        raise ValueError(
-            f"an order-{order} stencil needs nx and nt above {order}, got "
-            f"nx={spec.nx}, nt={spec.nt}"
-        )
+    there, by fourth-order central differences (``order`` must be 4)."""
+    if order != 4:
+        raise ValueError(f"stencil order must be 4, got {order}")
+    if min(spec.nx, spec.nt) <= 4:
+        # the stencil needs 2 nodes on each side of an interior node
+        raise ValueError(f"an order-4 stencil needs nx and nt above 4, got "
+                         f"nx={spec.nx}, nt={spec.nt}")
     xs, ts = spec.axes()
     h = xs[1] - xs[0]
     k = ts[1] - ts[0]
-    half = order // 2
-    X = xs[half:-half][:, None]
-    T = ts[half:-half][None, :]
+    X = xs[2:-2][:, None]
+    T = ts[2:-2][None, :]
     p = field(X, T)
-    if order == 2:
-        pxx = (field(X + h, T) - 2.0 * p + field(X - h, T)) / h ** 2
-        pt = (field(X, T + k) - field(X, T - k)) / (2.0 * k)
-    else:
-        pxx = (-field(X + 2 * h, T) + 16.0 * field(X + h, T) - 30.0 * p
-               + 16.0 * field(X - h, T) - field(X - 2 * h, T)) / (12.0 * h ** 2)
-        pt = (-field(X, T + 2 * k) + 8.0 * field(X, T + k)
-              - 8.0 * field(X, T - k) + field(X, T - 2 * k)) / (12.0 * k)
+    pxx = (-field(X + 2 * h, T) + 16.0 * field(X + h, T) - 30.0 * p
+           + 16.0 * field(X - h, T) - field(X - 2 * h, T)) / (12.0 * h ** 2)
+    pt = (-field(X, T + 2 * k) + 8.0 * field(X, T + k)
+          - 8.0 * field(X, T - k) + field(X, T - 2 * k)) / (12.0 * k)
     return p, 1j * pt + pxx + 2.0 * np.abs(p) ** 2 * p
 
 

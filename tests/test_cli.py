@@ -57,6 +57,21 @@ class TestParams:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("a, b, c", [
+        ("1e-200", "2e-200", "3e-200"),
+        ("1e-170", "1", "2"),
+        ("1", "2", "1e160"),
+    ])
+    def test_under_or_overflowing_curve_exit_2(self, capsys, a, b, c):
+        # a**2, b**2 - a**2 or c**2 - b**2 leaves the binary64 range
+        code = main(["params", "--a", a, "--b", b, "--c", c])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        for name, val in (("a", a), ("b", b), ("c", c)):
+            assert f"{name}={float(val)}" in captured.err
+
     def test_witness_beyond_eight(self, capsys):
         code, out = run(capsys, ["params"] + BASE
                         + ["--z-im2", repr(2.5 * FRB_PLUS)])

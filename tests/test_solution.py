@@ -165,6 +165,30 @@ class TestGeneralRoute:
         ratio = g / j
         assert np.max(np.abs(ratio - ratio[0])) < 1e-10
 
+    @pytest.mark.parametrize("curve", [P689, CurveParams(0.7, 1.0, 2.0, 3.0)])
+    @pytest.mark.parametrize("complex_z", [False, True])
+    def test_outer_grid_matches_points(self, curve, complex_z):
+        sp_c = build_solution_params(curve)
+        # Z2 = 0: the genus-2 route reads Z2 with the opposite sign
+        # (v2 = -x/A+ + Z2, against u2 = 2x/A+ + 2Z2 in eval_p)
+        Z = np.array([0.3, 0.0])
+        if complex_z:
+            # Z has the reality witness N = (2, 0)
+            Z = Z + np.array([1j * sp_c.frb_minus, 0.0])
+        sp_z = dataclasses.replace(sp_c, Z=Z)
+        data = general_theta_data(curve, Z)
+        lat = period_lattice(curve, sp_c.ell)
+        xs, ts = GridSpec(-lat.X, lat.X, -lat.T, lat.T, 9, 7).axes()
+        general = lambda x, t, d: eval_p_general(x, t, curve, data=d)
+        grid, points = _outer_vs_points(general, xs, ts, data)
+        assert grid.shape == (9, 7)
+        assert np.max(np.abs(grid - points)) <= 1e-14 * np.max(np.abs(points))
+        ref = np.abs(eval_p(xs[:, None], ts[None, :], sp_z))
+        assert np.max(np.abs(np.abs(grid) - ref)) <= 1e-12 * np.max(ref)
+        one = general(xs[4], ts[3], data)
+        assert isinstance(one, complex)
+        assert one == pytest.approx(grid[4, 3], rel=1e-14)
+
 
 def _outer_vs_points(f, xs, ts, sp):
     """f on the outer grid (xs column, ts row) and on its flattened nodes."""

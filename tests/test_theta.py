@@ -15,6 +15,7 @@ from thetawave.theta import (
     theta_H,
     theta_reduction_check,
 )
+from thetawave import theta
 from thetawave.theta import _theta_outer
 
 TAU = 1.3j
@@ -157,6 +158,45 @@ class TestRiemannTheta:
         B = PeriodMatrix.from_ratios(frm, frp)
         lhs = riemann_theta2(np.array([u1 / 2.0, u2 / 2.0]), B)
         assert theta_H(u1, u2, frm, frp) == pytest.approx(lhs, rel=1e-12)
+
+    def test_batch_with_distinct_imaginary_parts(self):
+        # the points' peaks differ, so the shared box is wider than each
+        # point's own; B is well conditioned, so the extra terms and the
+        # summation order stay at roundoff
+        B = PeriodMatrix.from_ratios(1.34, 0.89)
+        rng = np.random.default_rng(11)
+        u = rng.uniform(-1.0, 1.0, (12, 2)) \
+            + 1j * rng.uniform(-1.5, 1.5, (12, 2))
+        batch = riemann_theta2(u, B)
+        single = np.array([riemann_theta2(v, B) for v in u])
+        assert np.max(np.abs(batch - single) / np.abs(single)) <= 1e-13
+
+    def test_batch_beyond_one_block(self):
+        # the box has at least (2*2 + 1)**2 terms, so this batch spans
+        # several blocks
+        B = PeriodMatrix.from_ratios(1.34, 0.89)
+        rng = np.random.default_rng(12)
+        n = theta._BLOCK_TERMS // 25 + 1
+        u = rng.uniform(-1.0, 1.0, (n, 2)) + 1j * np.array([0.2, -0.1])
+        batch = riemann_theta2(u, B)
+        idx = np.concatenate([[0, n - 1], rng.integers(0, n, 30)])
+        single = np.array([riemann_theta2(u[i], B) for i in idx])
+        assert np.max(np.abs(batch[idx] - single) / np.abs(single)) <= 1e-13
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (3,), (2, 4), (3, 0)])
+    def test_batch_shape(self, shape):
+        B = PeriodMatrix.from_ratios(1.1, 0.7)
+        u = np.full(shape + (2,), 0.2 + 0.1j)
+        one = riemann_theta2(np.array([0.2 + 0.1j, 0.2 + 0.1j]), B)
+        assert isinstance(one, complex)
+        out = riemann_theta2(u, B)
+        assert out.shape == shape
+        assert np.all(out == one)
+
+    @pytest.mark.parametrize("u", [0.1j, np.zeros(3), np.zeros((2, 3))])
+    def test_rejects_non_pair_argument(self, u):
+        with pytest.raises(ValueError):
+            riemann_theta2(u, PeriodMatrix.from_ratios(1.1, 0.7))
 
 
 class TestThetaH:
