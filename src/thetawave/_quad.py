@@ -58,23 +58,26 @@ def tanh_sinh(f, length, tol=1e-12, scale=1.0):
         return np.sum(vals)
 
     h = 1.0
-    total = evaluate(h * np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1))
-    value = h * total
-    prev = value
-    err = np.inf
-    for _ in range(1, _MAX_LEVEL + 1):
-        h *= 0.5
-        # new nodes sit at odd multiples of the refined step
-        kmax = int(_T_MAX / h)
-        if kmax % 2 == 0:
-            kmax -= 1
-        t_new = h * np.arange(-kmax, kmax + 1, 2)
-        total += evaluate(t_new)
+    # a non-finite value raises in evaluate, and one that overflows to zero
+    # stalls convergence; numpy's warnings would only precede that error
+    with np.errstate(all="ignore"):
+        total = evaluate(h * np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1))
         value = h * total
-        err = abs(value - prev)
-        if err <= tol * max(scale, abs(value)):
-            return value, err
         prev = value
+        err = np.inf
+        for _ in range(1, _MAX_LEVEL + 1):
+            h *= 0.5
+            # new nodes sit at odd multiples of the refined step
+            kmax = int(_T_MAX / h)
+            if kmax % 2 == 0:
+                kmax -= 1
+            t_new = h * np.arange(-kmax, kmax + 1, 2)
+            total += evaluate(t_new)
+            value = h * total
+            err = abs(value - prev)
+            if err <= tol * max(scale, abs(value)):
+                return value, err
+            prev = value
     raise RuntimeError(
         f"tanh_sinh did not converge to {tol:g} within {_MAX_LEVEL} levels "
         f"(last change {err:g})"

@@ -179,7 +179,7 @@ def cmd_params(cfg):
     sp = build_solution_params(curve, Z)
     ell = sp.ell
     lat = period_lattice(curve, ell)
-    B = period_matrix(curve, ell)
+    B = period_matrix(curve)
     wv = wave_vectors(curve, ell)
     found, witness = reality_check(Z, B)
     report = {
@@ -242,7 +242,7 @@ def cmd_grid(cfg, abs_only=False):
     fmt = cfg["format"]
     if fmt == "pgm":
         if cfg["out"] is None:
-            raise OSError("pgm output requires --out")
+            raise ValueError("pgm output requires --out")
         _write_pgm(cfg["out"], field)
     elif fmt == "json":
         _emit_json({"x": xs.tolist(), "t": ts.tolist(),

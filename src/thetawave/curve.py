@@ -26,9 +26,9 @@ numerically by an independent PDE-residual fit and by the degenerate limits
 of the solution.
 
 Everything the solution takes from the curve depends on (a, b, c) alone: the
-seven integrals, p1, q0 and the centred K1, K2.  Each is computed once per
-(a, b, c) and memoized; lambda0 and Z enter ``build_solution_params`` only
-as closed-form transforms (K1 = -lambda0, K2 - 2*lambda0**2,
+seven integrals, p1, q0, the centred K1, K2, delta, K0 and B.  One memoized
+record per (a, b, c) holds them; lambda0 and Z enter ``build_solution_params``
+only as closed-form transforms (K1 = -lambda0, K2 - 2*lambda0**2,
 kappa2 = 8*lambda0/A+, and the theta-argument shift 2Z).
 """
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,11 +78,13 @@ class SolutionParams:
     K0: complex
     K1: float
     K2: float
-    Z: np.ndarray = field(default_factory=lambda: np.zeros(2, dtype=complex))
-    curve: CurveParams | None = None
-    ell: EllipticConstants | None = None
+    Z: np.ndarray
+    curve: CurveParams
+    ell: EllipticConstants
 
     def __post_init__(self):
+        if self.curve is None or self.ell is None:
+            raise ValueError("solution params need curve provenance")
         z = np.asarray(self.Z, dtype=complex)
         if z.shape != (2,):
             raise ValueError("initial phase Z must be a complex 2-vector")
@@ -157,18 +159,24 @@ def _real_axis_tail(near_f, far_f, c):
 
 
 @dataclass(frozen=True)
-class _SecondKind:
-    """Normalization coefficients and centred asymptotic constants of the
-    second-kind differentials of one curve."""
+class _CurveData:
+    """What the solution takes from the centred curve (a, b, c): p1, q0,
+    the centred k1, k2, and the period data frb-, frb+, delta, K0, B."""
 
+    ell: EllipticConstants
     p1: float
     q0: float
     k1: float
     k2: float
+    frb_minus: float
+    frb_plus: float
+    delta: float
+    K0: complex
+    B: PeriodMatrix
 
 
 @functools.lru_cache(maxsize=256)
-def _second_kind(a, b, c):
+def _curve_data(a, b, c):
     ell = curve_integrals(CurveParams(0.0, a, b, c))
     a2, b2, c2 = a * a, b * b, c * c
     s1 = a2 + b2 + c2
@@ -218,7 +226,12 @@ def _second_kind(a, b, c):
 
     k1 = k1_vert + _real_axis_tail(r1_near, r1_far, c) + math.pi / ell.a_plus
     k2 = _real_axis_tail(r2_near, r2_far, c) + 2.0 * math.pi / ell.a_minus
-    return _SecondKind(p1, q0, k1, k2)
+    frbm = ell.b_minus / ell.a_minus
+    frbp = ell.b_plus / ell.a_plus
+    delta = ell.b1_minus / ell.a_minus
+    K0 = 1j * c * math.exp(ell.d_minus * delta - ell.f_minus)
+    return _CurveData(ell, p1, q0, k1, k2, frbm, frbp, delta, K0,
+                      PeriodMatrix.from_ratios(frbm, frbp))
 
 
 def second_kind_constants(a, b, c):
@@ -226,8 +239,8 @@ def second_kind_constants(a, b, c):
     Abelian integrals on the centred curve, in the representative entering
     the solution formula.  The first constant vanishes identically for this
     symmetric family; it is still computed, as a cross-check."""
-    sk = _second_kind(a, b, c)
-    return sk.k1, sk.k2
+    cd = _curve_data(a, b, c)
+    return cd.k1, cd.k2
 
 
 def phase_constants(a, b, c):
@@ -240,24 +253,21 @@ def phase_constants(a, b, c):
 # pipeline
 
 def build_solution_params(params: CurveParams, Z=None) -> SolutionParams:
-    """Compute every solution parameter from the curve data."""
-    ell = curve_integrals(params)
-    delta = ell.b1_minus / ell.a_minus
-    K0 = 1j * params.c * math.exp(ell.d_minus * delta - ell.f_minus)
-    K2 = _second_kind(params.a, params.b, params.c).k2 \
-        - 2.0 * params.lambda0 ** 2
+    """The centred curve's record with lambda0 and Z applied."""
+    cd = _curve_data(params.a, params.b, params.c)
+    ell = cd.ell
     if Z is None:
         Z = np.zeros(2, dtype=complex)
     return SolutionParams(
-        frb_minus=ell.b_minus / ell.a_minus,
-        frb_plus=ell.b_plus / ell.a_plus,
+        frb_minus=cd.frb_minus,
+        frb_plus=cd.frb_plus,
         kappa1=4.0 / ell.a_minus,
         k=2.0 / ell.a_plus,
         kappa2=8.0 * params.lambda0 / ell.a_plus,
-        delta=delta,
-        K0=K0,
+        delta=cd.delta,
+        K0=cd.K0,
         K1=-params.lambda0,
-        K2=K2,
+        K2=cd.k2 - 2.0 * params.lambda0 ** 2,
         Z=np.asarray(Z, dtype=complex),
         curve=params,
         ell=ell,
@@ -272,10 +282,8 @@ def wave_vectors(params: CurveParams, ell: EllipticConstants | None = None):
 
 
 def period_matrix(params: CurveParams, ell: EllipticConstants | None = None):
-    ell = ell or curve_integrals(params)
-    return PeriodMatrix.from_ratios(
-        ell.b_minus / ell.a_minus, ell.b_plus / ell.a_plus
-    )
+    """B of the curve (a, b, c), read from its record (which holds ell)."""
+    return _curve_data(params.a, params.b, params.c).B
 
 
 def period_lattice(params: CurveParams, ell: EllipticConstants | None = None):
@@ -334,36 +342,33 @@ def _segment_between(poly, a, b, c):
 def b_period_errors(params: CurveParams):
     """Absolute errors of the contour b-periods against the closed forms.
 
-    Checks the period matrix columns (holomorphic differentials) and the
-    identities b-periods(dOmega1) = 2*pi*i*U, b-periods(dOmega2) = 2*pi*i*V
-    in the centred frame (lambda0 = 0 wave vectors)."""
+    Checks the columns of the solution's B (holomorphic differentials) and
+    b-periods(dOmega1, dOmega2) = 2*pi*i*(U, V), with the centred curve's
+    ``wave_vectors`` (lambda0 = 0)."""
     a, b, c = params.a, params.b, params.c
-    ell = curve_integrals(params)
-    sk = _second_kind(a, b, c)
+    cd = _curve_data(a, b, c)
+    B = cd.B.entries
+    wv = wave_vectors(CurveParams(0.0, a, b, c), cd.ell)
+    U, V = 2j * math.pi * wv.U, 2j * math.pi * wv.V
     s1 = a * a + b * b + c * c
-    frbm = ell.b_minus / ell.a_minus
-    frbp = ell.b_plus / ell.a_plus
 
-    dU1 = lambda mu: 1j / (2.0 * ell.a_minus) + 0.0 * mu
-    dU2 = lambda mu: -1j * mu / (2.0 * ell.a_plus)
-    dO1 = lambda mu: -1j * (mu ** 3 + sk.p1 * mu)
-    dO2 = lambda mu: -1j * (4.0 * mu ** 4 + 2.0 * s1 * mu * mu + sk.q0)
+    dU1 = lambda mu: 1j / (2.0 * cd.ell.a_minus) + 0.0 * mu
+    dU2 = lambda mu: -1j * mu / (2.0 * cd.ell.a_plus)
+    dO1 = lambda mu: -1j * (mu ** 3 + cd.p1 * mu)
+    dO2 = lambda mu: -1j * (4.0 * mu ** 4 + 2.0 * s1 * mu * mu + cd.q0)
 
-    errs = {
-        "B11": abs(_segment_cut(dU1, a, b, c) - 0.5j * frbm),
+    return {
+        "B11": abs(_segment_cut(dU1, a, b, c) - B[0, 0]),
         # the symmetric b1 representative is the cut route minus the second
         # a-cycle, whose only nonzero period is the dU2 normalization 1
-        "B12": abs(_segment_cut(dU2, a, b, c) - 1.0 - (-0.5)),
-        "B21": abs(_segment_between(dU1, a, b, c) - (-0.5)),
-        "B22": abs(_segment_between(dU2, a, b, c) - 0.5j * frbp),
-        "U1": abs(_segment_cut(dO1, a, b, c) - 0.0),
-        "U2": abs(_segment_between(dO1, a, b, c)
-                  - 2j * math.pi * (-1.0 / ell.a_plus)),
-        "V1": abs(_segment_cut(dO2, a, b, c)
-                  - 2j * math.pi * (2.0 / ell.a_minus)),
-        "V2": abs(_segment_between(dO2, a, b, c) - 0.0),
+        "B12": abs(_segment_cut(dU2, a, b, c) - 1.0 - B[0, 1]),
+        "B21": abs(_segment_between(dU1, a, b, c) - B[1, 0]),
+        "B22": abs(_segment_between(dU2, a, b, c) - B[1, 1]),
+        "U1": abs(_segment_cut(dO1, a, b, c) - U[0]),
+        "U2": abs(_segment_between(dO1, a, b, c) - U[1]),
+        "V1": abs(_segment_cut(dO2, a, b, c) - V[0]),
+        "V2": abs(_segment_between(dO2, a, b, c) - V[1]),
     }
-    return errs
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +426,10 @@ def connector_calibration(a, b, c):
     measures the internal consistency of the contour machinery.  n is the
     rounded B-coordinate vector of D minus the representative, and m the
     rounded real part of what B n leaves."""
-    centred = CurveParams(0.0, a, b, c)
-    ell = curve_integrals(centred)
-    delta = ell.b1_minus / ell.a_minus
-    B = period_matrix(centred, ell)
+    cd = _curve_data(a, b, c)
     D = connector_vector(a, b, c)
-    offset = D - np.array([-0.5j * delta, -0.5])
-    n = np.round(B.b_coordinates(offset))
-    r = offset - B.entries @ n
+    offset = D - np.array([-0.5j * cd.delta, -0.5])
+    n = np.round(cd.B.b_coordinates(offset))
+    r = offset - cd.B.entries @ n
     m = np.round(r.real)
     return D, n.astype(int), m.astype(int), float(np.max(np.abs(r - m)))

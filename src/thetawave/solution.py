@@ -28,7 +28,7 @@ from .curve import (
     wave_vectors,
 )
 from .elliptic import CurveParams
-from .theta import PeriodMatrix, _H_with_scale, riemann_theta2
+from .theta import _H_with_scale, riemann_theta2
 
 __all__ = [
     "GridSpec",
@@ -136,8 +136,7 @@ def eval_amp2(x, t, sp: SolutionParams):
     accepted only when the reality condition has an integer witness.
     """
     if np.any(sp.Z.imag != 0.0):
-        B = PeriodMatrix.from_ratios(sp.frb_minus, sp.frb_plus)
-        ok, _ = reality_check(sp.Z, B)
+        ok, _ = reality_check(sp.Z, period_matrix(sp.curve))
         if not ok:
             raise ValueError(
                 "complex initial phase Z fails the reality condition "
@@ -169,7 +168,7 @@ def general_theta_data(params: CurveParams, Z=None):
     wave vectors, connector vector D with its lattice coordinates, and the
     phase constants adjusted for the lattice representative of D."""
     sp = build_solution_params(params, Z)
-    B = period_matrix(params, sp.ell)
+    B = period_matrix(params)
     wv = wave_vectors(params, sp.ell)
     D, n, m, resid = connector_calibration(params.a, params.b, params.c)
     if resid > 1e-8:
@@ -197,12 +196,15 @@ def eval_p_general(x, t, params: CurveParams, Z=None, data=None):
     sp, B, wv, D, n, K1g, K2g = data
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(t, dtype=float))
-    # Im Z = Im(B) M moves v by B M off a real point; theta(v + B M)
+    # v2 = -x/A+ runs against u2 = 2x/A+ in eval_p and theta is even in
+    # its second slot, so the phase enters v as (Z1, -Z2)
+    z = sp.Z * np.array([1.0, -1.0])
+    # Im z = Im(B) M moves v by B M off a real point; theta(v + B M)
     # = exp(-i*pi*M.B.M - 2*pi*i*M.v) theta(v), so the shift by -D leaves
     # exp(2*pi*i*M.D) in the quotient
-    quasi = 2j * np.pi * (B.b_coordinates(sp.Z) @ D)
-    # U and V are real, so Im v = Im Z at every point: one lattice box
-    v = x[..., None] * wv.U + t[..., None] * wv.V + sp.Z
+    quasi = 2j * np.pi * (B.b_coordinates(z) @ D)
+    # U and V are real, so Im v = Im z at every point: one lattice box
+    v = x[..., None] * wv.U + t[..., None] * wv.V + z
     out = (-2j * sp.K0 * riemann_theta2(v - D, B) / riemann_theta2(v, B)
            * np.exp(2j * (K1g * x + K2g * t) - quasi))
     return complex(out) if np.ndim(out) == 0 else out

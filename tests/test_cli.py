@@ -16,6 +16,7 @@ from thetawave.elliptic import CurveParams
 BASE = ["--lambda0", "0", "--a", "6", "--b", "8", "--c", "9"]
 FRB_PLUS = float(
     build_solution_params(CurveParams(0.0, 6.0, 8.0, 9.0)).frb_plus)
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, argv):
@@ -72,6 +73,20 @@ class TestParams:
         for name, val in (("a", a), ("b", b), ("c", c)):
             assert f"{name}={float(val)}" in captured.err
 
+    @pytest.mark.parametrize("a, b, c", [("1e-160", "1", "2"),
+                                         ("1", "2", "1e154")])
+    def test_quadrature_exit_2_starts_stderr(self, a, b, c):
+        # the integrand divides by zero or overflows here; no numpy warning
+        # may come ahead of the error line
+        res = subprocess.run(
+            [sys.executable, "-m", "thetawave.cli", "params",
+             "--a", a, "--b", b, "--c", c],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+            text=True, timeout=120)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+
     def test_witness_beyond_eight(self, capsys):
         code, out = run(capsys, ["params"] + BASE
                         + ["--z-im2", repr(2.5 * FRB_PLUS)])
@@ -119,6 +134,14 @@ class TestGrid:
         assert len(raw) == len(b"P5\n8 8\n255\n") + 64
         side = json.loads((tmp_path / "field.pgm.json").read_text())
         assert side["max"] > side["min"] > 0.0
+
+    def test_pgm_without_out_exit_2(self, capsys):
+        code = main(["grid"] + BASE + ["--nx", "4", "--nt", "4",
+                                       "--format", "pgm"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: pgm output requires --out\n"
 
     @pytest.mark.parametrize("command", ["grid", "verify"])
     @pytest.mark.parametrize("nx, nt", [("2049", "2"), ("2", "2049")])
@@ -321,8 +344,7 @@ for argv in (["params"], ["grid", "--format", "json"],
         assert main(argv) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": SRC}
     res = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr

@@ -4,10 +4,17 @@ import dataclasses
 
 import pytest
 
+from thetawave import curve as curve_mod
 from thetawave import elliptic
-from thetawave.curve import b_period_errors, build_solution_params
+from thetawave.curve import (
+    b_period_errors,
+    build_solution_params,
+    connector_calibration,
+    second_kind_constants,
+)
 from thetawave.elliptic import CurveParams, curve_integrals
 from thetawave.solution import general_theta_data
+from thetawave.theta import PeriodMatrix
 from thetawave.verify import symmetry_suite
 
 
@@ -22,13 +29,17 @@ def test_one_quadrature_per_curve(monkeypatch):
         return quad(a, b, c, *rest)
 
     monkeypatch.setattr(elliptic, "_quad_integrals", counted)
+    records = curve_mod._curve_data.cache_info().misses
     sp = build_solution_params(curve)
     b_period_errors(curve)
+    connector_calibration(2.2, 3.9, 5.3)
     general_theta_data(curve)
+    second_kind_constants(2.2, 3.9, 5.3)
     symmetry_suite(sp)
     # the suite's scaling check adds the one curve (1.7a, 1.7b, 1.7c)
     assert seen[0] == (2.2, 3.9, 5.3)
     assert len(seen) == len(set(seen)) == 2
+    assert curve_mod._curve_data.cache_info().misses - records == 2
 
 
 def test_cross_check_runs_on_first_computation(monkeypatch):
@@ -43,8 +54,34 @@ def test_cross_check_runs_on_first_computation(monkeypatch):
         curve_integrals(CurveParams(0.0, 2.1, 3.3, 4.7))
 
 
+def test_b_periods_check_the_solution_matrix(monkeypatch):
+    # a B that is off by 1e-6 must show in the contour check, so the check
+    # has to read the B the solution reads
+    from_ratios = PeriodMatrix.from_ratios.__func__
+
+    def skewed(cls, frb_minus, frb_plus):
+        entries = from_ratios(cls, frb_minus, frb_plus).entries.copy()
+        entries[0, 1] += 1e-6
+        entries[1, 0] += 1e-6
+        return cls(entries)
+
+    monkeypatch.setattr(PeriodMatrix, "from_ratios", classmethod(skewed))
+    try:
+        # a curve no other test touches, so its record is built skewed
+        errs = b_period_errors(CurveParams(0.0, 2.3, 3.7, 4.9))
+    finally:
+        curve_mod._curve_data.cache_clear()
+    assert errs["B12"] > 1e-8 and errs["B21"] > 1e-8
+    assert errs["B11"] < 1e-8 and errs["B22"] < 1e-8
+
+
 def test_shared_data_is_frozen():
     ell = curve_integrals(CurveParams(0.0, 6.0, 8.0, 9.0))
     assert curve_integrals(CurveParams(0.9, 6.0, 8.0, 9.0)) is ell
     with pytest.raises(dataclasses.FrozenInstanceError):
         ell.a_plus = 1.0
+    record = curve_mod._curve_data(6.0, 8.0, 9.0)
+    assert build_solution_params(CurveParams(0.9, 6.0, 8.0, 9.0)).ell \
+        is record.ell
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.delta = 1.0

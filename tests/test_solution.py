@@ -166,15 +166,33 @@ class TestGeneralRoute:
         assert np.max(np.abs(ratio - ratio[0])) < 1e-10
 
     @pytest.mark.parametrize("curve", [P689, CurveParams(0.7, 1.0, 2.0, 3.0)])
+    @pytest.mark.parametrize("z", [(0.0, 0.1), (0.3, -0.25), (0.0, 0.5),
+                                   (0.2, -0.3 + 0.5j), (0.4, 2.5j)])
+    def test_reads_z_as_jacobi_route(self, curve, z):
+        # both routes read Z2 with one sign; the imaginary parts are in
+        # units of (frb-, frb+), half-integers so that Z has a witness
+        sp_c = build_solution_params(curve)
+        Z = np.array([z[0].real + 1j * z[0].imag * sp_c.frb_minus,
+                      z[1].real + 1j * z[1].imag * sp_c.frb_plus])
+        sp_z = dataclasses.replace(sp_c, Z=Z)
+        rng = np.random.default_rng(1)
+        xs = rng.uniform(-1.0, 1.0, 9)
+        ts = rng.uniform(-0.1, 0.1, 9)
+        g = eval_p_general(xs, ts, curve, Z)
+        j = eval_p(xs, ts, sp_z)
+        assert np.max(np.abs(np.abs(g) - np.abs(j))) \
+            <= 1e-13 * np.max(np.abs(j))
+        ratio = g / j
+        assert np.max(np.abs(ratio - ratio[0])) <= 1e-12
+
+    @pytest.mark.parametrize("curve", [P689, CurveParams(0.7, 1.0, 2.0, 3.0)])
     @pytest.mark.parametrize("complex_z", [False, True])
     def test_outer_grid_matches_points(self, curve, complex_z):
         sp_c = build_solution_params(curve)
-        # Z2 = 0: the genus-2 route reads Z2 with the opposite sign
-        # (v2 = -x/A+ + Z2, against u2 = 2x/A+ + 2Z2 in eval_p)
-        Z = np.array([0.3, 0.0])
+        Z = np.array([0.3, -0.2])
         if complex_z:
-            # Z has the reality witness N = (2, 0)
-            Z = Z + np.array([1j * sp_c.frb_minus, 0.0])
+            # Z has the reality witness N = (4, 2)
+            Z = Z + np.array([1j * sp_c.frb_minus, 0.5j * sp_c.frb_plus])
         sp_z = dataclasses.replace(sp_c, Z=Z)
         data = general_theta_data(curve, Z)
         lat = period_lattice(curve, sp_c.ell)

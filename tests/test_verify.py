@@ -137,6 +137,6 @@ class TestSymmetrySuite:
         assert np.max(np.abs(fixed_x - absp)) / np.max(absp) > 0.1
 
     def test_needs_provenance(self, sp):
-        bare = dataclasses.replace(sp, curve=None)
+        # SolutionParams refuses to be built without its curve
         with pytest.raises(ValueError):
-            symmetry_suite(bare)
+            symmetry_suite(dataclasses.replace(sp, curve=None))
