@@ -19,6 +19,8 @@ __all__ = ["tanh_sinh"]
 _T_MAX = 6.0
 # refinement budget: levels of step halving before RuntimeError
 _MAX_LEVEL = 16
+# level-to-level tolerance of every quadrature in the package
+_TOL = 1e-12
 
 
 def _nodes(t):
@@ -36,12 +38,12 @@ def _nodes(t):
     return u, v, w
 
 
-def tanh_sinh(f, length, tol=1e-12, scale=1.0):
+def tanh_sinh(f, length, scale=1.0):
     """Integrate ``f`` over ``(0, length)``.
 
     f        -- vectorized callable f(u, v) of node distances from the ends
     length   -- positive interval length
-    tol      -- tolerance on the level-to-level change, taken relative to
+    scale    -- the level-to-level change must fall below _TOL times
                 max(scale, |value|); scale=0 makes it purely relative;
                 RuntimeError after _MAX_LEVEL halvings without it
 
@@ -75,10 +77,10 @@ def tanh_sinh(f, length, tol=1e-12, scale=1.0):
             total += evaluate(t_new)
             value = h * total
             err = abs(value - prev)
-            if err <= tol * max(scale, abs(value)):
+            if err <= _TOL * max(scale, abs(value)):
                 return value, err
             prev = value
     raise RuntimeError(
-        f"tanh_sinh did not converge to {tol:g} within {_MAX_LEVEL} levels "
+        f"tanh_sinh did not converge to {_TOL:g} within {_MAX_LEVEL} levels "
         f"(last change {err:g})"
     )

@@ -29,7 +29,14 @@ from .curve import (
     wave_vectors,
 )
 from .elliptic import CurveParams, curve_integrals
-from .limits import _KINDS, LimitCase, asymptotic_constants
+from .limits import (
+    _KINDS,
+    LimitCase,
+    asymptotic_constants,
+    dn_wave_theta,
+    plane_wave_ab,
+    plane_wave_cb,
+)
 from .solution import GridSpec, eval_p, sample_grid
 from .verify import nls_residual, split_step_evolve, symmetry_suite
 
@@ -233,16 +240,16 @@ def _csv_blocks(xs, ts, values, abs_only):
 
 
 def cmd_grid(cfg, abs_only=False):
+    fmt = cfg["format"]
+    if fmt == "pgm" and cfg["out"] is None:
+        raise ValueError("pgm output requires --out")
     curve = _curve(cfg)
     sp = build_solution_params(curve, _phase(cfg))
     lat = period_lattice(curve, sp.ell)
     spec = _grid_spec(cfg, lat)
     field = sample_grid(spec, sp)
     xs, ts = spec.axes()
-    fmt = cfg["format"]
     if fmt == "pgm":
-        if cfg["out"] is None:
-            raise ValueError("pgm output requires --out")
         _write_pgm(cfg["out"], field)
     elif fmt == "json":
         _emit_json({"x": xs.tolist(), "t": ts.tolist(),
@@ -307,22 +314,21 @@ def cmd_verify(cfg, corrupt_k2=False, limit=None, eps=1e-4):
         ledger["symmetries"] = symmetry_suite(sp)
 
     if limit is not None:
-        from .limits import dn_wave_theta, plane_wave_ab, plane_wave_cb
-        b, c = cfg["b"], cfg["c"]
+        lam0, a, b, c = cfg["lambda0"], cfg["a"], cfg["b"], cfg["c"]
         xs = np.linspace(-0.2, 0.2, 21)[:, None]
         ts = np.linspace(-0.01, 0.01, 5)[None, :]
         if limit == "c_to_b":
-            deg = CurveParams(0.0, cfg["a"], b, b + eps)
+            deg = CurveParams(lam0, a, b, b + eps)
             spd = build_solution_params(deg, np.array([0.0, 0.25]))
-            ref = plane_wave_cb(xs, ts, 0.0, cfg["a"])
+            ref = plane_wave_cb(xs, ts, lam0, a)
         elif limit == "a_to_b":
-            deg = CurveParams(0.0, b * (1.0 - eps), b, c)
+            deg = CurveParams(lam0, b * (1.0 - eps), b, c)
             spd = build_solution_params(deg, np.array([0.25, 0.0]))
-            ref = plane_wave_ab(xs, ts, 0.0, b, c)
+            ref = plane_wave_ab(xs, ts, lam0, b, c)
         else:
-            deg = CurveParams(0.0, eps, b, c)
+            deg = CurveParams(lam0, eps, b, c)
             spd = build_solution_params(deg)
-            ref = dn_wave_theta(xs, ts, 0.0, b, c)
+            ref = dn_wave_theta(xs, ts, lam0, b, c)
         sup = float(np.max(np.abs(eval_p(xs, ts, spd) - ref)))
         ledger["limit"] = {"kind": limit, "eps": eps, "sup_distance": sup}
 

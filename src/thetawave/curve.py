@@ -41,7 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import tanh_sinh
-from .elliptic import _TOL, CurveParams, EllipticConstants, curve_integrals
+from .elliptic import (
+    CurveParams,
+    EllipticConstants,
+    _naming_curve,
+    curve_integrals,
+)
 from .theta import PeriodMatrix
 
 __all__ = [
@@ -126,7 +131,7 @@ def _axis_moment(j, a, b, c):
         return y ** j / np.sqrt(
             v * (2.0 * a - v) * (b - y) * (b + y) * (c - y) * (c + y)
         )
-    val, _ = tanh_sinh(f, a, _TOL, scale=0.0)
+    val, _ = tanh_sinh(f, a, scale=0.0)
     return val
 
 
@@ -136,7 +141,7 @@ def _cut_integral(f, a, b, c, scale):
     def integrand(u, v):
         y = a + u
         return f(y) / np.sqrt(u * (y + a) * v * (y + b) * (c - y) * (c + y))
-    val, _ = tanh_sinh(integrand, b - a, _TOL, scale=scale)
+    val, _ = tanh_sinh(integrand, b - a, scale=scale)
     return val
 
 
@@ -153,8 +158,8 @@ def _real_axis_tail(near_f, far_f, c):
     """Integrate over (0, inf), split at c.  ``near_f(x)`` covers (0, c);
     ``far_f(y)`` is the integrand after x = c/y (Jacobian included), written
     in the reciprocal variable so huge x never appears."""
-    near, _ = tanh_sinh(lambda u, v: near_f(u), c, _TOL)
-    far, _ = tanh_sinh(lambda u, v: far_f(u), 1.0, _TOL)
+    near, _ = tanh_sinh(lambda u, v: near_f(u), c)
+    far, _ = tanh_sinh(lambda u, v: far_f(u), 1.0)
     return near + far
 
 
@@ -178,54 +183,57 @@ class _CurveData:
 @functools.lru_cache(maxsize=256)
 def _curve_data(a, b, c):
     ell = curve_integrals(CurveParams(0.0, a, b, c))
-    a2, b2, c2 = a * a, b * b, c * c
-    s1 = a2 + b2 + c2
-    e2 = a2 * b2 + a2 * c2 + b2 * c2
-    e3 = a2 * b2 * c2
-    # a-cycle normalization of dOmega1 and dOmega2
-    p1 = _gap_moment(3, a, b, c) / _gap_moment(1, a, b, c)
-    q0 = -(4.0 * _axis_moment(4, a, b, c)
-           - 2.0 * s1 * _axis_moment(2, a, b, c)) / _axis_moment(0, a, b, c)
+    with _naming_curve(a, b, c):
+        a2, b2, c2 = a * a, b * b, c * c
+        s1 = a2 + b2 + c2
+        e2 = a2 * b2 + a2 * c2 + b2 * c2
+        e3 = a2 * b2 * c2
+        # a-cycle normalization of dOmega1 and dOmega2
+        p1 = _gap_moment(3, a, b, c) / _gap_moment(1, a, b, c)
+        q0 = -(4.0 * _axis_moment(4, a, b, c)
+               - 2.0 * s1 * _axis_moment(2, a, b, c)) \
+            / _axis_moment(0, a, b, c)
 
-    # vertical leg from i*a to 0 contributes only to the first constant
-    k1_vert = p1 * _axis_moment(1, a, b, c) - _axis_moment(3, a, b, c)
+        # vertical leg from i*a to 0 contributes only to the first constant
+        k1_vert = p1 * _axis_moment(1, a, b, c) - _axis_moment(3, a, b, c)
 
-    a4_1, a2_1, a0_1 = 2.0 * p1 - s1, p1 * p1 - e2, -e3
-    a4_2 = 4.0 * s1 * s1 + 8.0 * q0 - 16.0 * e2
-    a2_2 = 4.0 * s1 * q0 - 16.0 * e3
-    a0_2 = q0 * q0
+        a4_1, a2_1, a0_1 = 2.0 * p1 - s1, p1 * p1 - e2, -e3
+        a4_2 = 4.0 * s1 * s1 + 8.0 * q0 - 16.0 * e2
+        a2_2 = 4.0 * s1 * q0 - 16.0 * e3
+        a0_2 = q0 * q0
 
-    def r1_near(x):
-        w = _w_real(x, a, b, c)
-        n = x ** 3 + p1 * x
-        x2 = x * x
-        return ((a4_1 * x2 + a2_1) * x2 + a0_1) / (w * (n + w))
+        def r1_near(x):
+            w = _w_real(x, a, b, c)
+            n = x ** 3 + p1 * x
+            x2 = x * x
+            return ((a4_1 * x2 + a2_1) * x2 + a0_1) / (w * (n + w))
 
-    def r1_far(u):
-        # x = c/u; everything divided through by x**6
-        y2 = (u / c) ** 2
-        W = np.sqrt((1.0 + a * a * y2) * (1.0 + b * b * y2)
-                    * (1.0 + c * c * y2))
-        num = (a4_1 + y2 * (a2_1 + y2 * a0_1)) / c
-        return num / (W * (1.0 + p1 * y2 + W))
+        def r1_far(u):
+            # x = c/u; everything divided through by x**6
+            y2 = (u / c) ** 2
+            W = np.sqrt((1.0 + a * a * y2) * (1.0 + b * b * y2)
+                        * (1.0 + c * c * y2))
+            num = (a4_1 + y2 * (a2_1 + y2 * a0_1)) / c
+            return num / (W * (1.0 + p1 * y2 + W))
 
-    def r2_near(x):
-        w = _w_real(x, a, b, c)
-        n = 4.0 * x ** 4 + 2.0 * s1 * x * x + q0
-        x2 = x * x
-        return ((a4_2 * x2 + a2_2) * x2 + a0_2) / (w * (n + 4.0 * x * w))
+        def r2_near(x):
+            w = _w_real(x, a, b, c)
+            n = 4.0 * x ** 4 + 2.0 * s1 * x * x + q0
+            x2 = x * x
+            return ((a4_2 * x2 + a2_2) * x2 + a0_2) / (w * (n + 4.0 * x * w))
 
-    def r2_far(u):
-        # x = c/u; numerator over x**8, denominator over x**7
-        y2 = (u / c) ** 2
-        W = np.sqrt((1.0 + a * a * y2) * (1.0 + b * b * y2)
-                    * (1.0 + c * c * y2))
-        num = (u / (c * c)) * (a4_2 + y2 * (a2_2 + y2 * a0_2))
-        den = W * (4.0 + 2.0 * s1 * y2 + q0 * y2 * y2 + 4.0 * W)
-        return num / den
+        def r2_far(u):
+            # x = c/u; numerator over x**8, denominator over x**7
+            y2 = (u / c) ** 2
+            W = np.sqrt((1.0 + a * a * y2) * (1.0 + b * b * y2)
+                        * (1.0 + c * c * y2))
+            num = (u / (c * c)) * (a4_2 + y2 * (a2_2 + y2 * a0_2))
+            den = W * (4.0 + 2.0 * s1 * y2 + q0 * y2 * y2 + 4.0 * W)
+            return num / den
 
-    k1 = k1_vert + _real_axis_tail(r1_near, r1_far, c) + math.pi / ell.a_plus
-    k2 = _real_axis_tail(r2_near, r2_far, c) + 2.0 * math.pi / ell.a_minus
+        k1 = (k1_vert + _real_axis_tail(r1_near, r1_far, c)
+              + math.pi / ell.a_plus)
+        k2 = _real_axis_tail(r2_near, r2_far, c) + 2.0 * math.pi / ell.a_minus
     frbm = ell.b_minus / ell.a_minus
     frbp = ell.b_plus / ell.a_plus
     delta = ell.b1_minus / ell.a_minus
@@ -281,8 +289,8 @@ def wave_vectors(params: CurveParams, ell: EllipticConstants | None = None):
     return WaveVectors(U=U, V=V)
 
 
-def period_matrix(params: CurveParams, ell: EllipticConstants | None = None):
-    """B of the curve (a, b, c), read from its record (which holds ell)."""
+def period_matrix(params: CurveParams):
+    """B of the curve (a, b, c), read from its record."""
     return _curve_data(params.a, params.b, params.c).B
 
 
@@ -335,7 +343,7 @@ def _segment_between(poly, a, b, c):
         y = b + u
         g = (y - a) * (y + a) * u * (y + b) * v * (c + y)
         return poly(1j * y) * 1j / np.sqrt(g)
-    val, _ = tanh_sinh(f, c - b, _TOL, scale=1.0)
+    val, _ = tanh_sinh(f, c - b, scale=1.0)
     return 2.0 * val
 
 

@@ -23,6 +23,7 @@ requiring the closed forms to reproduce the quadrature values.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -30,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._quad import tanh_sinh
+from ._quad import _TOL, tanh_sinh
 
-_TOL = 1e-12        # level-to-level tolerance of every quadrature
 _CROSS_TOL = 1e-8   # largest relative gap allowed between the two routes
 
 __all__ = [
@@ -199,7 +199,7 @@ def legendre_Pi(n, k):
 # ---------------------------------------------------------------------------
 # direct quadrature of the seven integrals
 
-def _quad_integrals(a, b, c, tol):
+def _quad_integrals(a, b, c):
     a2, b2, c2 = a * a, b * b, c * c
     # pairwise gaps as products of differences; exact to one rounding even
     # when two branch points nearly coincide
@@ -207,17 +207,16 @@ def _quad_integrals(a, b, c, tol):
     ca = (c - a) * (c + a)
     cb = (c - b) * (c + b)
 
-    a_plus, _ = tanh_sinh(lambda u, v: 1.0 / np.sqrt(u * v * (cb + v)), ba, tol, scale=0.0)
-    b_plus, _ = tanh_sinh(lambda u, v: 1.0 / np.sqrt((ba + u) * u * v), cb, tol, scale=0.0)
+    a_plus, _ = tanh_sinh(lambda u, v: 1.0 / np.sqrt(u * v * (cb + v)), ba, scale=0.0)
+    b_plus, _ = tanh_sinh(lambda u, v: 1.0 / np.sqrt((ba + u) * u * v), cb, scale=0.0)
     a_minus, _ = tanh_sinh(
-        lambda u, v: 1.0 / np.sqrt(u * v * (ba + v) * (ca + v)), a2, tol, scale=0.0
+        lambda u, v: 1.0 / np.sqrt(u * v * (ba + v) * (ca + v)), a2, scale=0.0
     )
     b_minus, _ = tanh_sinh(
-        lambda u, v: 1.0 / np.sqrt((a2 + u) * u * v * (cb + v)), ba, tol,
-        scale=0.0,
+        lambda u, v: 1.0 / np.sqrt((a2 + u) * u * v * (cb + v)), ba, scale=0.0
     )
     d_minus, _ = tanh_sinh(
-        lambda u, v: 0.5 * np.sqrt(u) / np.sqrt(v * (ba + v) * (ca + v)), a2, tol, scale=0.0
+        lambda u, v: 0.5 * np.sqrt(u) / np.sqrt(v * (ba + v) * (ca + v)), a2, scale=0.0
     )
 
     # the two integrals over (c**2, inf) after the substitution t = c**2/u**2
@@ -234,7 +233,7 @@ def _quad_integrals(a, b, c, tol):
         one_m_au2, one_m_bu2 = gaps(u, v)
         return (2.0 / c2) * u / np.sqrt(one_m_au2 * one_m_bu2 * v * (1.0 + u))
 
-    b1_minus, _ = tanh_sinh(f_b1, 1.0, tol, scale=0.0)
+    b1_minus, _ = tanh_sinh(f_b1, 1.0, scale=0.0)
 
     s1p = 1.0 + alpha + beta
     s2p = alpha + beta + alpha * beta
@@ -246,7 +245,7 @@ def _quad_integrals(a, b, c, tol):
         u2 = u * u
         return u * (s1p - s2p * u2 + s3p * u2 * u2) / (root * (1.0 + root))
 
-    f_minus, _ = tanh_sinh(f_fm, 1.0, tol, scale=0.0)
+    f_minus, _ = tanh_sinh(f_fm, 1.0, scale=0.0)
 
     return EllipticConstants(
         a_plus=a_plus,
@@ -358,20 +357,31 @@ def curve_integrals(params: CurveParams):
     return _checked_integrals(params.a, params.b, params.c)
 
 
+@contextlib.contextmanager
+def _naming_curve(a, b, c):
+    """Prefix a RuntimeError raised inside with the curve it arose on: a
+    quadrature message alone does not say which input failed."""
+    try:
+        yield
+    except RuntimeError as exc:
+        raise RuntimeError(f"curve a={a}, b={b}, c={c}: {exc}") from exc
+
+
 @functools.lru_cache(maxsize=256)
 def _checked_integrals(a, b, c):
-    quad = _quad_integrals(a, b, c, _TOL)
-    closed = _closed_integrals(a, b, c)
-    for name in (
-        "a_plus", "b_plus", "a_minus", "b_minus", "b1_minus", "d_minus",
-        "f_minus",
-    ):
-        q = getattr(quad, name)
-        cf = getattr(closed, name)
-        rel = abs(q - cf) / max(abs(q), abs(cf))
-        if rel > _CROSS_TOL:
-            raise RuntimeError(
-                f"integral {name}: quadrature {q!r} and closed form {cf!r} "
-                f"disagree by {rel:.3e} relative"
-            )
+    with _naming_curve(a, b, c):
+        quad = _quad_integrals(a, b, c)
+        closed = _closed_integrals(a, b, c)
+        for name in (
+            "a_plus", "b_plus", "a_minus", "b_minus", "b1_minus", "d_minus",
+            "f_minus",
+        ):
+            q = getattr(quad, name)
+            cf = getattr(closed, name)
+            rel = abs(q - cf) / max(abs(q), abs(cf))
+            if rel > _CROSS_TOL:
+                raise RuntimeError(
+                    f"integral {name}: quadrature {q!r} and closed form "
+                    f"{cf!r} disagree by {rel:.3e} relative"
+                )
     return quad

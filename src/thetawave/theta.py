@@ -1,5 +1,5 @@
 """Jacobi theta functions, the two-factor combination H, and the genus-2
-Riemann theta with characteristics.
+Riemann theta.
 
 Series conventions: the nome is h = exp(i*pi*tau) and
     theta3(u|tau) = 1 + 2 * sum_m h**(m**2) * cos(2*pi*m*u),
@@ -12,13 +12,12 @@ arguments; ``theta_reduction_check`` verifies that identity numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "PeriodMatrix",
-    "ThetaCharacteristics",
     "jacobi_theta",
     "theta_H",
     "riemann_theta2",
@@ -62,21 +61,6 @@ class PeriodMatrix:
         is unique."""
         return np.linalg.solve(self.entries.imag,
                                np.imag(v)[..., None])[..., 0]
-
-
-@dataclass(frozen=True)
-class ThetaCharacteristics:
-    """Real characteristics (eta, zeta) of the genus-2 theta."""
-
-    eta: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    zeta: np.ndarray = field(default_factory=lambda: np.zeros(2))
-
-    def __post_init__(self):
-        for name in ("eta", "zeta"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (2,) or not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be a finite real 2-vector")
-            object.__setattr__(self, name, v)
 
 
 def _theta_modes(j, tau, d):
@@ -219,42 +203,34 @@ def _H_with_scale(u1, u2, frb_minus, frb_plus):
     return h, scale
 
 
-def riemann_theta2(u, B: PeriodMatrix, chars: ThetaCharacteristics | None = None,
-                   radius_margin=0):
-    """Genus-2 Riemann theta with characteristics, vectorized over ``u`` of
-    shape (..., 2); one 2-vector gives a Python complex.
+def riemann_theta2(u, B: PeriodMatrix):
+    """Genus-2 Riemann theta, vectorized over ``u`` of shape (..., 2); one
+    2-vector gives a Python complex.
 
-    Theta[eta, zeta](u | B) = sum over m in Z^2 of
-        exp{i*pi*(m+eta)^T B (m+eta) + 2*pi*i*(m+eta)^T (u+zeta)}.
+    Theta(u | B) = sum over m in Z^2 of exp{i*pi*m^T B m + 2*pi*i*m^T u}.
 
     The lattice sum runs over one box around every point's maximizer of the
     Gaussian term, with radius set by the smallest eigenvalue of Im B so the
     omitted tail is below 1e-14 of the retained sum.  Each point is scaled
     by its own largest term; blocks of points hold at most ``_BLOCK_TERMS``
-    terms.  ``radius_margin`` enlarges the box (used by the
-    truncation-robustness test).
+    terms.
     """
-    if chars is None:
-        chars = ThetaCharacteristics()
     u = np.asarray(u, dtype=complex)
     if u.ndim == 0 or u.shape[-1] != 2:
         raise ValueError("theta argument must have shape (..., 2)")
     Bm = B.entries
     lam_min = float(np.min(np.linalg.eigvalsh(Bm.imag)))
-    eta, zeta = chars.eta, chars.zeta
-    w = (u + zeta).reshape(-1, 2)
+    w = u.reshape(-1, 2)
     if not len(w):
         return np.empty(u.shape[:-1], dtype=complex)
-    center = -eta - B.b_coordinates(w)
+    center = -B.b_coordinates(w)
     radius = int(np.ceil(np.sqrt(14.0 * np.log(10.0) / (np.pi * lam_min)))) + 2
-    radius += int(radius_margin)
 
     lo = np.floor(center.min(axis=0)) - radius
     hi = np.floor(center.max(axis=0)) + radius
     m1, m2 = np.meshgrid(np.arange(lo[0], hi[0] + 1),
                          np.arange(lo[1], hi[1] + 1), indexing="ij")
-    n1 = m1.ravel() + eta[0]
-    n2 = m2.ravel() + eta[1]
+    n1, n2 = m1.ravel(), m2.ravel()
     gauss = 1j * np.pi * (
         Bm[0, 0] * n1 * n1 + 2.0 * Bm[0, 1] * n1 * n2 + Bm[1, 1] * n2 * n2
     )

@@ -94,7 +94,7 @@ class TestCriterion3ThetaReduction:
 
 class TestCriterion4IntegralAgreement:
     def test_closed_vs_quadrature(self):
-        quad = _quad_integrals(6.0, 8.0, 9.0, 1e-12)
+        quad = _quad_integrals(6.0, 8.0, 9.0)
         closed = _closed_integrals(6.0, 8.0, 9.0)
         for name in FIELDS:
             q = getattr(quad, name)
@@ -189,7 +189,7 @@ class TestCriterion7ComplexPhaseReality:
 
     def test_reality_witness(self, sp):
         from thetawave.curve import period_matrix, reality_check
-        B = period_matrix(P689, sp.ell)
+        B = period_matrix(P689)
         ok, n = reality_check(
             np.array([0.0, 0.5j * sp.frb_plus]), B)
         assert ok and n is not None

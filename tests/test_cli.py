@@ -74,10 +74,13 @@ class TestParams:
             assert f"{name}={float(val)}" in captured.err
 
     @pytest.mark.parametrize("a, b, c", [("1e-160", "1", "2"),
-                                         ("1", "2", "1e154")])
+                                         ("1", "2", "1e154"),
+                                         ("7.999999992", "8", "9")])
     def test_quadrature_exit_2_starts_stderr(self, a, b, c):
-        # the integrand divides by zero or overflows here; no numpy warning
-        # may come ahead of the error line
+        # the integrand divides by zero or overflows in the seven integrals
+        # (first two), or a second-kind moment does not converge (last); no
+        # numpy warning may come ahead of the error line, which names the
+        # curve once
         res = subprocess.run(
             [sys.executable, "-m", "thetawave.cli", "params",
              "--a", a, "--b", b, "--c", c],
@@ -86,6 +89,9 @@ class TestParams:
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.startswith("error: ")
+        assert "tanh_sinh" in res.stderr
+        named = f"a={float(a)}, b={float(b)}, c={float(c)}"
+        assert res.stderr.count(named) == 1
 
     def test_witness_beyond_eight(self, capsys):
         code, out = run(capsys, ["params"] + BASE
@@ -135,7 +141,11 @@ class TestGrid:
         side = json.loads((tmp_path / "field.pgm.json").read_text())
         assert side["max"] > side["min"] > 0.0
 
-    def test_pgm_without_out_exit_2(self, capsys):
+    def test_pgm_without_out_exit_2(self, capsys, monkeypatch):
+        # refused before any of the field is evaluated
+        def no_grid(*args):
+            raise AssertionError("sample_grid ran before the refusal")
+        monkeypatch.setattr("thetawave.cli.sample_grid", no_grid)
         code = main(["grid"] + BASE + ["--nx", "4", "--nt", "4",
                                        "--format", "pgm"])
         captured = capsys.readouterr()
@@ -256,6 +266,26 @@ class TestVerify:
         ledger = json.loads(out)
         assert "passed" not in ledger["limit"]
         assert ledger["limit"]["sup_distance"] < 1e-3
+
+    @pytest.mark.parametrize("kind", ["c_to_b", "a_to_b", "a_to_0"])
+    def test_limit_converges_at_lambda0(self, capsys, kind):
+        # the degenerate curve and its reference field both carry --lambda0;
+        # --corrupt-k2 on a 5 x 5 grid leaves out the split-step and
+        # symmetry stages, which the limit entry does not read
+        sups = {}
+        for lambda0 in ("0", "0.7"):
+            sups[lambda0] = []
+            for eps in ("1e-2", "1e-3", "1e-4"):
+                _, out = run(capsys, ["verify", "--corrupt-k2", "--nx", "5",
+                                      "--nt", "5", "--limit", kind, "--eps",
+                                      eps, "--lambda0", lambda0])
+                sups[lambda0].append(
+                    json.loads(out)["limit"]["sup_distance"])
+            first, mid, last = sups[lambda0]
+            assert first > mid > last
+            assert last < 0.5
+        # ignoring --lambda0 would repeat the lambda0 = 0 distances
+        assert sups["0.7"] != sups["0"]
 
 
 class TestLimits:

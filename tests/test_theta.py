@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from thetawave.theta import (
     PeriodMatrix,
-    ThetaCharacteristics,
     jacobi_theta,
     riemann_theta2,
     theta_H,
@@ -33,6 +32,13 @@ def brute_theta2(u, tau, terms=60):
                      for m in range(1, terms))
 
 
+def brute_theta1(u, tau, terms=60):
+    h = np.exp(1j * np.pi * tau)
+    return 2.0 * sum((-1) ** (m - 1) * h ** ((m - 0.5) ** 2)
+                     * np.sin((2 * m - 1) * np.pi * u)
+                     for m in range(1, terms))
+
+
 class TestJacobiTheta:
     @given(st.floats(-3.0, 3.0), st.floats(-0.8, 0.8))
     @settings(max_examples=30, deadline=None)
@@ -42,11 +48,13 @@ class TestJacobiTheta:
             brute_theta3(u, TAU), rel=1e-12)
         assert jacobi_theta(2, u, TAU) == pytest.approx(
             brute_theta2(u, TAU), rel=1e-12)
+        assert jacobi_theta(1, u, TAU) == pytest.approx(
+            brute_theta1(u, TAU), rel=1e-12, abs=1e-15)
 
     def test_real_period(self):
         u = 0.37 + 0.21j
-        for j in (2, 3, 4):
-            sign = -1.0 if j == 2 else 1.0
+        for j in (1, 2, 3, 4):
+            sign = -1.0 if j in (1, 2) else 1.0
             assert jacobi_theta(j, u + 1.0, TAU) == pytest.approx(
                 sign * jacobi_theta(j, u, TAU), rel=1e-13)
 
@@ -136,21 +144,19 @@ class TestRiemannTheta:
             assert theta_reduction_check(u, 1.3383752627675033,
                                          0.8926650610238481) < 1e-10
 
-    def test_characteristics_shift(self):
-        # integer zeta only shifts the phase of each term trivially
-        B = PeriodMatrix.from_ratios(1.1, 0.7)
-        u = np.array([0.2 + 0.1j, -0.3 + 0.05j])
-        plain = riemann_theta2(u, B)
-        shifted = riemann_theta2(
-            u, B, ThetaCharacteristics(zeta=np.array([1.0, 2.0])))
-        assert shifted == pytest.approx(plain, rel=1e-12)
-
     def test_truncation_robustness(self):
+        # against the plain lattice sum over a 25 x 25 box, far wider than
+        # the Gaussian decay needs
         B = PeriodMatrix.from_ratios(1.34, 0.89)
         u = np.array([0.31 + 0.6j, 0.17 - 0.2j])
-        base = riemann_theta2(u, B)
-        wide = riemann_theta2(u, B, radius_margin=4)
-        assert wide == pytest.approx(base, rel=1e-13)
+        m = np.arange(-12, 13)
+        m1, m2 = np.meshgrid(m, m, indexing="ij")
+        Bm = B.entries
+        brute = np.sum(np.exp(
+            1j * np.pi * (Bm[0, 0] * m1 * m1 + 2.0 * Bm[0, 1] * m1 * m2
+                          + Bm[1, 1] * m2 * m2)
+            + 2j * np.pi * (m1 * u[0] + m2 * u[1])))
+        assert riemann_theta2(u, B) == pytest.approx(brute, rel=1e-13)
 
     def test_theta_H_consistency(self):
         frm, frp = 1.34, 0.89

@@ -117,8 +117,8 @@ class TestSymmetrySuite:
         assert not failed, failed
 
     def test_deterministic(self, sp):
-        a = symmetry_suite(sp, rng_seed=1)
-        b = symmetry_suite(sp, rng_seed=1)
+        a = symmetry_suite(sp)
+        b = symmetry_suite(sp)
         assert a == b
 
     def test_t_periodicity_with_galilean_drift(self):
