@@ -29,16 +29,9 @@ from .curve import (
     wave_vectors,
 )
 from .elliptic import CurveParams, curve_integrals
-from .limits import (
-    _KINDS,
-    LimitCase,
-    asymptotic_constants,
-    dn_wave_theta,
-    plane_wave_ab,
-    plane_wave_cb,
-)
-from .solution import GridSpec, eval_p, sample_grid
-from .verify import nls_residual, split_step_evolve, symmetry_suite
+from .limits import _KINDS, LimitCase, asymptotic_constants
+from .solution import GridSpec, sample_grid
+from .verify import verify_ledger
 
 _FMT = "%.17g"
 
@@ -283,62 +276,11 @@ def cmd_scan(cfg, vary, start, stop, num):
 def cmd_verify(cfg, corrupt_k2=False, limit=None, eps=1e-4):
     if not eps > 0.0:
         raise ValueError(f"--eps must be positive, got {eps}")
-    curve = _curve(cfg)
-    sp = build_solution_params(curve, _phase(cfg))
-    lat = period_lattice(curve, sp.ell)
-    ledger = {}
-
-    if corrupt_k2:
-        sp = dataclasses.replace(sp, K2=sp.K2 + 0.1)
-    spec = GridSpec(0.0, lat.X, 0.0, lat.T, *_grid_size(cfg))
-    rep = nls_residual(sp, spec, order=4)
-    ledger["residual"] = {
-        "passed": bool(rep.residual_norm < 1e-6
-                       and 3.3 <= rep.order_estimate <= 4.7),
-        "residual_norm": rep.residual_norm,
-        "order_estimate": rep.order_estimate,
-    }
-
-    if curve.lambda0 == 0.0 and not corrupt_k2:
-        n = 512
-        L = 2.0 * lat.X
-        xs = np.linspace(0.0, L, n, endpoint=False)
-        steps = 4000
-        evolved = split_step_evolve(eval_p(xs, 0.0, sp), L,
-                                    lat.T / steps, steps)
-        ref = eval_p(xs, lat.T, sp)
-        err = float(np.linalg.norm(evolved - ref) / np.linalg.norm(ref))
-        ledger["split_step"] = {"passed": err < 1e-5, "l2_error": err}
-
-    if not corrupt_k2:
-        ledger["symmetries"] = symmetry_suite(sp)
-
-    if limit is not None:
-        lam0, a, b, c = cfg["lambda0"], cfg["a"], cfg["b"], cfg["c"]
-        xs = np.linspace(-0.2, 0.2, 21)[:, None]
-        ts = np.linspace(-0.01, 0.01, 5)[None, :]
-        if limit == "c_to_b":
-            deg = CurveParams(lam0, a, b, b + eps)
-            spd = build_solution_params(deg, np.array([0.0, 0.25]))
-            ref = plane_wave_cb(xs, ts, lam0, a)
-        elif limit == "a_to_b":
-            deg = CurveParams(lam0, b * (1.0 - eps), b, c)
-            spd = build_solution_params(deg, np.array([0.25, 0.0]))
-            ref = plane_wave_ab(xs, ts, lam0, b, c)
-        else:
-            deg = CurveParams(lam0, eps, b, c)
-            spd = build_solution_params(deg)
-            ref = dn_wave_theta(xs, ts, lam0, b, c)
-        sup = float(np.max(np.abs(eval_p(xs, ts, spd) - ref)))
-        ledger["limit"] = {"kind": limit, "eps": eps, "sup_distance": sup}
-
-    # the limit entry carries no verdict and the symmetry verdicts sit one
-    # level down
-    verdicts = [e for e in ledger.values() if "passed" in e]
-    verdicts += ledger.get("symmetries", {}).values()
-    ok = all(e["passed"] for e in verdicts)
+    sp = build_solution_params(_curve(cfg), _phase(cfg))
+    ledger, passed = verify_ledger(sp, *_grid_size(cfg), corrupt_k2=corrupt_k2,
+                                   limit=limit, eps=eps)
     _emit_json(ledger, cfg["out"])
-    return 0 if ok else 1
+    return 0 if passed else 1
 
 
 def cmd_limits(cfg, kind):

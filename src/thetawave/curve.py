@@ -365,18 +365,19 @@ def b_period_errors(params: CurveParams):
     dO1 = lambda mu: -1j * (mu ** 3 + cd.p1 * mu)
     dO2 = lambda mu: -1j * (4.0 * mu ** 4 + 2.0 * s1 * mu * mu + cd.q0)
 
-    return {
-        "B11": abs(_segment_cut(dU1, a, b, c) - B[0, 0]),
-        # the symmetric b1 representative is the cut route minus the second
-        # a-cycle, whose only nonzero period is the dU2 normalization 1
-        "B12": abs(_segment_cut(dU2, a, b, c) - 1.0 - B[0, 1]),
-        "B21": abs(_segment_between(dU1, a, b, c) - B[1, 0]),
-        "B22": abs(_segment_between(dU2, a, b, c) - B[1, 1]),
-        "U1": abs(_segment_cut(dO1, a, b, c) - U[0]),
-        "U2": abs(_segment_between(dO1, a, b, c) - U[1]),
-        "V1": abs(_segment_cut(dO2, a, b, c) - V[0]),
-        "V2": abs(_segment_between(dO2, a, b, c) - V[1]),
-    }
+    with _naming_curve(a, b, c):
+        return {
+            "B11": abs(_segment_cut(dU1, a, b, c) - B[0, 0]),
+            # the symmetric b1 representative: the cut route minus the
+            # second a-cycle, whose one nonzero period is dU2's normalization 1
+            "B12": abs(_segment_cut(dU2, a, b, c) - 1.0 - B[0, 1]),
+            "B21": abs(_segment_between(dU1, a, b, c) - B[1, 0]),
+            "B22": abs(_segment_between(dU2, a, b, c) - B[1, 1]),
+            "U1": abs(_segment_cut(dO1, a, b, c) - U[0]),
+            "U2": abs(_segment_between(dO1, a, b, c) - U[1]),
+            "V1": abs(_segment_cut(dO2, a, b, c) - V[0]),
+            "V2": abs(_segment_between(dO2, a, b, c) - V[1]),
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,21 @@ def _theta_modes(j, tau, d):
     return base, mult, coef
 
 
+def _reduce(u, tau):
+    """(r, n) with u = r + 2*s + n*tau: u reduced by the real period 2
+    (every theta_j has it), then by tau.  Raises OverflowError if the factor
+    peeled off with n, exp(-i*pi*n^2*tau - 2*pi*i*n*r), leaves binary64."""
+    r = u - 2.0 * np.round(u.real / 2.0)
+    n = np.round(r.imag / tau.imag)
+    r = r - n * tau
+    if np.any(np.pi * n * n * tau.imag + 2.0 * np.pi * n * r.imag
+              > _EXP_LIMIT):
+        raise OverflowError(
+            "theta quasi-periodicity factor exceeds the binary64 range"
+        )
+    return r, n
+
+
 def jacobi_theta(j, u, tau):
     """Jacobi theta function theta_j(u | tau), j in 1..4.
 
@@ -109,18 +124,8 @@ def jacobi_theta(j, u, tau):
     scalar = u_in.ndim == 0
     u_arr = np.atleast_1d(u_in)
 
-    # real-period reduction: all four functions have period 2
-    shift_re = np.round(u_arr.real / 2.0)
-    up = u_arr - 2.0 * shift_re
-    # quasi-period reduction in the tau direction
-    n = np.round(up.imag / tau.imag)
-    up = up - n * tau
-    log_fac = -1j * np.pi * n * n * tau - 2j * np.pi * n * up
-    if np.any(log_fac.real > _EXP_LIMIT):
-        raise OverflowError(
-            "theta quasi-periodicity factor exceeds the binary64 range"
-        )
-    fac = np.exp(log_fac)
+    up, n = _reduce(u_arr, tau)
+    fac = np.exp(-1j * np.pi * n * n * tau - 2j * np.pi * n * up)
     if j in (1, 4):
         fac = fac * np.where(n.astype(int) % 2 == 0, 1.0, -1.0)
 
@@ -156,17 +161,10 @@ def _theta_outer(j, u, tau):
     """
     ax, bt, c = u
     tau = complex(tau)
-    c = complex(c)
-    n = round(c.imag / tau.imag)
-    c = c - n * tau
+    c, n = _reduce(complex(c), tau)
     # real-period reduction (period 2) of each part keeps the angles small
     ax = ax - 2.0 * np.round(ax / 2.0)
     bt = bt - 2.0 * np.round(bt / 2.0)
-    c = c - 2.0 * round(c.real / 2.0)
-    if (np.pi * n * n * tau.imag + 2.0 * np.pi * n * c.imag) > _EXP_LIMIT:
-        raise OverflowError(
-            "theta quasi-periodicity factor exceeds the binary64 range"
-        )
     v = bt + c
     base, mult, coef = _theta_modes(j, tau, abs(c.imag))
     w = base * mult

@@ -18,6 +18,7 @@ import numpy as np
 
 from .curve import SolutionParams, build_solution_params, period_lattice
 from .elliptic import CurveParams
+from .limits import dn_wave_theta, plane_wave_ab, plane_wave_cb
 from .solution import GridSpec, eval_amp2, eval_p
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "residual_fit_k2",
     "split_step_evolve",
     "symmetry_suite",
+    "verify_ledger",
 ]
 
 
@@ -195,3 +197,64 @@ def symmetry_suite(sp: SolutionParams):
         err / np.max(absp) ** 2, 1e-10
     )
     return ledger
+
+
+def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
+                  eps=1e-4):
+    """The ``verify`` ledger and its verdict, as (ledger, passed): the FD
+    residual on an (nx, nt) period cell, the split-step (lambda0 = 0 only),
+    ``symmetry_suite`` and, for ``limit``, the unjudged distance at ``eps``;
+    ``corrupt_k2`` adds 0.1 to K2 and runs the residual alone."""
+    curve = sp.curve
+    lat = period_lattice(curve, sp.ell)
+    ledger = {}
+
+    if corrupt_k2:
+        sp = dataclasses.replace(sp, K2=sp.K2 + 0.1)
+    spec = GridSpec(0.0, lat.X, 0.0, lat.T, nx, nt)
+    rep = nls_residual(sp, spec, order=4)
+    ledger["residual"] = {
+        "passed": bool(rep.residual_norm < 1e-6
+                       and 3.3 <= rep.order_estimate <= 4.7),
+        "residual_norm": rep.residual_norm,
+        "order_estimate": rep.order_estimate,
+    }
+
+    if curve.lambda0 == 0.0 and not corrupt_k2:
+        n = 512
+        L = 2.0 * lat.X
+        xs = np.linspace(0.0, L, n, endpoint=False)
+        steps = 4000
+        evolved = split_step_evolve(eval_p(xs, 0.0, sp), L,
+                                    lat.T / steps, steps)
+        ref = eval_p(xs, lat.T, sp)
+        err = float(np.linalg.norm(evolved - ref) / np.linalg.norm(ref))
+        ledger["split_step"] = {"passed": err < 1e-5, "l2_error": err}
+
+    if not corrupt_k2:
+        ledger["symmetries"] = symmetry_suite(sp)
+
+    if limit is not None:
+        lam0, a, b, c = curve.lambda0, curve.a, curve.b, curve.c
+        xs = np.linspace(-0.2, 0.2, 21)[:, None]
+        ts = np.linspace(-0.01, 0.01, 5)[None, :]
+        if limit == "c_to_b":
+            deg = CurveParams(lam0, a, b, b + eps)
+            spd = build_solution_params(deg, np.array([0.0, 0.25]))
+            ref = plane_wave_cb(xs, ts, lam0, a)
+        elif limit == "a_to_b":
+            deg = CurveParams(lam0, b * (1.0 - eps), b, c)
+            spd = build_solution_params(deg, np.array([0.25, 0.0]))
+            ref = plane_wave_ab(xs, ts, lam0, b, c)
+        else:
+            deg = CurveParams(lam0, eps, b, c)
+            spd = build_solution_params(deg)
+            ref = dn_wave_theta(xs, ts, lam0, b, c)
+        sup = float(np.max(np.abs(eval_p(xs, ts, spd) - ref)))
+        ledger["limit"] = {"kind": limit, "eps": eps, "sup_distance": sup}
+
+    # the limit entry carries no verdict and the symmetry verdicts sit one
+    # level down
+    verdicts = [e for e in ledger.values() if "passed" in e]
+    verdicts += ledger.get("symmetries", {}).values()
+    return ledger, all(e["passed"] for e in verdicts)

@@ -184,6 +184,19 @@ class TestScan:
         # X increases as c decreases toward b: decreasing along increasing c
         assert xs == sorted(xs, reverse=True)
 
+    def test_vary_a_monotone(self, capsys):
+        code, out = run(capsys, ["scan", "--a", "3", "--b", "5", "--c", "7",
+                                 "--vary", "a", "--start", "0.5", "--stop",
+                                 "4.5", "--num", "5"])
+        assert code == 0
+        rows = [list(map(float, ln.split(",")))
+                for ln in out.strip().splitlines()[1:]]
+        assert [r[0] for r in rows] == [0.5, 1.5, 2.5, 3.5, 4.5]
+        # X and T grow as a rises toward b
+        for col in (1, 2):
+            vals = [r[col] for r in rows]
+            assert all(lo < hi for lo, hi in zip(vals, vals[1:]))
+
     def test_missing_vary_exit_2(self, capsys):
         code, _ = run(capsys, ["scan"] + BASE)
         assert code == 2
@@ -297,6 +310,24 @@ class TestLimits:
         rep = json.loads(out)
         assert rep["integrals"]["a_plus"]["rel_err"] < 1e-5
         assert rep["derived"]["K2"] == pytest.approx(145.0)
+
+    def test_a_to_b_report(self, capsys):
+        code, out = run(capsys, ["limits", "--kind", "a_to_b", "--a",
+                                 "4.9995", "--b", "5", "--c", "9"])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["small_parameter"] == pytest.approx(1e-4, rel=1e-9)
+        for name in ("a_plus", "b_minus", "b1_minus"):
+            assert rep["integrals"][name]["rel_err"] < 1e-4, name
+
+    def test_c_to_b_report(self, capsys):
+        code, out = run(capsys, ["limits", "--kind", "c_to_b", "--a", "6",
+                                 "--b", "8", "--c", "8.001"])
+        assert code == 0
+        rep = json.loads(out)
+        # b1_minus and f_minus converge only logarithmically in c - b
+        for name in ("a_plus", "b_plus", "a_minus", "b_minus", "d_minus"):
+            assert rep["integrals"][name]["rel_err"] < 5e-4, name
 
     def test_missing_kind_exit_2(self, capsys):
         code, _ = run(capsys, ["limits"] + BASE)

@@ -75,6 +75,17 @@ class TestBPeriods:
         errs = b_period_errors(CurveParams(0.0, *abc))
         assert max(errs.values()) < 1e-8, errs
 
+    def test_non_converging_contour_names_curve(self):
+        # a curve-sweep corner where a b-period segment's tanh-sinh does not
+        # converge; the curve's own integrals and record do
+        curve = CurveParams(0.5457413963790634, 0.1, 100.0,
+                            300.00000000000006)
+        with pytest.raises(RuntimeError) as exc:
+            b_period_errors(curve)
+        msg = str(exc.value)
+        assert msg.count("a=0.1, b=100.0, c=300.00000000000006") == 1
+        assert "tanh_sinh" in msg
+
 
 class TestConnector:
     def test_lattice_decomposition(self):

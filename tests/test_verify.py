@@ -1,11 +1,15 @@
 """Unit tests for the verification instruments."""
 
+import contextlib
 import dataclasses
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+from thetawave.cli import main
 from thetawave.curve import build_solution_params, period_lattice
 from thetawave.elliptic import CurveParams
 from thetawave.solution import GridSpec, eval_p
@@ -15,6 +19,7 @@ from thetawave.verify import (
     residual_fit_k2,
     split_step_evolve,
     symmetry_suite,
+    verify_ledger,
 )
 
 P689 = CurveParams(0.0, 6.0, 8.0, 9.0)
@@ -140,3 +145,22 @@ class TestSymmetrySuite:
         # SolutionParams refuses to be built without its curve
         with pytest.raises(ValueError):
             symmetry_suite(dataclasses.replace(sp, curve=None))
+
+
+class TestVerifyLedger:
+    @pytest.mark.parametrize("flags, kwargs", [
+        ([], {}),
+        (["--corrupt-k2"], {"corrupt_k2": True}),
+        (["--limit", "a_to_0"], {"limit": "a_to_0"}),
+        (["--lambda0", "0.6"], {}),
+    ])
+    def test_matches_cli(self, flags, kwargs):
+        # the CLI prints the library's ledger and exits 1 on its verdict
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify"] + flags)
+        lambda0 = 0.6 if "--lambda0" in flags else 0.0
+        sp_l = build_solution_params(CurveParams(lambda0, 6.0, 8.0, 9.0))
+        ledger, passed = verify_ledger(sp_l, 128, 128, **kwargs)
+        assert ledger == json.loads(out.getvalue())
+        assert passed == (code == 0)
