@@ -35,18 +35,22 @@ from .verify import verify_ledger
 
 _FMT = "%.17g"
 
-# the flags every subcommand shares: name -> (type, or the tuple of allowed
-# values; default).  The parser, the defaults and the --config check all
-# read this table.
+# the flags the subcommands share, grouped by the subcommands that read
+# them: name -> (type, or the tuple of allowed values; default).  The parser,
+# the defaults and the --config check all read this table.
+_COMMANDS = ("params", "grid", "scan", "verify", "limits")
 _FLAGS = {
-    "lambda0": (float, 0.0), "a": (float, 6.0), "b": (float, 8.0),
-    "c": (float, 9.0),
-    "z_re1": (float, 0.0), "z_im1": (float, 0.0),
-    "z_re2": (float, 0.0), "z_im2": (float, 0.0),
-    "x0": (float, None), "x1": (float, None),
-    "t0": (float, None), "t1": (float, None),
-    "nx": (int, 128), "nt": (int, 128),
-    "out": (str, None), "format": (("csv", "json", "pgm"), "csv"),
+    _COMMANDS: {
+        "lambda0": (float, 0.0), "a": (float, 6.0), "b": (float, 8.0),
+        "c": (float, 9.0), "out": (str, None)},
+    ("params", "grid", "verify"): {
+        "z_re1": (float, 0.0), "z_im1": (float, 0.0),
+        "z_re2": (float, 0.0), "z_im2": (float, 0.0)},
+    ("grid", "verify"): {"nx": (int, 128), "nt": (int, 128)},
+    ("grid",): {
+        "x0": (float, None), "x1": (float, None),
+        "t0": (float, None), "t1": (float, None),
+        "format": (("csv", "json", "pgm"), "csv")},
 }
 
 # the largest nx or nt that grid and verify accept: 4x the largest grid in
@@ -58,44 +62,44 @@ def _c(z):
     return {"re": z.real, "im": z.imag}
 
 
-def _parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags win")
-    for key, (kind, _) in _FLAGS.items():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(kind, tuple):
-            common.add_argument(flag, choices=kind)
-        else:
-            common.add_argument(flag, type=kind)
+def _shared(command):
+    """The shared flags ``command`` reads: name -> (type; default)."""
+    return {key: spec for commands, group in _FLAGS.items()
+            if command in commands for key, spec in group.items()}
 
+
+def _parser():
     p = argparse.ArgumentParser(
         prog="thetawave",
         description="Two-phase periodic fields of the focusing NLS equation",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    sub.add_parser("params", parents=[common])
-    grid = sub.add_parser("grid", parents=[common])
-    grid.add_argument("--abs-only", action="store_true",
-                      help="omit the re_p,im_p CSV columns")
-    scan = sub.add_parser("scan", parents=[common])
-    scan.add_argument("--vary", choices=["a", "c"])
-    scan.add_argument("--start", type=float)
-    scan.add_argument("--stop", type=float)
-    scan.add_argument("--num", type=int, default=40)
-    verify = sub.add_parser("verify", parents=[common])
-    verify.add_argument("--corrupt-k2", action="store_true")
-    verify.add_argument("--limit", choices=_KINDS)
-    verify.add_argument("--eps", type=float, default=1e-4)
-    limits = sub.add_parser("limits", parents=[common])
-    limits.add_argument("--kind", choices=_KINDS)
+    cmd = {}
+    for name in _COMMANDS:
+        cmd[name] = sub.add_parser(name)
+        # a group lists them apart in --help and skips a slow metavar check
+        shared = cmd[name].add_argument_group("shared flags")
+        shared.add_argument("--config", help="JSON config file; flags win")
+        for key, (kind, _) in _shared(name).items():
+            opts = {"choices": kind} if isinstance(kind, tuple) \
+                else {"type": kind}
+            shared.add_argument("--" + key.replace("_", "-"), **opts)
+    cmd["grid"].add_argument("--abs-only", action="store_true",
+                             help="omit the re_p,im_p CSV columns")
+    cmd["scan"].add_argument("--vary", choices=["a", "c"])
+    cmd["scan"].add_argument("--start", type=float)
+    cmd["scan"].add_argument("--stop", type=float)
+    cmd["scan"].add_argument("--num", type=int, default=40)
+    cmd["verify"].add_argument("--corrupt-k2", action="store_true")
+    cmd["verify"].add_argument("--limit", choices=_KINDS)
+    cmd["verify"].add_argument("--eps", type=float, default=1e-4)
+    cmd["limits"].add_argument("--kind", choices=_KINDS)
     return p
 
 
-def _config_value(key, val):
+def _config_value(flags, key, val):
     """A config-file value checked against the type of its flag."""
-    if key not in _FLAGS:
-        raise ValueError(f"unknown config key {key!r}")
-    kind, default = _FLAGS[key]
+    kind, default = flags[key]
     if val is None:
         ok = default is None
     elif isinstance(kind, tuple):
@@ -111,7 +115,8 @@ def _config_value(key, val):
 
 def _resolve(args):
     """Merge defaults, config file and flags (flags win)."""
-    cfg = {key: default for key, (_, default) in _FLAGS.items()}
+    flags = _shared(args.command)
+    cfg = {key: default for key, (_, default) in flags.items()}
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
@@ -119,7 +124,9 @@ def _resolve(args):
             raise ValueError("config file must hold a JSON object")
         for key, val in loaded.items():
             key = key.replace("-", "_")
-            cfg[key] = _config_value(key, val)
+            if key not in flags:
+                raise ValueError(f"{args.command} reads no config key {key!r}")
+            cfg[key] = _config_value(flags, key, val)
     for key in cfg:
         flag = getattr(args, key)
         if flag is not None:

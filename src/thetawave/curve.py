@@ -91,8 +91,9 @@ class SolutionParams:
         if self.curve is None or self.ell is None:
             raise ValueError("solution params need curve provenance")
         z = np.asarray(self.Z, dtype=complex)
-        if z.shape != (2,):
-            raise ValueError("initial phase Z must be a complex 2-vector")
+        if z.shape != (2,) or not np.all(np.isfinite(z)):
+            raise ValueError("initial phase Z must be a finite complex "
+                             "2-vector")
         object.__setattr__(self, "Z", z)
         if self.frb_minus <= 0.0 or self.frb_plus <= 0.0:
             raise ValueError("period ratios must be positive")

@@ -364,7 +364,9 @@ def _naming_curve(a, b, c):
     try:
         yield
     except RuntimeError as exc:
-        raise RuntimeError(f"curve a={a}, b={b}, c={c}: {exc}") from exc
+        # the same exception, so its traceback still reaches the quadrature
+        exc.args = (f"curve a={a}, b={b}, c={c}: {exc}",)
+        raise
 
 
 @functools.lru_cache(maxsize=256)

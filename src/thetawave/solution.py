@@ -55,8 +55,9 @@ class GridSpec:
     nt: int
 
     def __post_init__(self):
-        if not (self.x1 > self.x0 and self.t1 > self.t0):
-            raise ValueError("need x1 > x0 and t1 > t0")
+        if not (np.all(np.isfinite([self.x0, self.x1, self.t0, self.t1]))
+                and self.x1 > self.x0 and self.t1 > self.t0):
+            raise ValueError("need finite x0 < x1 and t0 < t1")
         if self.nx < 2 or self.nt < 2:
             raise ValueError("need nx >= 2 and nt >= 2")
 

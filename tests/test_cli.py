@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -410,3 +411,115 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+CURVE = {"--lambda0", "--a", "--b", "--c", "--out"}
+PHASE = {"--z-re1", "--z-im1", "--z-re2", "--z-im2"}
+SIZE = {"--nx", "--nt"}
+WINDOW = {"--x0", "--x1", "--t0", "--t1", "--format"}
+
+# subcommand -> (the shared flags it reads, its own flags)
+OPTIONS = {
+    "params": (CURVE | PHASE, set()),
+    "grid": (CURVE | PHASE | SIZE | WINDOW, {"--abs-only"}),
+    "scan": (CURVE, {"--vary", "--start", "--stop", "--num"}),
+    "verify": (CURVE | PHASE | SIZE, {"--corrupt-k2", "--limit", "--eps"}),
+    "limits": (CURVE, {"--kind"}),
+}
+
+
+class TestSharedFlags:
+    @pytest.mark.parametrize("command, count", [
+        ("params", 9), ("grid", 16), ("scan", 5), ("verify", 11),
+        ("limits", 5)])
+    def test_parser_takes_only_flags_read(self, command, count):
+        sub = next(a for a in _parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        taken = {s for a in sub.choices[command]._actions
+                 for s in a.option_strings} - {"-h", "--help"}
+        shared, own = OPTIONS[command]
+        assert len(shared) == count
+        assert taken == shared | own | {"--config"}
+
+    @pytest.mark.parametrize("argv", [
+        ["params", "--nx", "64"], ["grid", "--kind", "a_to_0"],
+        ["scan", "--z-im2", "0.1"], ["verify", "--x1", "1"],
+        ["verify", "--format", "pgm"], ["limits", "--format", "pgm"]])
+    def test_unread_flag_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("params", "nx", 64), ("grid", "kind", "a_to_0"),
+        ("scan", "z_im2", 0.1), ("verify", "x1", 1.0),
+        ("limits", "format", "pgm")])
+    def test_unread_config_key_exit_2(self, capsys, tmp_path, command, key,
+                                      value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = main([command, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert repr(key) in captured.err and command in captured.err
+
+    def test_null_config_value(self, capsys, tmp_path):
+        # null stands for a flag left unset, so only a flag whose default
+        # is unset takes it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": None}))
+        _, via_config = run(capsys, ["params", "--config", str(cfg)])
+        _, via_flags = run(capsys, ["params"])
+        assert via_config == via_flags
+        cfg.write_text(json.dumps({"a": None}))
+        code = main(["params", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: config key 'a' has invalid value None\n"
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("argv", [
+        ["params", "--z-re1", "nan"], ["params", "--z-re2", "inf"],
+        ["grid", "--z-re1", "nan", "--nx", "4", "--nt", "4"],
+        ["verify", "--z-im2=-inf"]])
+    def test_non_finite_phase_exit_2(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: initial phase Z ")
+
+    def test_nan_phase_in_config_exit_2(self, capsys, tmp_path):
+        # json.load takes the literal NaN
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"z_im1": NaN}')
+        code = main(["params", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: initial phase Z ")
+
+    @pytest.mark.parametrize("bound", ["--x1=inf", "--t1=inf", "--x0=-inf"])
+    def test_infinite_grid_bound_one_error_line(self, bound):
+        res = subprocess.run(
+            [sys.executable, "-m", "thetawave.cli", "grid", bound],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+            text=True, timeout=120)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: need finite x0 < x1 and t0 < t1\n"
+
+    def test_non_finite_integrand_exit_2(self, capsys):
+        code = main(["params", "--a", "1e-160", "--b", "1", "--c", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: curve a=1e-160, b=1.0, c=2.0: "
+                                "non-finite integrand values in tanh_sinh\n")

@@ -86,6 +86,17 @@ class TestBPeriods:
         assert msg.count("a=0.1, b=100.0, c=300.00000000000006") == 1
         assert "tanh_sinh" in msg
 
+    def test_named_error_keeps_quadrature_frames(self):
+        # naming the curve must not cut the traceback at the re-raise: it is
+        # what locates the failing segment
+        curve = CurveParams(0.5457413963790634, 0.1, 100.0,
+                            300.00000000000006)
+        with pytest.raises(RuntimeError) as exc:
+            b_period_errors(curve)
+        assert str(exc.value).count("a=0.1, b=100.0, c=300.00000000000006") \
+            == 1
+        assert "tanh_sinh" in [entry.name for entry in exc.traceback]
+
 
 class TestConnector:
     def test_lattice_decomposition(self):
