@@ -77,6 +77,7 @@ def _parser():
     cmd = {}
     for name in _COMMANDS:
         cmd[name] = sub.add_parser(name)
+        cmd[name].set_defaults(parser=cmd[name])
         # a group lists them apart in --help and skips a slow metavar check
         shared = cmd[name].add_argument_group("shared flags")
         shared.add_argument("--config", help="JSON config file; flags win")
@@ -143,6 +144,15 @@ def _phase(cfg):
                      cfg["z_re2"] + 1j * cfg["z_im2"]])
 
 
+def _real_solution(cfg):
+    """The solution params, refused when Z has no reality witness."""
+    sp = build_solution_params(_curve(cfg), _phase(cfg))
+    if not reality_check(sp.Z, period_matrix(sp.curve))[0]:
+        raise ValueError("--z-im1 and --z-im2 fail the reality condition "
+                         "2 Im Z = Im(B N); the field would not be real")
+    return sp
+
+
 def _grid_size(cfg):
     """(nx, nt), refused above _MAX_NODES."""
     if max(cfg["nx"], cfg["nt"]) > _MAX_NODES:
@@ -187,7 +197,7 @@ def cmd_params(cfg):
     ell = sp.ell
     lat = period_lattice(curve, ell)
     B = period_matrix(curve)
-    wv = wave_vectors(curve, ell)
+    wv = wave_vectors(curve)
     found, witness = reality_check(Z, B)
     report = {
         "curve": dataclasses.asdict(curve),
@@ -243,10 +253,8 @@ def cmd_grid(cfg, abs_only=False):
     fmt = cfg["format"]
     if fmt == "pgm" and cfg["out"] is None:
         raise ValueError("pgm output requires --out")
-    curve = _curve(cfg)
-    sp = build_solution_params(curve, _phase(cfg))
-    lat = period_lattice(curve, sp.ell)
-    spec = _grid_spec(cfg, lat)
+    sp = _real_solution(cfg)
+    spec = _grid_spec(cfg, period_lattice(sp.curve, sp.ell))
     field = sample_grid(spec, sp)
     xs, ts = spec.axes()
     if fmt == "pgm":
@@ -283,7 +291,7 @@ def cmd_scan(cfg, vary, start, stop, num):
 def cmd_verify(cfg, corrupt_k2=False, limit=None, eps=1e-4):
     if not eps > 0.0:
         raise ValueError(f"--eps must be positive, got {eps}")
-    sp = build_solution_params(_curve(cfg), _phase(cfg))
+    sp = _real_solution(cfg)
     ledger, passed = verify_ledger(sp, *_grid_size(cfg), corrupt_k2=corrupt_k2,
                                    limit=limit, eps=eps)
     _emit_json(ledger, cfg["out"])
@@ -313,7 +321,10 @@ def cmd_limits(cfg, kind):
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args, rest = _parser().parse_known_args(argv)
+    if rest:
+        # the subcommand's parser, so that its usage line is printed
+        args.parser.error(f"unrecognized arguments: {' '.join(rest)}")
     try:
         cfg = _resolve(args)
         if args.command == "params":

@@ -27,7 +27,7 @@ of the solution.
 
 Everything the solution takes from the curve depends on (a, b, c) alone: the
 seven integrals, p1, q0, the centred K1, K2, delta, K0 and B.  One memoized
-record per (a, b, c) holds them; lambda0 and Z enter ``build_solution_params``
+record per (a, b, c) holds them; lambda0 and Z enter ``SolutionParams``
 only as closed-form transforms (K1 = -lambda0, K2 - 2*lambda0**2,
 kappa2 = 8*lambda0/A+, and the theta-argument shift 2Z).
 """
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,31 +72,39 @@ _REALITY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SolutionParams:
-    """Everything the theta-quotient solution formula needs."""
+    """Everything the theta-quotient solution formula needs.  Only the
+    curve, the phase Z and K2 are set; the other fields are read off the
+    curve's record, so they always describe the curve."""
 
-    frb_minus: float
-    frb_plus: float
-    kappa1: float
-    k: float
-    kappa2: float
-    delta: float
-    K0: complex
-    K1: float
-    K2: float
-    Z: np.ndarray
     curve: CurveParams
-    ell: EllipticConstants
+    Z: np.ndarray
+    K2: float
+    frb_minus: float = field(init=False)
+    frb_plus: float = field(init=False)
+    kappa1: float = field(init=False)
+    k: float = field(init=False)
+    kappa2: float = field(init=False)
+    delta: float = field(init=False)
+    K0: complex = field(init=False)
+    K1: float = field(init=False)
+    ell: EllipticConstants = field(init=False)
 
     def __post_init__(self):
-        if self.curve is None or self.ell is None:
+        if self.curve is None:
             raise ValueError("solution params need curve provenance")
         z = np.asarray(self.Z, dtype=complex)
         if z.shape != (2,) or not np.all(np.isfinite(z)):
             raise ValueError("initial phase Z must be a finite complex "
                              "2-vector")
-        object.__setattr__(self, "Z", z)
-        if self.frb_minus <= 0.0 or self.frb_plus <= 0.0:
-            raise ValueError("period ratios must be positive")
+        cd = _curve_data(self.curve.a, self.curve.b, self.curve.c)
+        ell, lam0 = cd.ell, self.curve.lambda0
+        for name, val in (
+                ("Z", z), ("frb_minus", cd.frb_minus),
+                ("frb_plus", cd.frb_plus), ("kappa1", 4.0 / ell.a_minus),
+                ("k", 2.0 / ell.a_plus), ("kappa2", 8.0 * lam0 / ell.a_plus),
+                ("delta", cd.delta), ("K0", cd.K0), ("K1", -lam0),
+                ("ell", ell)):
+            object.__setattr__(self, name, val)
 
 
 @dataclass(frozen=True)
@@ -263,28 +271,13 @@ def phase_constants(a, b, c):
 
 def build_solution_params(params: CurveParams, Z=None) -> SolutionParams:
     """The centred curve's record with lambda0 and Z applied."""
-    cd = _curve_data(params.a, params.b, params.c)
-    ell = cd.ell
-    if Z is None:
-        Z = np.zeros(2, dtype=complex)
-    return SolutionParams(
-        frb_minus=cd.frb_minus,
-        frb_plus=cd.frb_plus,
-        kappa1=4.0 / ell.a_minus,
-        k=2.0 / ell.a_plus,
-        kappa2=8.0 * params.lambda0 / ell.a_plus,
-        delta=cd.delta,
-        K0=cd.K0,
-        K1=-params.lambda0,
-        K2=cd.k2 - 2.0 * params.lambda0 ** 2,
-        Z=np.asarray(Z, dtype=complex),
-        curve=params,
-        ell=ell,
-    )
+    k2 = _curve_data(params.a, params.b, params.c).k2
+    Z = np.zeros(2, dtype=complex) if Z is None else Z
+    return SolutionParams(params, Z, k2 - 2.0 * params.lambda0 ** 2)
 
 
-def wave_vectors(params: CurveParams, ell: EllipticConstants | None = None):
-    ell = ell or curve_integrals(params)
+def wave_vectors(params: CurveParams):
+    ell = curve_integrals(params)
     U = np.array([0.0, -1.0 / ell.a_plus])
     V = np.array([2.0 / ell.a_minus, -4.0 * params.lambda0 / ell.a_plus])
     return WaveVectors(U=U, V=V)
@@ -298,7 +291,7 @@ def period_matrix(params: CurveParams):
 def period_lattice(params: CurveParams, ell: EllipticConstants | None = None):
     """Solve X_j U + T_j V = e_j in closed form."""
     ell = ell or curve_integrals(params)
-    wv = wave_vectors(params, ell)
+    wv = wave_vectors(params)
     M = np.column_stack([wv.U, wv.V])  # [X_j, T_j] solves M @ (X, T) = e_j
     det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
     if det == 0.0:
@@ -357,7 +350,7 @@ def b_period_errors(params: CurveParams):
     a, b, c = params.a, params.b, params.c
     cd = _curve_data(a, b, c)
     B = cd.B.entries
-    wv = wave_vectors(CurveParams(0.0, a, b, c), cd.ell)
+    wv = wave_vectors(CurveParams(0.0, a, b, c))
     U, V = 2j * math.pi * wv.U, 2j * math.pi * wv.V
     s1 = a * a + b * b + c * c
 

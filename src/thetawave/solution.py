@@ -170,7 +170,7 @@ def general_theta_data(params: CurveParams, Z=None):
     phase constants adjusted for the lattice representative of D."""
     sp = build_solution_params(params, Z)
     B = period_matrix(params)
-    wv = wave_vectors(params, sp.ell)
+    wv = wave_vectors(params)
     D, n, m, resid = connector_calibration(params.a, params.b, params.c)
     if resid > 1e-8:
         raise ArithmeticError(
@@ -190,10 +190,13 @@ def eval_p_general(x, t, params: CurveParams, Z=None, data=None):
 
     Agrees with ``eval_p`` in modulus exactly and in phase up to one global
     unimodular constant (the free normalization of the general form).
-    ``data`` may carry a precomputed ``general_theta_data`` result.
+    ``data`` may carry a precomputed ``general_theta_data`` result; it
+    must be that of ``params``, and Z is then read from it.
     """
     if data is None:
         data = general_theta_data(params, Z)
+    elif params != data[0].curve or Z is not None:
+        raise ValueError("data must come from params, and Z from data")
     sp, B, wv, D, n, K1g, K2g = data
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(t, dtype=float))

@@ -453,6 +453,16 @@ class TestSharedFlags:
         assert captured.out == ""
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--x1", "1"], ["scan", "--z-im2", "0.1"]])
+    def test_unread_flag_gets_subcommand_usage(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: thetawave {argv[0]} [-h]")
+        assert f"thetawave {argv[0]}: error: unrecognized arguments: " \
+            f"{' '.join(argv[1:])}\n" in err
+
     @pytest.mark.parametrize("command, key, value", [
         ("params", "nx", 64), ("grid", "kind", "a_to_0"),
         ("scan", "z_im2", 0.1), ("verify", "x1", 1.0),
@@ -482,6 +492,34 @@ class TestSharedFlags:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: config key 'a' has invalid value None\n"
+
+
+class TestRealityRefusal:
+    # Im Z2 = frb+/4 and 0.1 have no reality witness on (0, 6, 8, 9); grid
+    # used to release |p| up to 832 there, and verify refused only after
+    # the residual and split-step had run
+    @pytest.mark.parametrize("command", ["grid", "verify"])
+    @pytest.mark.parametrize("z_im2", [repr(FRB_PLUS / 4.0), "0.1"])
+    def test_unwitnessed_phase_exit_2(self, capsys, command, z_im2):
+        code = main([command, "--z-im2", z_im2, "--nx", "16", "--nt", "16"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: --z-im1 and --z-im2 fail "
+                                       "the reality condition")
+
+    def test_witnessed_phase_grid_exit_0(self, capsys):
+        # Im Z2 = frb+/2 has the witness (0, 2)
+        code, out = run(capsys, ["grid", "--z-im2", repr(FRB_PLUS / 2.0),
+                                 "--nx", "16", "--nt", "16"])
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 16 * 16
+
+    def test_params_reports_without_refusing(self, capsys):
+        code, out = run(capsys, ["params", "--z-im2", "0.1"])
+        assert code == 0
+        assert json.loads(out)["reality"] == {"passed": False,
+                                              "witness": None}
 
 
 class TestNonFiniteInputs:

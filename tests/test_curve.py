@@ -1,11 +1,14 @@
 """Unit tests for the curve-to-solution-parameter pipeline."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from thetawave import curve as curve_mod
 from thetawave.curve import (
+    SolutionParams,
     b_period_errors,
     build_solution_params,
     connector_calibration,
@@ -55,6 +58,53 @@ class TestBuildSolutionParams:
         sp = build_solution_params(P689)
         assert sp.K0.real == 0.0
         assert sp.K0.imag > 0.0
+
+
+DERIVED = ("frb_minus", "frb_plus", "kappa1", "k", "kappa2", "delta", "K0",
+           "K1", "ell")
+
+
+class TestSolutionParamsFields:
+    def test_init_fields(self):
+        assert [f.name for f in dataclasses.fields(SolutionParams)
+                if f.init] == ["curve", "Z", "K2"]
+
+    @pytest.mark.parametrize("name", DERIVED)
+    def test_derived_field_not_replaceable(self, name):
+        sp = build_solution_params(P689)
+        with pytest.raises(ValueError):
+            dataclasses.replace(sp, **{name: getattr(sp, name)})
+
+    def test_settable_fields_replace(self):
+        sp = build_solution_params(P689)
+        moved = dataclasses.replace(sp, Z=np.array([0.25, 0.0]), K2=0.0)
+        assert moved.Z.tolist() == [0.25, 0.0] and moved.K2 == 0.0
+        assert all(getattr(moved, n) == getattr(sp, n) for n in DERIVED)
+        with pytest.raises(ValueError, match="provenance"):
+            dataclasses.replace(sp, curve=None)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_derived_fields_are_the_record(self, lam):
+        sp = build_solution_params(CurveParams(lam, 6.0, 8.0, 9.0))
+        cd = curve_mod._curve_data(6.0, 8.0, 9.0)
+        ell = cd.ell
+        want = {
+            "frb_minus": cd.frb_minus, "frb_plus": cd.frb_plus,
+            "kappa1": 4.0 / ell.a_minus, "k": 2.0 / ell.a_plus,
+            "kappa2": 8.0 * lam / ell.a_plus, "delta": cd.delta,
+            "K0": cd.K0, "K1": -lam, "K2": cd.k2 - 2.0 * lam ** 2,
+        }
+        for name, value in want.items():
+            assert getattr(sp, name) == value, name
+        assert sp.ell is ell
+
+    @pytest.mark.parametrize("lam, v2", [(0.0, -0.0),
+                                         (0.7, -4.756797521859089)])
+    def test_wave_vectors_unchanged(self, lam, v2):
+        # the values wave_vectors gave when it still took ``ell``
+        wv = wave_vectors(CurveParams(lam, 6.0, 8.0, 9.0))
+        assert wv.U.tolist() == [0.0, -1.6988562578068176]
+        assert wv.V.tolist() == [32.21262581201379, v2]
 
 
 class TestSecondKindConstants:

@@ -165,6 +165,18 @@ class TestGeneralRoute:
         ratio = g / j
         assert np.max(np.abs(ratio - ratio[0])) < 1e-10
 
+    def test_data_of_another_curve_refused(self):
+        # data of one curve next to another used to give the first's field
+        data = general_theta_data(P689)
+        with pytest.raises(ValueError, match="data must come from params"):
+            eval_p_general(0.1, 0.01, CurveParams(0.7, 1.0, 2.0, 3.0),
+                           data=data)
+
+    def test_phase_next_to_data_refused(self):
+        data = general_theta_data(P689)
+        with pytest.raises(ValueError, match="Z from data"):
+            eval_p_general(0.1, 0.01, P689, np.array([0.25, 0.0]), data=data)
+
     @pytest.mark.parametrize("curve", [P689, CurveParams(0.7, 1.0, 2.0, 3.0)])
     @pytest.mark.parametrize("z", [(0.0, 0.1), (0.3, -0.25), (0.0, 0.5),
                                    (0.2, -0.3 + 0.5j), (0.4, 2.5j)])
