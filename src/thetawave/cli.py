@@ -53,8 +53,9 @@ _FLAGS = {
         "format": (("csv", "json", "pgm"), "csv")},
 }
 
-# the largest nx or nt that grid and verify accept: 4x the largest grid in
-# use, so that a mistyped size fails before it allocates
+# the largest nx or nt that grid and verify accept, and the largest scan
+# --num: 4x the largest grid in use, so that a mistyped size fails before
+# it allocates
 _MAX_NODES = 2048
 
 
@@ -272,6 +273,8 @@ def cmd_scan(cfg, vary, start, stop, num):
         raise ValueError("scan needs --vary, --start and --stop")
     if num < 1:
         raise ValueError(f"--num must be at least 1, got {num}")
+    if num > _MAX_NODES:
+        raise ValueError(f"--num must be at most {_MAX_NODES}, got {num}")
     lines = ["value,X,T,h_minus,h_plus\n"]
     for val in np.linspace(start, stop, num):
         if vary == "a":

@@ -219,6 +219,18 @@ class TestScan:
         assert captured.err.startswith("error:")
         assert f"--num must be at least 1, got {num}" in captured.err
 
+    @pytest.mark.parametrize("num", ["2049", "1000000000000"])
+    def test_num_above_bound_exit_2(self, capsys, num):
+        # 10**12 used to reach np.linspace, whose MemoryError traceback
+        # exited 1, the "verification failed" code
+        code = main(["scan", "--vary", "c", "--start", "9.5", "--stop", "12",
+                     "--num", num])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert f"--num must be at most 2048, got {num}" in captured.err
+
 
 class TestVerify:
     def test_passes_at_reference(self, capsys):

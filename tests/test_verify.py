@@ -45,6 +45,25 @@ class TestFieldResidual:
         spec = GridSpec(0.0, 1.0, 0.0, 0.02, 32, 64)
         assert field_residual(field, spec, order=4) < 1e-8
 
+    def test_travelling_plane_wave(self):
+        # a exp(i(kx + w t)) solves the equation at w = 2a^2 - k^2; at
+        # k != 0 a stencil value taken from the wrong x node shows
+        a, k = 3.0, 2.0
+        spec = GridSpec(0.0, 1.0, 0.0, 0.02, 128, 64)
+        wave = lambda w: lambda x, t: a * np.exp(1j * (k * x + w * t))
+        assert field_residual(wave(2 * a * a - k * k), spec) < 1e-8
+        assert field_residual(wave(2 * a * a + k * k), spec) > 1e-2
+
+    def test_field_called_once_per_grid(self, sp, cell):
+        shapes = []
+
+        def field(x, t):
+            shapes.append((np.shape(x), np.shape(t)))
+            return eval_p(x, t, sp)
+
+        field_residual(field, cell, order=4)
+        assert shapes == [((cell.nx, 1), (1, cell.nt))]
+
     def test_wrong_field_large_residual(self):
         field = lambda x, t: 3.0 * np.exp(1j * (np.asarray(x)
                                                 + np.asarray(t)))
@@ -70,6 +89,19 @@ class TestNlsResidual:
         rep = nls_residual(bad, cell, order=4)
         assert rep.residual_norm > 1e-4
         assert rep.order_estimate < 1.0
+
+    def test_evaluates_each_grid_once(self, sp, cell, monkeypatch):
+        # the coarse grid and the (2n - 1)^2 refinement, one call each
+        calls = []
+
+        def counting(x, t, params):
+            calls.append(np.broadcast_shapes(np.shape(x), np.shape(t)))
+            return eval_p(x, t, params)
+
+        monkeypatch.setattr("thetawave.verify.eval_p", counting)
+        nls_residual(sp, cell, order=4)
+        fine = (2 * cell.nx - 1, 2 * cell.nt - 1)
+        assert calls == [(cell.nx, cell.nt), fine]
 
 
 class TestResidualFitK2:
@@ -113,6 +145,22 @@ class TestSplitStep:
         ref = eval_p(xs, t_end, sp)
         err = np.linalg.norm(psi - ref) / np.linalg.norm(ref)
         assert err < 1e-6
+
+    @pytest.mark.parametrize("steps", [1, 2, 400])
+    def test_fused_matches_strang_reference(self, sp, steps):
+        # the unfused Strang step N(dt/2) L N(dt/2) is the reference
+        lat = period_lattice(P689, sp.ell)
+        L, n, dt = 2.0 * lat.X, 512, lat.T / 4000
+        psi0 = eval_p(np.linspace(0.0, L, n, endpoint=False), 0.0, sp)
+        linear = np.exp(-1j * (2.0 * math.pi * np.fft.fftfreq(n, d=L / n))
+                        ** 2 * dt)
+        ref = psi0.copy()
+        for _ in range(steps):
+            ref = ref * np.exp(1j * np.abs(ref) ** 2 * dt)
+            ref = np.fft.ifft(linear * np.fft.fft(ref))
+            ref = ref * np.exp(1j * np.abs(ref) ** 2 * dt)
+        psi = split_step_evolve(psi0, L, dt, steps)
+        assert np.linalg.norm(psi - ref) / np.linalg.norm(ref) < 1e-12
 
 
 class TestSymmetrySuite:
