@@ -21,13 +21,7 @@ import sys
 
 import numpy as np
 
-from .curve import (
-    build_solution_params,
-    period_lattice,
-    period_matrix,
-    reality_check,
-    wave_vectors,
-)
+from .curve import build_solution_params, period_lattice, wave_vectors
 from .elliptic import CurveParams, curve_integrals
 from .limits import _KINDS, LimitCase, asymptotic_constants
 from .solution import GridSpec, sample_grid
@@ -148,7 +142,7 @@ def _phase(cfg):
 def _real_solution(cfg):
     """The solution params, refused when Z has no reality witness."""
     sp = build_solution_params(_curve(cfg), _phase(cfg))
-    if not reality_check(sp.Z, period_matrix(sp.curve))[0]:
+    if sp.witness is None:
         raise ValueError("--z-im1 and --z-im2 fail the reality condition "
                          "2 Im Z = Im(B N); the field would not be real")
     return sp
@@ -193,17 +187,13 @@ def _solution_constants(s):
 
 def cmd_params(cfg):
     curve = _curve(cfg)
-    Z = _phase(cfg)
-    sp = build_solution_params(curve, Z)
-    ell = sp.ell
-    lat = period_lattice(curve, ell)
-    B = period_matrix(curve)
+    sp = build_solution_params(curve, _phase(cfg))
+    lat = period_lattice(curve, sp.ell)
     wv = wave_vectors(curve)
-    found, witness = reality_check(Z, B)
     report = {
         "curve": dataclasses.asdict(curve),
-        "elliptic": dataclasses.asdict(ell),
-        "solution": {**_solution_constants(sp), "Z": [_c(z) for z in Z]},
+        "elliptic": dataclasses.asdict(sp.ell),
+        "solution": {**_solution_constants(sp), "Z": [_c(z) for z in sp.Z]},
         "wave_vectors": {"U": wv.U.tolist(), "V": wv.V.tolist()},
         "periods": {
             "X": lat.X, "T": lat.T, "Tprime": lat.Tprime,
@@ -214,9 +204,9 @@ def cmd_params(cfg):
         # (h = exp(-2*pi*frb)); a smaller value means weaker harmonics
         "h_minus": math.exp(-2.0 * math.pi * sp.frb_minus),
         "h_plus": math.exp(-2.0 * math.pi * sp.frb_plus),
-        "reality": {"passed": found,
-                    "witness": None if witness is None
-                    else [int(n) for n in witness]},
+        "reality": {"passed": sp.witness is not None,
+                    "witness": None if sp.witness is None
+                    else sp.witness.tolist()},
     }
     _emit_json(report, cfg["out"])
     return 0

@@ -29,7 +29,7 @@ Everything the solution takes from the curve depends on (a, b, c) alone: the
 seven integrals, p1, q0, the centred K1, K2, delta, K0 and B.  One memoized
 record per (a, b, c) holds them; lambda0 and Z enter ``SolutionParams``
 only as closed-form transforms (K1 = -lambda0, K2 - 2*lambda0**2,
-kappa2 = 8*lambda0/A+, and the theta-argument shift 2Z).
+kappa2 = 8*lambda0/A+, the theta-argument shift 2Z) and Z's witness.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ _REALITY_TOL = 1e-9
 class SolutionParams:
     """Everything the theta-quotient solution formula needs.  Only the
     curve, the phase Z and K2 are set; the other fields are read off the
-    curve's record, so they always describe the curve."""
+    curve's record, so they always describe the curve.  ``witness`` is
+    Z's reality witness N (``reality_check``), None when Z has none."""
 
     curve: CurveParams
     Z: np.ndarray
@@ -88,6 +89,7 @@ class SolutionParams:
     K0: complex = field(init=False)
     K1: float = field(init=False)
     ell: EllipticConstants = field(init=False)
+    witness: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
         if self.curve is None:
@@ -103,7 +105,7 @@ class SolutionParams:
                 ("frb_plus", cd.frb_plus), ("kappa1", 4.0 / ell.a_minus),
                 ("k", 2.0 / ell.a_plus), ("kappa2", 8.0 * lam0 / ell.a_plus),
                 ("delta", cd.delta), ("K0", cd.K0), ("K1", -lam0),
-                ("ell", ell)):
+                ("ell", ell), ("witness", reality_check(z, cd.B)[1])):
             object.__setattr__(self, name, val)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -62,6 +62,9 @@ class CurveParams:
         for name in ("lambda0", "a", "b", "c"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if not math.isfinite(2.0 * self.lambda0 * self.lambda0):
+            raise ValueError(f"need 2*lambda0**2 finite in binary64, got "
+                             f"lambda0={self.lambda0}")
         a, b, c = self.a, self.b, self.c
         # the tanh-sinh interval lengths of _quad_integrals, formed as there
         if not (0.0 < a < b < c and all(0.0 < g < math.inf for g in (
@@ -374,12 +377,8 @@ def _checked_integrals(a, b, c):
     with _naming_curve(a, b, c):
         quad = _quad_integrals(a, b, c)
         closed = _closed_integrals(a, b, c)
-        for name in (
-            "a_plus", "b_plus", "a_minus", "b_minus", "b1_minus", "d_minus",
-            "f_minus",
-        ):
-            q = getattr(quad, name)
-            cf = getattr(closed, name)
+        for name in (f.name for f in fields(quad)):
+            q, cf = getattr(quad, name), getattr(closed, name)
             rel = abs(q - cf) / max(abs(q), abs(cf))
             if rel > _CROSS_TOL:
                 raise RuntimeError(

@@ -24,7 +24,6 @@ from .curve import (
     build_solution_params,
     connector_calibration,
     period_matrix,
-    reality_check,
     wave_vectors,
 )
 from .elliptic import CurveParams
@@ -130,19 +129,20 @@ def eval_p(x, t, sp: SolutionParams):
     return complex(out) if np.ndim(out) == 0 else out
 
 
+def _require_witness(sp: SolutionParams):
+    """Refuse a phase Z without a reality witness: the field is not real."""
+    if sp.witness is None:
+        raise ValueError("complex initial phase Z fails the reality condition "
+                         "2 Im Z = Im(B N); the amplitude would not be real")
+
+
 def eval_amp2(x, t, sp: SolutionParams):
     """|p|**2 by its own closed form.
 
     Must come out real and non-negative; a complex initial phase Z is
     accepted only when the reality condition has an integer witness.
     """
-    if np.any(sp.Z.imag != 0.0):
-        ok, _ = reality_check(sp.Z, period_matrix(sp.curve))
-        if not ok:
-            raise ValueError(
-                "complex initial phase Z fails the reality condition "
-                "2 Im Z = Im(B N); the amplitude would not be real"
-            )
+    _require_witness(sp)
     den, (plus, minus) = _quotient_terms(x, t, sp, (1.0, -1.0))
     val = -4.0 * sp.K0 ** 2 * plus * minus / (den * den)
     mag = np.abs(val)

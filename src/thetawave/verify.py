@@ -19,7 +19,7 @@ import numpy as np
 from .curve import SolutionParams, build_solution_params, period_lattice
 from .elliptic import CurveParams
 from .limits import dn_wave_theta, plane_wave_ab, plane_wave_cb
-from .solution import GridSpec, eval_amp2, eval_p
+from .solution import GridSpec, _require_witness, eval_amp2, eval_p
 
 __all__ = [
     "ResidualReport",
@@ -168,29 +168,23 @@ def symmetry_suite(sp: SolutionParams):
     )
 
     absp = np.abs(p)
-    lattice_err = max(
-        np.max(np.abs(np.abs(eval_p(xs + lat.X1, ts + lat.T1, sp)) - absp)),
-        np.max(np.abs(np.abs(eval_p(xs + lat.X2, ts + lat.T2, sp)) - absp)),
-    )
-    ledger["lattice_periodicity"] = _ledger_entry(
-        lattice_err / np.max(absp), 1e-9
-    )
 
-    ledger["x_periodicity"] = _ledger_entry(
-        np.max(np.abs(np.abs(eval_p(xs + 2.0 * lat.X, ts, sp)) - absp))
-        / np.max(absp), 1e-9
-    )
+    def drift(dx, dt):
+        """max | |p(x + dx, t + dt)| - |p(x, t)| | / max |p| on the samples."""
+        return (np.max(np.abs(np.abs(eval_p(xs + dx, ts + dt, sp)) - absp))
+                / np.max(absp))
+
+    ledger["lattice_periodicity"] = _ledger_entry(
+        max(drift(lat.X1, lat.T1), drift(lat.X2, lat.T2)), 1e-9)
+    ledger["x_periodicity"] = _ledger_entry(drift(2.0 * lat.X, 0.0), 1e-9)
     # t -> t + 2T returns u1 to itself; it moves u2 by kappa2*2T, which the
     # x shift -8*lambda0*T cancels (the Galilean drift; zero at lambda0 = 0)
     ledger["t_periodicity"] = _ledger_entry(
-        np.max(np.abs(np.abs(eval_p(xs - 8.0 * cp.lambda0 * lat.T,
-                                    ts + 2.0 * lat.T, sp)) - absp))
-        / np.max(absp), 1e-9
-    )
+        drift(-8.0 * cp.lambda0 * lat.T, 2.0 * lat.T), 1e-9)
 
     # half-b-period complex phase versus its real-shift equivalent; Z has a
-    # reality witness N (eval_amp2 above refuses it otherwise), so z_c has
-    # the witness N + (0, 2)
+    # reality witness N (sp.witness; eval_amp2 above refuses None), so z_c
+    # has the witness N + (0, 2)
     sp_c = dataclasses.replace(
         sp, Z=sp.Z + np.array([0.0, 0.5j * sp.frb_plus]))
     sp_r = dataclasses.replace(sp, Z=sp.Z + np.array([0.5, 0.0]))
@@ -206,7 +200,9 @@ def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
     """The ``verify`` ledger and its verdict, as (ledger, passed): the FD
     residual on an (nx, nt) period cell, the split-step (lambda0 = 0 only),
     ``symmetry_suite`` and, for ``limit``, the unjudged distance at ``eps``;
-    ``corrupt_k2`` adds 0.1 to K2 and runs the residual alone."""
+    ``corrupt_k2`` adds 0.1 to K2 and runs the residual alone.  A phase
+    Z without a reality witness is refused before any evaluation."""
+    _require_witness(sp)
     curve = sp.curve
     lat = period_lattice(curve, sp.ell)
     ledger = {}

@@ -573,3 +573,30 @@ class TestNonFiniteInputs:
         assert captured.out == ""
         assert captured.err == ("error: curve a=1e-160, b=1.0, c=2.0: "
                                 "non-finite integrand values in tanh_sinh\n")
+
+
+class TestLambda0Bound:
+    # 2*lambda0**2 (the K2 shift) overflows binary64 above 9.48e153; K2
+    # used to come out -Infinity, or the report died on an OverflowError
+    @pytest.mark.parametrize("lam", ["1e154", "1e160"])
+    @pytest.mark.parametrize("argv", [
+        ["params"], ["limits", "--kind", "c_to_b", "--c", "8.001"],
+        ["grid", "--nx", "16", "--nt", "16"],
+        ["verify", "--nx", "16", "--nt", "16"],
+        ["scan", "--vary", "c", "--start", "9.5", "--stop", "12", "--num",
+         "3"]])
+    def test_overflowing_lambda0_exit_2(self, capsys, argv, lam):
+        code = main(argv + ["--lambda0", lam])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: need 2*lambda0**2 finite in "
+                                f"binary64, got lambda0={float(lam)}\n")
+
+    def test_lambda0_below_bound_reports_finite_json(self, capsys):
+        def refuse(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+        code, out = run(capsys, ["params", "--lambda0", "9e153"])
+        assert code == 0
+        rep = json.loads(out, parse_constant=refuse)
+        assert rep["solution"]["K2"] < 0.0

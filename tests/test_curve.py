@@ -69,7 +69,7 @@ class TestSolutionParamsFields:
         assert [f.name for f in dataclasses.fields(SolutionParams)
                 if f.init] == ["curve", "Z", "K2"]
 
-    @pytest.mark.parametrize("name", DERIVED)
+    @pytest.mark.parametrize("name", DERIVED + ("witness",))
     def test_derived_field_not_replaceable(self, name):
         sp = build_solution_params(P689)
         with pytest.raises(ValueError):
@@ -97,6 +97,30 @@ class TestSolutionParamsFields:
         for name, value in want.items():
             assert getattr(sp, name) == value, name
         assert sp.ell is ell
+
+    @pytest.mark.parametrize("z, want", [
+        ((0.0, 0.0), [0, 0]),
+        ((0.0, 0.5j * REF_689["frb_plus"]), [0, 2]),
+        ((0.5j * REF_689["frb_minus"], 0.0), [2, 0]),
+        ((0.0, 0.1j), None)])
+    def test_witness_is_the_reality_check(self, z, want):
+        Z = np.array(z, dtype=complex)
+        sp = build_solution_params(P689, Z)
+        found, N = reality_check(Z, period_matrix(P689))
+        assert found == (want is not None)
+        if want is None:
+            assert sp.witness is None and N is None
+        else:
+            assert sp.witness.tolist() == N.tolist() == want
+
+    def test_replace_recomputes_witness(self):
+        sp = build_solution_params(P689)
+        assert sp.witness.tolist() == [0, 0]
+        off = dataclasses.replace(sp, Z=np.array([0.0, 0.1j]))
+        assert off.witness is None
+        half = 0.5j * sp.frb_plus
+        on = dataclasses.replace(off, Z=np.array([0.0, half]))
+        assert on.witness.tolist() == [0, 2]
 
     @pytest.mark.parametrize("lam, v2", [(0.0, -0.0),
                                          (0.7, -4.756797521859089)])

@@ -196,6 +196,22 @@ class TestSymmetrySuite:
 
 
 class TestVerifyLedger:
+    @pytest.mark.parametrize("corrupt_k2", [False, True])
+    def test_unwitnessed_phase_refused_before_evaluation(self, monkeypatch,
+                                                         corrupt_k2):
+        # Im Z2 = 0.1 has no reality witness; the field has a pole there
+        calls = []
+
+        def counting(x, t, params):
+            calls.append(1)
+            return eval_p(x, t, params)
+
+        monkeypatch.setattr("thetawave.verify.eval_p", counting)
+        sp_z = build_solution_params(P689, np.array([0.0, 0.1j]))
+        with pytest.raises(ValueError, match="reality condition"):
+            verify_ledger(sp_z, 128, 128, corrupt_k2=corrupt_k2)
+        assert calls == []
+
     @pytest.mark.parametrize("flags, kwargs", [
         ([], {}),
         (["--corrupt-k2"], {"corrupt_k2": True}),

@@ -9,19 +9,19 @@ fail.  Usage, from anywhere:
     python tools/tier1.py [extra pytest arguments]
 
 Exit 0 when the set of failed or errored tests is exactly the documented
-one; exit 1 when a further test fails, when one of the three starts to
-pass, or when pytest itself breaks.  Needs only the standard library and
-the test dependencies (``pip install -e ".[test]"``).
+one; exit 1 when a further test fails or a test module does not import
+(either is named), when one of the three starts to pass, or when pytest
+itself breaks.  Needs only the standard library and the test dependencies
+(``pip install -e ".[test]"``).
 """
 
 from __future__ import annotations
 
 import os
-import subprocess
 import sys
-import tempfile
-import xml.etree.ElementTree as ET
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,46 +35,34 @@ EXPECTED = {
 }
 
 
-def _node_id(case):
-    """The pytest node ID of a JUnit <testcase>: its classname holds the
-    module path and the class, both dotted."""
-    parts = case.get("classname", "").split(".")
-    name = case.get("name", "")
-    for i in range(len(parts), 0, -1):
-        path = Path(*parts[:i]).with_suffix(".py")
-        if (ROOT / path).is_file():
-            return "::".join([path.as_posix(), *parts[i:], name])
-    return "::".join([*filter(None, parts), name])
+class _Recorder:
+    """pytest plugin: the node IDs of the tests run, and of the tests and
+    collected modules that failed or errored."""
 
+    def __init__(self):
+        self.ran, self.bad = set(), set()
 
-def _outcomes(xml_path):
-    """(node IDs run, node IDs that failed or errored)."""
-    ran, bad = set(), set()
-    for case in ET.parse(xml_path).iter("testcase"):
-        node = _node_id(case)
-        ran.add(node)
-        if case.find("failure") is not None or case.find("error") is not None:
-            bad.add(node)
-    return ran, bad
+    def pytest_runtest_logreport(self, report):
+        self.ran.add(report.nodeid)
+        if report.failed:
+            self.bad.add(report.nodeid)
+
+    def pytest_collectreport(self, report):
+        if report.failed:
+            self.bad.add(report.nodeid)
 
 
 def main(argv):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    with tempfile.TemporaryDirectory() as tmp:
-        xml_path = Path(tmp) / "tier1.xml"
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q",
-             "--continue-on-collection-errors", f"--junitxml={xml_path}",
-             *argv],
-            cwd=ROOT, env=env)
-        if proc.returncode not in (0, 1) or not xml_path.is_file():
-            print(f"tier1: pytest exited {proc.returncode} without a "
-                  f"result to check", file=sys.stderr)
-            return 1
-        ran, bad = _outcomes(xml_path)
+    # from ROOT, pyproject.toml supplies the testpaths and the src path
+    os.chdir(ROOT)
+    rec = _Recorder()
+    code = pytest.main(["-q", "--continue-on-collection-errors", *argv],
+                       plugins=[rec])
+    if code not in (0, 1):
+        print(f"tier1: pytest exited {int(code)} without a result to check",
+              file=sys.stderr)
+        return 1
+    ran, bad = rec.ran, rec.bad
     problems = [f"tier1: unexpected failure: {n}"
                 for n in sorted(bad - EXPECTED)]
     problems += [f"tier1: documented failure now passes: {n}"
@@ -85,7 +73,7 @@ def main(argv):
         print(line, file=sys.stderr)
     if problems:
         return 1
-    print(f"tier1: {len(ran) - len(bad)} passed, and the {len(bad)} "
+    print(f"tier1: {len(ran - bad)} passed, and the {len(bad)} "
           f"documented failures failed")
     return 0
 
