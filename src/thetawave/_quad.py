@@ -10,6 +10,8 @@ binary64 accuracy.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["tanh_sinh"]
@@ -38,16 +40,18 @@ def _nodes(t):
     return u, v, w
 
 
-def tanh_sinh(f, length, scale=1.0):
+def tanh_sinh(f, length):
     """Integrate ``f`` over ``(0, length)``.
 
     f        -- vectorized callable f(u, v) of node distances from the ends
     length   -- positive interval length
-    scale    -- the level-to-level change must fall below _TOL times
-                max(scale, |value|); scale=0 makes it purely relative;
-                RuntimeError after _MAX_LEVEL halvings without it
 
-    Returns (value, error_estimate).  Complex integrands are supported.
+    The level-to-level change must fall below _TOL times max(|value|,
+    h*sum|f*w|): the integrand's own size sets the roundoff floor, as
+    QUADPACK's does from int|f|.  For an integrand of one sign the two
+    terms are equal.  RuntimeError after _MAX_LEVEL halvings without it.
+
+    Returns the value.  Complex integrands are supported.
     """
     if not np.isfinite(length) or length <= 0.0:
         raise ValueError(f"interval length must be positive, got {length}")
@@ -55,17 +59,20 @@ def tanh_sinh(f, length, scale=1.0):
     def evaluate(t):
         u, v, w = _nodes(t)
         vals = f(u * length, v * length) * (w * length)
-        if not np.all(np.isfinite(vals)):
+        # non-finite when a value is, or when the sizes overflow, which would
+        # make the stop test pass vacuously
+        size = np.abs(vals).sum()
+        if not math.isfinite(size):
             raise RuntimeError("non-finite integrand values in tanh_sinh")
-        return np.sum(vals)
+        return vals.sum(), size
 
     h = 1.0
     # a non-finite value raises in evaluate, and one that overflows to zero
     # stalls convergence; numpy's warnings would only precede that error
     with np.errstate(all="ignore"):
-        total = evaluate(h * np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1))
-        value = h * total
-        prev = value
+        total, size = evaluate(h * np.arange(-int(_T_MAX / h),
+                                             int(_T_MAX / h) + 1))
+        prev = h * total
         err = np.inf
         for _ in range(1, _MAX_LEVEL + 1):
             h *= 0.5
@@ -73,12 +80,13 @@ def tanh_sinh(f, length, scale=1.0):
             kmax = int(_T_MAX / h)
             if kmax % 2 == 0:
                 kmax -= 1
-            t_new = h * np.arange(-kmax, kmax + 1, 2)
-            total += evaluate(t_new)
+            new, new_size = evaluate(h * np.arange(-kmax, kmax + 1, 2))
+            total += new
+            size += new_size
             value = h * total
             err = abs(value - prev)
-            if err <= _TOL * max(scale, abs(value)):
-                return value, err
+            if err <= _TOL * max(abs(value), h * size):
+                return value
             prev = value
     raise RuntimeError(
         f"tanh_sinh did not converge to {_TOL:g} within {_MAX_LEVEL} levels "

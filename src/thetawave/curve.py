@@ -70,7 +70,7 @@ __all__ = [
 _REALITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionParams:
     """Everything the theta-quotient solution formula needs.  Only the
     curve, the phase Z and K2 are set; the other fields are read off the
@@ -142,23 +142,21 @@ def _axis_moment(j, a, b, c):
         return y ** j / np.sqrt(
             v * (2.0 * a - v) * (b - y) * (b + y) * (c - y) * (c + y)
         )
-    val, _ = tanh_sinh(f, a, scale=0.0)
-    return val
+    return tanh_sinh(f, a)
 
 
-def _cut_integral(f, a, b, c, scale):
+def _cut_integral(f, a, b, c):
     """int_a^b f(y) dy / sqrt(g) over the cut [ia, ib],
-    g = (y^2-a^2)(b^2-y^2)(c^2-y^2); ``scale`` as in ``tanh_sinh``."""
+    g = (y^2-a^2)(b^2-y^2)(c^2-y^2)."""
     def integrand(u, v):
         y = a + u
         return f(y) / np.sqrt(u * (y + a) * v * (y + b) * (c - y) * (c + y))
-    val, _ = tanh_sinh(integrand, b - a, scale=scale)
-    return val
+    return tanh_sinh(integrand, b - a)
 
 
 def _gap_moment(j, a, b, c):
     """int_a^b y**j dy / sqrt((y^2-a^2)(b^2-y^2)(c^2-y^2))."""
-    return _cut_integral(lambda y: y ** j, a, b, c, 0.0)
+    return _cut_integral(lambda y: y ** j, a, b, c)
 
 
 def _w_real(x, a, b, c):
@@ -169,9 +167,8 @@ def _real_axis_tail(near_f, far_f, c):
     """Integrate over (0, inf), split at c.  ``near_f(x)`` covers (0, c);
     ``far_f(y)`` is the integrand after x = c/y (Jacobian included), written
     in the reciprocal variable so huge x never appears."""
-    near, _ = tanh_sinh(lambda u, v: near_f(u), c)
-    far, _ = tanh_sinh(lambda u, v: far_f(u), 1.0)
-    return near + far
+    return (tanh_sinh(lambda u, v: near_f(u), c)
+            + tanh_sinh(lambda u, v: far_f(u), 1.0))
 
 
 @dataclass(frozen=True)
@@ -329,7 +326,7 @@ def reality_check(Z, B: PeriodMatrix):
 def _segment_cut(poly, a, b, c):
     """2 * int over the cut segment [ia, ib]: 2 int_a^b poly(iy)/sqrt(g) dy,
     g = (y^2-a^2)(b^2-y^2)(c^2-y^2)."""
-    return 2.0 * _cut_integral(lambda y: poly(1j * y), a, b, c, 1.0)
+    return 2.0 * _cut_integral(lambda y: poly(1j * y), a, b, c)
 
 
 def _segment_between(poly, a, b, c):
@@ -339,8 +336,7 @@ def _segment_between(poly, a, b, c):
         y = b + u
         g = (y - a) * (y + a) * u * (y + b) * v * (c + y)
         return poly(1j * y) * 1j / np.sqrt(g)
-    val, _ = tanh_sinh(f, c - b, scale=1.0)
-    return 2.0 * val
+    return 2.0 * tanh_sinh(f, c - b)
 
 
 def b_period_errors(params: CurveParams):

@@ -210,17 +210,14 @@ def _quad_integrals(a, b, c):
     ca = (c - a) * (c + a)
     cb = (c - b) * (c + b)
 
-    a_plus, _ = tanh_sinh(lambda u, v: 1.0 / np.sqrt(u * v * (cb + v)), ba, scale=0.0)
-    b_plus, _ = tanh_sinh(lambda u, v: 1.0 / np.sqrt((ba + u) * u * v), cb, scale=0.0)
-    a_minus, _ = tanh_sinh(
-        lambda u, v: 1.0 / np.sqrt(u * v * (ba + v) * (ca + v)), a2, scale=0.0
-    )
-    b_minus, _ = tanh_sinh(
-        lambda u, v: 1.0 / np.sqrt((a2 + u) * u * v * (cb + v)), ba, scale=0.0
-    )
-    d_minus, _ = tanh_sinh(
-        lambda u, v: 0.5 * np.sqrt(u) / np.sqrt(v * (ba + v) * (ca + v)), a2, scale=0.0
-    )
+    a_plus = tanh_sinh(lambda u, v: 1.0 / np.sqrt(u * v * (cb + v)), ba)
+    b_plus = tanh_sinh(lambda u, v: 1.0 / np.sqrt((ba + u) * u * v), cb)
+    a_minus = tanh_sinh(
+        lambda u, v: 1.0 / np.sqrt(u * v * (ba + v) * (ca + v)), a2)
+    b_minus = tanh_sinh(
+        lambda u, v: 1.0 / np.sqrt((a2 + u) * u * v * (cb + v)), ba)
+    d_minus = tanh_sinh(
+        lambda u, v: 0.5 * np.sqrt(u) / np.sqrt(v * (ba + v) * (ca + v)), a2)
 
     # the two integrals over (c**2, inf) after the substitution t = c**2/u**2
     alpha = a2 / c2
@@ -236,7 +233,7 @@ def _quad_integrals(a, b, c):
         one_m_au2, one_m_bu2 = gaps(u, v)
         return (2.0 / c2) * u / np.sqrt(one_m_au2 * one_m_bu2 * v * (1.0 + u))
 
-    b1_minus, _ = tanh_sinh(f_b1, 1.0, scale=0.0)
+    b1_minus = tanh_sinh(f_b1, 1.0)
 
     s1p = 1.0 + alpha + beta
     s2p = alpha + beta + alpha * beta
@@ -248,7 +245,7 @@ def _quad_integrals(a, b, c):
         u2 = u * u
         return u * (s1p - s2p * u2 + s3p * u2 * u2) / (root * (1.0 + root))
 
-    f_minus, _ = tanh_sinh(f_fm, 1.0, scale=0.0)
+    f_minus = tanh_sinh(f_fm, 1.0)
 
     return EllipticConstants(
         a_plus=a_plus,
@@ -309,8 +306,8 @@ def _f_minus_gauss(a, b, c):
         for lo, hi in zip(edges[:-1], edges[1:]):
             half = 0.5 * (hi - lo)
             value += half * float(np.sum(wg * integrand(lo + half * (xg + 1.0))))
-        if prev is not None \
-                and abs(value - prev) <= _TOL * max(1.0, abs(value)):
+        # the integrand is positive, so |value| is its size (see tanh_sinh)
+        if prev is not None and abs(value - prev) <= _TOL * abs(value):
             return value
         prev = value
         n *= 2

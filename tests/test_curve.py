@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from thetawave import _quad as quad_mod
 from thetawave import curve as curve_mod
 from thetawave.curve import (
     SolutionParams,
@@ -122,6 +125,14 @@ class TestSolutionParamsFields:
         on = dataclasses.replace(off, Z=np.array([0.0, half]))
         assert on.witness.tolist() == [0, 2]
 
+    def test_equality_is_identity(self):
+        # the ndarray fields Z and witness have no scalar ==, so a build
+        # compares and hashes by identity
+        sp = build_solution_params(P689)
+        assert sp == sp
+        assert sp != build_solution_params(P689)
+        assert len({sp}) == 1
+
     @pytest.mark.parametrize("lam, v2", [(0.0, -0.0),
                                          (0.7, -4.756797521859089)])
     def test_wave_vectors_unchanged(self, lam, v2):
@@ -143,28 +154,46 @@ class TestSecondKindConstants:
 
 
 class TestBPeriods:
-    @pytest.mark.parametrize("abc", [(6.0, 8.0, 9.0), (1.0, 3.0, 9.0),
-                                     (0.5, 2.0, 2.5)])
+    # the last three have b-period integrands some 1e4 in size
+    @pytest.mark.parametrize("abc", [
+        (6.0, 8.0, 9.0), (1.0, 3.0, 9.0), (0.5, 2.0, 2.5),
+        (0.1, 100.0, 300.00000000000006),
+        (28.32167994957774, 45.00055249237433, 391.3070816533399),
+        (70.02701388744157, 186.4288495134704, 316.4575829490708)])
     def test_contour_vs_closed_form(self, abc):
         errs = b_period_errors(CurveParams(0.0, *abc))
         assert max(errs.values()) < 1e-8, errs
 
-    def test_non_converging_contour_names_curve(self):
-        # a curve-sweep corner where a b-period segment's tanh-sinh does not
-        # converge; the curve's own integrals and record do
+    # b log-uniform on [0.1, 500], a/b on [0.001, 0.999], (c - b)/b
+    # log-uniform on [1e-3, 10]
+    @given(st.floats(-1.0, math.log10(500.0)), st.floats(0.001, 0.999),
+           st.floats(-3.0, 1.0))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_contour_converges_across_envelope(self, lb, ar, lg):
+        b = 10.0 ** lb
+        errs = b_period_errors(CurveParams(0.0, ar * b, b, b + b * 10.0 ** lg))
+        assert max(errs.values()) < 1e-8, errs
+
+    def test_non_converging_contour_names_curve(self, monkeypatch):
+        # the curve's record is built at full depth; a two-level budget then
+        # keeps a b-period segment's tanh-sinh from converging
         curve = CurveParams(0.5457413963790634, 0.1, 100.0,
                             300.00000000000006)
+        build_solution_params(curve)
+        monkeypatch.setattr(quad_mod, "_MAX_LEVEL", 2)
         with pytest.raises(RuntimeError) as exc:
             b_period_errors(curve)
         msg = str(exc.value)
         assert msg.count("a=0.1, b=100.0, c=300.00000000000006") == 1
         assert "tanh_sinh" in msg
 
-    def test_named_error_keeps_quadrature_frames(self):
+    def test_named_error_keeps_quadrature_frames(self, monkeypatch):
         # naming the curve must not cut the traceback at the re-raise: it is
-        # what locates the failing segment
+        # what locates the failing segment (trigger as in the test above)
         curve = CurveParams(0.5457413963790634, 0.1, 100.0,
                             300.00000000000006)
+        build_solution_params(curve)
+        monkeypatch.setattr(quad_mod, "_MAX_LEVEL", 2)
         with pytest.raises(RuntimeError) as exc:
             b_period_errors(curve)
         assert str(exc.value).count("a=0.1, b=100.0, c=300.00000000000006") \
