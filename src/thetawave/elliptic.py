@@ -261,6 +261,14 @@ def _quad_integrals(a, b, c):
 # ---------------------------------------------------------------------------
 # closed Legendre route (and the rationalized Gauss route for f_minus)
 
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(n):
+    """Read-only n-point Gauss-Legendre rule, built on first use."""
+    rule = np.array(leggauss(n))
+    rule.setflags(write=False)
+    return rule
+
+
 def _f_minus_gauss(a, b, c):
     """Second, quadrature-independent route to the tail integral f_minus.
 
@@ -301,7 +309,7 @@ def _f_minus_gauss(a, b, c):
     prev = None
     n = 24
     while n <= 4096:
-        xg, wg = leggauss(n)
+        xg, wg = _gauss_rule(n)
         value = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
             half = 0.5 * (hi - lo)
