@@ -14,6 +14,7 @@ from thetawave.curve import build_solution_params, period_lattice
 from thetawave.elliptic import CurveParams
 from thetawave.solution import GridSpec, eval_p
 from thetawave.verify import (
+    _richardson_split_step,
     field_residual,
     nls_residual,
     residual_fit_k2,
@@ -161,6 +162,50 @@ class TestSplitStep:
             ref = ref * np.exp(1j * np.abs(ref) ** 2 * dt)
         psi = split_step_evolve(psi0, L, dt, steps)
         assert np.linalg.norm(psi - ref) / np.linalg.norm(ref) < 1e-12
+
+
+def _extrapolated_error(sp, steps):
+    # the verify setup: 512 samples over one x period, evolved to T
+    lat = period_lattice(sp.curve, sp.ell)
+    L = 2.0 * lat.X
+    xs = np.linspace(0.0, L, 512, endpoint=False)
+    out = _richardson_split_step(eval_p(xs, 0.0, sp), L, lat.T, steps)
+    ref = eval_p(xs, lat.T, sp)
+    return float(np.linalg.norm(out - ref) / np.linalg.norm(ref))
+
+
+class TestRichardsonSplitStep:
+    def test_fourth_order(self, sp):
+        # halving every step size divides the error by 2**4
+        coarse = _extrapolated_error(sp, 500)
+        fine = _extrapolated_error(sp, 1000)
+        assert fine < 1e-7
+        assert coarse / fine == pytest.approx(16.0, rel=0.25)
+
+    def test_wrong_field_caught(self, sp):
+        # the extrapolated evolution of a field with K2 off by 0.1 ends far
+        # from that field at T, so the check is not blind
+        bad = dataclasses.replace(sp, K2=sp.K2 + 0.1)
+        assert _extrapolated_error(bad, 1000) > 1e-3
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_odd_half_b_period_phases_pass(self, sp, m):
+        # Im Z2 = m*frb+/2 gives a correct field whose Strang-4,000 error
+        # (1.12e-5) sat above the 1e-5 gate
+        sp_m = build_solution_params(P689,
+                                     np.array([0.0, 0.5j * m * sp.frb_plus]))
+        ledger, passed = verify_ledger(sp_m, 128, 128)
+        assert ledger["split_step"]["passed"]
+        assert ledger["split_step"]["l2_error"] < 1e-6
+        assert passed
+
+    def test_odd_half_b_period_phase_cli(self):
+        # Im Z2 = frb+/2 on (0, 6, 8, 9)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", "--z-im2", "0.446332530511924"])
+        assert code == 0
+        assert json.loads(out.getvalue())["split_step"]["passed"]
 
 
 class TestSymmetrySuite:
