@@ -216,7 +216,12 @@ def _write_pgm(path, field):
     mag = np.abs(field.values)
     lo, hi = float(np.min(mag)), float(np.max(mag))
     span = hi - lo if hi > lo else 1.0
-    img = np.round((mag.T - lo) / span * 255.0).astype(np.uint8)
+    # in place, in the order of round((mag - lo) / span * 255)
+    mag -= lo
+    mag /= span
+    mag *= 255.0
+    np.round(mag, out=mag)
+    img = mag.T.astype(np.uint8)
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode()
     with open(path, "wb") as fh:
         fh.write(header + img.tobytes())
@@ -240,6 +245,23 @@ def _csv_blocks(xs, ts, values, abs_only):
         yield "".join([line % c for c in zip(tf, *cols)])
 
 
+def _json_blocks(xs, ts, mag):
+    """The text json.JSONEncoder(indent=2) writes for {"x": xs, "t": ts,
+    "abs_p": mag} and a newline, one row of ``mag`` per chunk: floats by
+    float.__repr__, as the encoder writes them."""
+
+    def array(values, pad):
+        inner = " " * pad
+        return ("[\n" + inner + (",\n" + inner).join(map(repr, values))
+                + "\n" + inner[2:] + "]")
+
+    yield ('{\n  "x": ' + array(xs.tolist(), 4) + ',\n  "t": '
+           + array(ts.tolist(), 4) + ',\n  "abs_p": [\n    ')
+    for i, row in enumerate(mag):
+        yield (",\n    " if i else "") + array(row.tolist(), 6)
+    yield "\n  ]\n}\n"
+
+
 def cmd_grid(cfg, abs_only=False):
     fmt = cfg["format"]
     if fmt == "pgm" and cfg["out"] is None:
@@ -251,8 +273,8 @@ def cmd_grid(cfg, abs_only=False):
     if fmt == "pgm":
         _write_pgm(cfg["out"], field)
     elif fmt == "json":
-        _emit_json({"x": xs.tolist(), "t": ts.tolist(),
-                    "abs_p": np.abs(field.values).tolist()}, cfg["out"])
+        # the array abs, which the scalar abs may differ from in the last bit
+        _emit(_json_blocks(xs, ts, np.abs(field.values)), cfg["out"])
     else:
         _emit(_csv_blocks(xs, ts, field.values, abs_only), cfg["out"])
     return 0

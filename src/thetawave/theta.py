@@ -147,55 +147,54 @@ def theta_H(u1, u2, frb_minus, frb_plus):
     - theta2*theta2 at moduli 2i*frb_minus, 2i*frb_plus."""
     if frb_minus <= 0.0 or frb_plus <= 0.0:
         raise ValueError("period ratios must be positive")
-    return _H_with_scale(u1, u2, frb_minus, frb_plus)[0]
+    return _H_with_scale(
+        *(jacobi_theta(j, u1, 2j * frb_minus) for j in (3, 2)),
+        *(jacobi_theta(j, u2, 2j * frb_plus) for j in (3, 2)))[0]
 
 
-def _theta_outer(j, u, tau):
+def _theta_outer(j, bt, c, tau):
     """theta_j(ax + bt + c | tau), j in (2, 3), on the outer grid of a real
-    column ``ax`` (shape (nx, 1)) and a real row ``bt`` (shape (1, nt)),
-    with ``u = (ax, bt, c)`` and c a complex scalar.
+    row ``bt`` (shape (1, nt)) and real columns ``ax`` (shape (nx, 1)), c a
+    complex scalar: the function ax -> grid values.
 
     The Fourier modes split cos(w*(ax + bt + c)) into column and row
-    factors, so the grid is one (nx x K)(K x nt) matrix product.  Im u = Im c
-    at every node, so one quasi-period reduction, on c, serves the grid.
+    factors, so a grid is one (nx x K)(K x nt) matrix product.  The row
+    factor is built here once, for every column the function is given.
+    Im u = Im c at every node, so one quasi-period reduction, on c, serves
+    the grid.
     """
-    ax, bt, c = u
     tau = complex(tau)
     c, n = _reduce(complex(c), tau)
     # real-period reduction (period 2) of each part keeps the angles small
-    ax = ax - 2.0 * np.round(ax / 2.0)
     bt = bt - 2.0 * np.round(bt / 2.0)
     v = bt + c
     base, mult, coef = _theta_modes(j, tau, abs(c.imag))
     w = base * mult
-    col = w * ax
     row = w[:, None] * v
-    left = [np.cos(col), np.sin(col)]
     right = [coef[:, None] * (2.0 * np.cos(row)),
              coef[:, None] * (-2.0 * np.sin(row))]
     if j == 3:
-        left.insert(0, np.ones_like(ax))
         right.insert(0, np.ones_like(v))
     # the peeled factor exp(-i*pi*n^2*tau - 2*pi*i*n*(ax + bt + c)), split
-    # into its column and row parts
-    left = np.hstack(left) * np.exp(-2j * np.pi * n * ax)
+    # into its row part here and its column part below
     right = np.vstack(right) * np.exp(-1j * np.pi * n * n * tau
                                       - 2j * np.pi * n * v)
-    return left @ right
+
+    def on_columns(ax):
+        ax = ax - 2.0 * np.round(ax / 2.0)
+        col = w * ax
+        left = [np.cos(col), np.sin(col)]
+        if j == 3:
+            left.insert(0, np.ones_like(ax))
+        return (np.hstack(left) * np.exp(-2j * np.pi * n * ax)) @ right
+
+    return on_columns
 
 
-def _H_with_scale(u1, u2, frb_minus, frb_plus):
-    """H and a magnitude scale of its four products (for the zero test).
-
-    ``u2`` is an array of arguments, or a triple (ax, bt, c) standing for
-    the outer grid ax + bt + c that ``_theta_outer`` evaluates."""
-    tau1 = 2j * frb_minus
-    tau2 = 2j * frb_plus
-    theta_u2 = _theta_outer if isinstance(u2, tuple) else jacobi_theta
-    t31 = jacobi_theta(3, u1, tau1)
-    t21 = jacobi_theta(2, u1, tau1)
-    t32 = theta_u2(3, u2, tau2)
-    t22 = theta_u2(2, u2, tau2)
+def _H_with_scale(t31, t21, t32, t22):
+    """H from theta_3 and theta_2 at u1 (moduli 2i*frb_minus) and at u2
+    (2i*frb_plus), and a magnitude scale of its four products (for the zero
+    test)."""
     h = t31 * t32 + t21 * t32 + t31 * t22 - t21 * t22
     scale = (np.abs(t31) + np.abs(t21)) * (np.abs(t32) + np.abs(t22))
     return h, scale

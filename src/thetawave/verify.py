@@ -19,8 +19,10 @@ import numpy as np
 
 from .curve import SolutionParams, build_solution_params, period_lattice
 from .elliptic import CurveParams
-from .limits import dn_wave_theta, plane_wave_ab, plane_wave_cb
-from .solution import GridSpec, _require_witness, eval_amp2, eval_p
+from .limits import (LimitCase, asymptotic_constants, dn_wave_theta,
+                     plane_wave_ab, plane_wave_cb)
+from .solution import (GridSpec, _in_bands, _require_witness, eval_amp2,
+                       eval_p)
 
 __all__ = [
     "ResidualReport",
@@ -45,7 +47,8 @@ class ResidualReport:
 def _stencil_residual(field, spec: GridSpec, order):
     """Field values p on the grid interior and i p_t + p_xx + 2|p|**2 p
     there, by fourth-order central differences of the field evaluated once
-    on the grid's nodes (``order`` must be 4)."""
+    on the grid's nodes (``order`` must be 4).  Both arrays are built in
+    row bands (``solution._in_bands``); p is a view of the node values."""
     if order != 4:
         raise ValueError(f"stencil order must be 4, got {order}")
     if min(spec.nx, spec.nt) <= 4:
@@ -55,19 +58,28 @@ def _stencil_residual(field, spec: GridSpec, order):
     xs, ts = spec.axes()
     h = xs[1] - xs[0]
     k = ts[1] - ts[0]
-    P = np.broadcast_to(field(xs[:, None], ts[None, :]), (spec.nx, spec.nt))
-    p = P[2:-2, 2:-2]
-    pxx = (-P[4:, 2:-2] + 16.0 * P[3:-1, 2:-2] - 30.0 * p
-           + 16.0 * P[1:-3, 2:-2] - P[:-4, 2:-2]) / (12.0 * h ** 2)
-    pt = (-P[2:-2, 4:] + 8.0 * P[2:-2, 3:-1]
-          - 8.0 * P[2:-2, 1:-3] + P[2:-2, :-4]) / (12.0 * k)
-    return p, 1j * pt + pxx + 2.0 * np.abs(p) ** 2 * p
+    P = np.broadcast_to(
+        _in_bands(lambda r: field(xs[r, None], ts[None, :]), spec.nx, spec.nt),
+        (spec.nx, spec.nt))
+
+    def residual(r):
+        # interior rows r, from P's rows r and the 2-row halo on each side
+        Q = P[r.start:r.stop + 4]
+        p = Q[2:-2, 2:-2]
+        pxx = (-Q[4:, 2:-2] + 16.0 * Q[3:-1, 2:-2] - 30.0 * p
+               + 16.0 * Q[1:-3, 2:-2] - Q[:-4, 2:-2]) / (12.0 * h ** 2)
+        pt = (-Q[2:-2, 4:] + 8.0 * Q[2:-2, 3:-1]
+              - 8.0 * Q[2:-2, 1:-3] + Q[2:-2, :-4]) / (12.0 * k)
+        return 1j * pt + pxx + 2.0 * np.abs(p) ** 2 * p
+
+    return P[2:-2, 2:-2], _in_bands(residual, spec.nx - 4, spec.nt - 4)
 
 
 def field_residual(field, spec: GridSpec, order=4):
     """Max-norm residual of i p_t + p_xx + 2|p|**2 p on the grid interior,
     normalized by max |p|**3.  ``field(x, t)`` must broadcast; it is
-    called once, on an (nx, 1) column and a (1, nt) row, and so evaluated
+    called on (rows, 1) columns and the (1, nt) row, once per row band
+    (once for a grid of at most ``solution._BAND_BYTES``), and so evaluated
     once at every node of the grid."""
     p, res = _stencil_residual(field, spec, order)
     scale = float(np.max(np.abs(p))) ** 3
@@ -250,16 +262,16 @@ def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
         ts = np.linspace(-0.01, 0.01, 5)[None, :]
         if limit == "c_to_b":
             deg = CurveParams(lam0, a, b, b + eps)
-            spd = build_solution_params(deg, np.array([0.0, 0.25]))
             ref = plane_wave_cb(xs, ts, lam0, a)
         elif limit == "a_to_b":
             deg = CurveParams(lam0, b * (1.0 - eps), b, c)
-            spd = build_solution_params(deg, np.array([0.25, 0.0]))
             ref = plane_wave_ab(xs, ts, lam0, b, c)
         else:
             deg = CurveParams(lam0, eps, b, c)
-            spd = build_solution_params(deg)
             ref = dn_wave_theta(xs, ts, lam0, b, c)
+        # the phase Z at which the degenerate field is the limit's
+        Z = np.array(asymptotic_constants(LimitCase(limit, deg)).Z)
+        spd = build_solution_params(deg, Z)
         sup = float(np.max(np.abs(eval_p(xs, ts, spd) - ref)))
         ledger["limit"] = {"kind": limit, "eps": eps, "sup_distance": sup}
 

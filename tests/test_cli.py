@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thetawave.cli import _parser, _resolve, main
-from thetawave.curve import build_solution_params
+from thetawave.cli import _json_blocks, _parser, _resolve, main
+from thetawave.curve import build_solution_params, period_lattice
 from thetawave.elliptic import CurveParams
+from thetawave.solution import GridSpec, sample_grid
 
 BASE = ["--lambda0", "0", "--a", "6", "--b", "8", "--c", "9"]
 FRB_PLUS = float(
@@ -171,6 +172,48 @@ class TestGrid:
         rep = json.loads(out)
         assert len(rep["abs_p"]) == 2
 
+
+    @pytest.mark.parametrize("lambda0, nx, nt", [
+        ("0", 512, 512), ("0.7", 37, 23)])
+    def test_json_matches_encoder(self, capsys, lambda0, nx, nt):
+        # the rows are written one at a time; the text is the encoder's
+        window = ["--x0", "-0.1", "--x1", "0.5", "--t0", "0", "--t1", "0.05"]
+        code, out = run(capsys, ["grid", "--lambda0", lambda0, "--nx",
+                                 str(nx), "--nt", str(nt), "--format",
+                                 "json"] + window)
+        assert code == 0
+        spec = GridSpec(-0.1, 0.5, 0.0, 0.05, nx, nt)
+        sp = build_solution_params(CurveParams(float(lambda0), 6.0, 8.0,
+                                               9.0))
+        xs, ts = spec.axes()
+        doc = {"x": xs.tolist(), "t": ts.tolist(),
+               "abs_p": np.abs(sample_grid(spec, sp).values).tolist()}
+        assert out == json.JSONEncoder(indent=2).encode(doc) + "\n"
+
+    def test_json_blocks_write_floats_as_the_encoder(self):
+        mag = np.array([[0.0, -0.0, 5e-324], [1e308, 0.1, 1.0 / 3.0]])
+        axis = np.array([-1e-300, 2.5])
+        text = "".join(_json_blocks(axis, axis[::-1], mag))
+        doc = {"x": axis.tolist(), "t": axis[::-1].tolist(),
+               "abs_p": mag.tolist()}
+        assert text == json.JSONEncoder(indent=2).encode(doc) + "\n"
+
+    def test_pgm_bytes_match_former_scaling(self, capsys, tmp_path):
+        # scaled in place; the bytes are those of
+        # round((|p|.T - lo) / span * 255) on a 300 x 200 grid
+        out_path = tmp_path / "field.pgm"
+        code, _ = run(capsys, ["grid", "--lambda0", "0.7", "--nx", "300",
+                               "--nt", "200", "--format", "pgm", "--out",
+                               str(out_path)])
+        assert code == 0
+        curve = CurveParams(0.7, 6.0, 8.0, 9.0)
+        sp = build_solution_params(curve)
+        lat = period_lattice(curve, sp.ell)
+        spec = GridSpec(0.0, 2.0 * lat.X, 0.0, 2.0 * lat.T, 300, 200)
+        mag = np.abs(sample_grid(spec, sp).values)
+        lo, hi = float(np.min(mag)), float(np.max(mag))
+        img = np.round((mag.T - lo) / (hi - lo) * 255.0).astype(np.uint8)
+        assert out_path.read_bytes() == b"P5\n300 200\n255\n" + img.tobytes()
 
 class TestScan:
     def test_vary_c_monotone(self, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetawave import solution
 from thetawave.curve import build_solution_params, period_lattice
 from thetawave.elliptic import CurveParams
 from thetawave.solution import (
@@ -293,6 +294,100 @@ class TestSeparableEngine:
             w = w - H(w) * 2.0 * h / (H(w + h) - H(w - h))
         assert abs(H(w)) < 1e-14
         z2 = (w - sp_l.k * x - sp_l.kappa2 * t) / 2.0
+        sp_z = dataclasses.replace(sp_l, Z=np.array([0.0, z2]))
+        with pytest.raises(ArithmeticError):
+            sample_grid(spec, sp_z)
+
+
+class TestRowBands:
+    """Grids are evaluated in row bands of at most ``_BAND_BYTES``; the
+    bands give the one-call values bit for bit.  ``_theta_outer`` is a
+    matrix product per band, so this pins the BLAS rounding too."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record the row slices ``_in_bands`` hands to its band function."""
+        seen = []
+        real = solution._in_bands
+
+        def spy(band, n, m):
+            return real(lambda r: seen.append(r) or band(r), n, m)
+
+        monkeypatch.setattr(solution, "_in_bands", spy)
+        return seen
+
+    @staticmethod
+    def _witnessed(lambda0):
+        # a complex phase with the witness N = (2, 4), so the quotient's
+        # quasi-period factors are exercised too
+        curve = CurveParams(lambda0, 6.0, 8.0, 9.0)
+        s = build_solution_params(curve)
+        Z = np.array([0.3 + 0.5j * s.frb_minus, -0.2 + 1j * s.frb_plus])
+        return curve, build_solution_params(curve, Z)
+
+    @pytest.mark.parametrize("lambda0", [0.0, 0.7])
+    @pytest.mark.parametrize("budget, bands", [
+        (1 << 20, 4), (1 << 17, 32), (16 * 512 * 511, 2)])
+    def test_banded_grid_is_bit_identical(self, monkeypatch, lambda0,
+                                          budget, bands):
+        # 16 * 512 * 511 bytes hold 511 rows; the rows split 256 + 256, so
+        # no band is one row (a vector product, which rounds otherwise)
+        curve, sp_z = self._witnessed(lambda0)
+        lat = period_lattice(curve, sp_z.ell)
+        # no row at a multiple of the period, where every product is exact
+        spec = GridSpec(-0.3 * lat.X, 1.9 * lat.X, 0.1 * lat.T, 2.0 * lat.T,
+                        512, 512)
+        xs, ts = spec.axes()
+        one_call = eval_p(xs[:, None], ts[None, :], sp_z)
+        monkeypatch.setattr(solution, "_BAND_BYTES", budget)
+        seen = self._spy(monkeypatch)
+        values = sample_grid(spec, sp_z).values
+        assert len(seen) == bands
+        assert np.array_equal(values, one_call)
+
+    def test_one_band_is_one_call_without_copy(self, sp, monkeypatch):
+        # 255 x 255 complex values fit 1 MiB: verify's default fine grid
+        assert solution._BAND_BYTES == 1 << 20
+        seen = self._spy(monkeypatch)
+        lat = period_lattice(P689, sp.ell)
+        sample_grid(GridSpec(0.0, lat.X, 0.0, lat.T, 255, 255), sp)
+        assert seen == [slice(0, 255)]
+        arr = np.zeros((5, 7), dtype=complex)
+        assert solution._in_bands(lambda r: arr, 5, 7) is arr
+
+    @pytest.mark.parametrize("n, m, rows", [
+        (512, 512, 128), (509, 509, 128), (4, 3, 3), (7, 100, 3),
+        (2049, 64, 1024)])
+    def test_rows_split_evenly(self, monkeypatch, n, m, rows):
+        monkeypatch.setattr(solution, "_BAND_BYTES", 16 * m * rows)
+        seen = []
+        out = solution._in_bands(
+            lambda r: seen.append(r) or np.arange(r.start, r.stop)[:, None]
+            * np.ones(m), n, m)
+        assert np.array_equal(out[:, 0], np.arange(n))
+        sizes = [r.stop - r.start for r in seen]
+        assert seen[0].start == 0 and seen[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(seen, seen[1:]))
+        assert max(sizes) <= rows and min(sizes) >= 2
+        assert max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("lambda0", [0.0, 0.6])
+    def test_zero_denominator_in_a_later_band_raises(self, monkeypatch,
+                                                     lambda0):
+        # the node of test_denominator_zero_on_grid_node_raises (row 20)
+        # falls in the third of 6-row bands
+        monkeypatch.setattr(solution, "_BAND_BYTES", 16 * 48 * 6)
+        curve = CurveParams(lambda0, 6.0, 8.0, 9.0)
+        sp_l = build_solution_params(curve)
+        lat = period_lattice(curve, sp_l.ell)
+        spec = GridSpec(0.0, lat.X, 0.0, lat.T, 64, 48)
+        xs, ts = spec.axes()
+        u1 = sp_l.kappa1 * ts[30]
+        H = lambda w: theta_H(u1, w, sp_l.frb_minus, sp_l.frb_plus)
+        w, h = 0.5 + 1j * sp_l.frb_plus, 1e-6
+        for _ in range(30):
+            w = w - H(w) * 2.0 * h / (H(w + h) - H(w - h))
+        z2 = (w - sp_l.k * xs[20] - sp_l.kappa2 * ts[30]) / 2.0
         sp_z = dataclasses.replace(sp_l, Z=np.array([0.0, z2]))
         with pytest.raises(ArithmeticError):
             sample_grid(spec, sp_z)

@@ -110,7 +110,7 @@ class TestThetaOuter:
     @pytest.mark.parametrize("c", [0.3 + 0.2j, -1.2 + 2.9j, 3.4 - 3.3j])
     def test_matches_pointwise(self, j, c):
         # Im c spans several quasi-periods, so the peeled factor is tested
-        grid = _theta_outer(j, (self.AX, self.BT, c), TAU)
+        grid = _theta_outer(j, self.BT, c, TAU)(self.AX)
         points = jacobi_theta(j, (self.AX + self.BT + c).ravel(), TAU)
         points = points.reshape(grid.shape)
         assert np.max(np.abs(grid - points)) \
@@ -118,7 +118,7 @@ class TestThetaOuter:
 
     def test_unrepresentable_value_raises(self):
         with pytest.raises(OverflowError):
-            _theta_outer(3, (self.AX, self.BT, 0.2 + 40.0j), 2.0j)
+            _theta_outer(3, self.BT, 0.2 + 40.0j, 2.0j)
 
 
 class TestPeriodMatrix:

@@ -9,12 +9,15 @@ import math
 import numpy as np
 import pytest
 
+from thetawave import solution
 from thetawave.cli import main
 from thetawave.curve import build_solution_params, period_lattice
 from thetawave.elliptic import CurveParams
+from thetawave.limits import dn_wave_theta, plane_wave_ab, plane_wave_cb
 from thetawave.solution import GridSpec, eval_p
 from thetawave.verify import (
     _richardson_split_step,
+    _stencil_residual,
     field_residual,
     nls_residual,
     residual_fit_k2,
@@ -103,6 +106,53 @@ class TestNlsResidual:
         nls_residual(sp, cell, order=4)
         fine = (2 * cell.nx - 1, 2 * cell.nt - 1)
         assert calls == [(cell.nx, cell.nt), fine]
+
+
+class TestRowBands:
+    """The stencil evaluates its grid and its residual in row bands of at
+    most ``solution._BAND_BYTES`` (the residual with a 2-row halo); the
+    bands give the one-call values bit for bit."""
+
+    @pytest.mark.parametrize("n", [128, 255])
+    def test_default_grids_fit_one_band(self, sp, n):
+        # verify's 128 x 128 grid and its 255 x 255 refinement: one call
+        lat = period_lattice(P689, sp.ell)
+        shapes = []
+
+        def field(x, t):
+            shapes.append((np.shape(x), np.shape(t)))
+            return eval_p(x, t, sp)
+
+        field_residual(field, GridSpec(0.0, lat.X, 0.0, lat.T, n, n))
+        assert shapes == [((n, 1), (1, n))]
+
+    @pytest.mark.parametrize("lambda0", [0.0, 0.7])
+    def test_banded_residuals_are_bit_identical(self, monkeypatch, lambda0):
+        curve = CurveParams(lambda0, 6.0, 8.0, 9.0)
+        sp_l = build_solution_params(curve)
+        lat = period_lattice(curve, sp_l.ell)
+        spec = GridSpec(0.0, lat.X, 0.0, lat.T, 300, 260)
+        rows = []
+
+        def field(x, t):
+            rows.append(np.shape(x)[0])
+            return eval_p(x, t, sp_l)
+
+        got = {}
+        # one band, then 2 bands of 150 rows (the default 1 MiB), then 10
+        for budget in (1 << 30, 1 << 20, 1 << 17):
+            monkeypatch.setattr(solution, "_BAND_BYTES", budget)
+            rows.clear()
+            p, res = _stencil_residual(field, spec, 4)
+            got[budget] = (rows[:], p, res, field_residual(field, spec),
+                           residual_fit_k2(curve, spec))
+        assert [g[0] for g in got.values()] == [
+            [300], [150, 150], [30] * 10]
+        ref = got[1 << 30]
+        for g in got.values():
+            assert np.array_equal(g[1], ref[1])
+            assert np.array_equal(g[2], ref[2])
+            assert g[3:] == ref[3:]
 
 
 class TestResidualFitK2:
@@ -273,3 +323,24 @@ class TestVerifyLedger:
         ledger, passed = verify_ledger(sp_l, 128, 128, **kwargs)
         assert ledger == json.loads(out.getvalue())
         assert passed == (code == 0)
+
+    @pytest.mark.parametrize("kind, Z", [
+        ("c_to_b", [0.0, 0.25]), ("a_to_b", [0.25, 0.0]),
+        ("a_to_0", [0.0, 0.0])])
+    def test_limit_distance_at_asymptotic_phase(self, sp, kind, Z):
+        # the ledger evaluates the degenerate curve at the phase Z that
+        # limits.asymptotic_constants gives; those phases are pinned here
+        ledger, _ = verify_ledger(sp, 5, 5, corrupt_k2=True, limit=kind,
+                                  eps=1e-3)
+        eps = 1e-3
+        deg = {"c_to_b": CurveParams(0.0, 6.0, 8.0, 8.0 + eps),
+               "a_to_b": CurveParams(0.0, 8.0 * (1.0 - eps), 8.0, 9.0),
+               "a_to_0": CurveParams(0.0, eps, 8.0, 9.0)}[kind]
+        ref = {"c_to_b": lambda x, t: plane_wave_cb(x, t, 0.0, 6.0),
+               "a_to_b": lambda x, t: plane_wave_ab(x, t, 0.0, 8.0, 9.0),
+               "a_to_0": lambda x, t: dn_wave_theta(x, t, 0.0, 8.0, 9.0)}
+        xs = np.linspace(-0.2, 0.2, 21)[:, None]
+        ts = np.linspace(-0.01, 0.01, 5)[None, :]
+        field = eval_p(xs, ts, build_solution_params(deg, np.array(Z)))
+        sup = float(np.max(np.abs(field - ref[kind](xs, ts))))
+        assert ledger["limit"]["sup_distance"] == sup
