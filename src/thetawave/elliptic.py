@@ -304,16 +304,19 @@ def _f_minus_gauss(a, b, c):
     # are graded dyadically toward that endpoint
     layer = math.sqrt(max(1.0 - beta, 1e-30) / 2.0)
     depth = min(60, max(4, int(math.ceil(-math.log2(layer))) + 2))
-    edges = [0.0] + [2.0 ** (-j) for j in range(depth, -1, -1)]
+    edges = np.array([0.0] + [2.0 ** (-j) for j in range(depth, -1, -1)])
+    lo = edges[:-1, None]
+    half = 0.5 * (edges[1:, None] - lo)
 
     prev = None
     n = 24
     while n <= 4096:
         xg, wg = _gauss_rule(n)
+        # one integrand call for all panels, one row each, summed in order
+        rows = wg * integrand(lo + half * (xg + 1.0))
         value = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            value += half * float(np.sum(wg * integrand(lo + half * (xg + 1.0))))
+        for h, row in zip(half[:, 0].tolist(), rows):
+            value += h * float(np.sum(row))
         # the integrand is positive, so |value| is its size (see tanh_sinh)
         if prev is not None and abs(value - prev) <= _TOL * abs(value):
             return value

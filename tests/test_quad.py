@@ -45,20 +45,24 @@ def _uncached(f, length):
     raise AssertionError("reference loop did not converge")
 
 
-# name -> (integrand, length, lowest stopping level)
+# name -> (integrand, length, the level it stops at); levels 0 to
+# _BLOCK_LEVEL come from one integrand call, the later ones one call each
 INTEGRANDS = {
-    "endpoint_singular": (lambda u, v: 1.0 / np.sqrt(u * v), 2.5, 1),
-    "mixed_sign": (lambda u, v: np.cos(7.0 * u), 3.0, 1),
-    "complex": (lambda u, v: np.exp(1j * u) / np.sqrt(u), 1.7, 1),
+    "endpoint_singular": (lambda u, v: 1.0 / np.sqrt(u * v), 2.5, 3),
+    "endpoint_root": (lambda u, v: np.sqrt(u), 1.0, 3),
+    "complex": (lambda u, v: np.exp(1j * u) / np.sqrt(u), 1.7, 4),
+    "decay": (lambda u, v: np.exp(-u), 1.0, 4),
+    "mixed_sign": (lambda u, v: np.cos(7.0 * u), 3.0, 5),
+    "wide_peak": (lambda u, v: 1.0 / (u * u + 0.1), 1.0, 5),
     "narrow_peak": (lambda u, v: 1.0 / (u * u + 1e-4), 1.0, 6),
 }
 
 
 @pytest.mark.parametrize("name", sorted(INTEGRANDS))
 def test_bit_identical_to_uncached_loop(name):
-    f, length, min_level = INTEGRANDS[name]
+    f, length, stop_level = INTEGRANDS[name]
     want, level = _uncached(f, length)
-    assert level >= min_level
+    assert level == stop_level
     # once possibly building the tables, once reading them
     for _ in range(2):
         got = tanh_sinh(f, length)
@@ -76,6 +80,7 @@ def test_each_level_built_once(monkeypatch):
 
     monkeypatch.setattr(_quad, "_nodes", counted)
     _quad._level.cache_clear()
+    _quad._block.cache_clear()
     f = INTEGRANDS["narrow_peak"][0]
     tanh_sinh(f, 1.0)
     tanh_sinh(f, 0.3)
@@ -87,21 +92,41 @@ def test_tables_not_built_at_import():
     probe = ("import thetawave\n"
              "from thetawave import _quad, elliptic\n"
              "print(_quad._level.cache_info().currsize,"
+             " _quad._block.cache_info().currsize,"
              " elliptic._gauss_rule.cache_info().currsize)\n")
     res = subprocess.run([sys.executable, "-c", probe],
                          env={**os.environ, "PYTHONPATH": SRC},
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["0", "0"]
+    assert res.stdout.split() == ["0", "0", "0"]
 
 
 def test_cached_tables_are_read_only():
     tanh_sinh(INTEGRANDS["mixed_sign"][0], 1.0)
     elliptic._f_minus_gauss(6.0, 8.0, 9.0)
-    for table in (*_quad._level(0), *_quad._level(1),
+    for table in (*_quad._level(0), *_quad._level(1), *_quad._block()[0],
                   *elliptic._gauss_rule(24)):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.5
+
+
+def _nan_at(level, g, length):
+    """g, but NaN at the nodes (u, v) that ``level`` adds on (0, length)."""
+    u, v, _ = _quad._level(level)
+    marked = set(zip(u * length, v * length))
+
+    def f(u, v):
+        return np.where([node in marked for node in zip(u, v)], np.nan,
+                        g(u, v))
+    return f
+
+
+def test_nan_at_a_level_never_reached():
+    # level 4 is evaluated along with levels 0 to 3, but the loop stops at 3
+    f = _nan_at(4, INTEGRANDS["endpoint_root"][0], 1.0)
+    want, level = _uncached(f, 1.0)
+    assert level == 3
+    assert tanh_sinh(f, 1.0).tobytes() == want.tobytes()
 
 
 class TestErrorsUnchanged:
@@ -116,6 +141,12 @@ class TestErrorsUnchanged:
         with pytest.raises(RuntimeError,
                            match="^non-finite integrand values in tanh_sinh$"):
             tanh_sinh(lambda u, v: 1.0 / (u - u), 1.0)
+
+    def test_nan_at_level_0(self):
+        f = _nan_at(0, INTEGRANDS["endpoint_root"][0], 1.0)
+        with pytest.raises(RuntimeError,
+                           match="^non-finite integrand values in tanh_sinh$"):
+            tanh_sinh(f, 1.0)
 
     def test_level_budget(self, monkeypatch):
         monkeypatch.setattr(_quad, "_MAX_LEVEL", 2)
