@@ -7,13 +7,12 @@ like ``sqrt(b2 - t)`` without catastrophic cancellation at either end, which
 is what makes inverse-square-root endpoint singularities converge at full
 binary64 accuracy.
 
-``_level`` builds each level's nodes once per process, on first use, read-only:
-13 nodes at level 0 and 12 * 2**(level - 1) after it, 24 bytes each; 18 KB to
-level 6 (all a curve-sweep run needs), about 19 MB to _MAX_LEVEL.  ``_block``
-keeps levels 0 to _BLOCK_LEVEL side by side (193 nodes, 4.6 KB), also on first
-use, so that one integrand call evaluates all five: every quadrature reaches
-level 3 and about half stop at level 4, and on so few nodes an integrand call
-costs mostly its fixed overhead.  Later levels take one call each.
+``_level`` builds each level's nodes once per process, on first use, read-only,
+so only the levels a run reaches cost memory.  ``_block`` keeps levels 0 to
+_BLOCK_LEVEL side by side, also on first use, so that one integrand call
+evaluates all five: most quadratures stop near _BLOCK_LEVEL, and on so few
+nodes an integrand call costs mostly its fixed overhead.  Later levels take
+one call each.
 """
 
 from __future__ import annotations

@@ -61,7 +61,6 @@ __all__ = [
     "period_lattice",
     "reality_check",
     "b_period_errors",
-    "connector_vector",
     "connector_calibration",
 ]
 
@@ -154,11 +153,6 @@ def _cut_integral(f, a, b, c):
     return tanh_sinh(integrand, b - a)
 
 
-def _gap_moment(j, a, b, c):
-    """int_a^b y**j dy / sqrt((y^2-a^2)(b^2-y^2)(c^2-y^2))."""
-    return _cut_integral(lambda y: y ** j, a, b, c)
-
-
 def _w_real(x, a, b, c):
     return np.sqrt((x * x + a * a) * (x * x + b * b) * (x * x + c * c))
 
@@ -197,7 +191,8 @@ def _curve_data(a, b, c):
         e2 = a2 * b2 + a2 * c2 + b2 * c2
         e3 = a2 * b2 * c2
         # a-cycle normalization of dOmega1 and dOmega2
-        p1 = _gap_moment(3, a, b, c) / _gap_moment(1, a, b, c)
+        p1 = (_cut_integral(lambda y: y ** 3, a, b, c)
+              / _cut_integral(lambda y: y ** 1, a, b, c))
         q0 = -(4.0 * _axis_moment(4, a, b, c)
                - 2.0 * s1 * _axis_moment(2, a, b, c)) \
             / _axis_moment(0, a, b, c)
@@ -375,7 +370,7 @@ def b_period_errors(params: CurveParams):
 # ---------------------------------------------------------------------------
 # connector vector between the two points at infinity
 
-def connector_vector(a, b, c):
+def _connector_vector(a, b, c):
     """The vector of normalized holomorphic integrals between the two points
     at infinity, computed as twice the integral from the branch point i*c
     along the straight path i*c + s, s in (0, inf).
@@ -428,7 +423,7 @@ def connector_calibration(a, b, c):
     rounded B-coordinate vector of D minus the representative, and m the
     rounded real part of what B n leaves."""
     cd = _curve_data(a, b, c)
-    D = connector_vector(a, b, c)
+    D = _connector_vector(a, b, c)
     offset = D - np.array([-0.5j * cd.delta, -0.5])
     n = np.round(cd.B.b_coordinates(offset))
     r = offset - cd.B.entries @ n

@@ -15,10 +15,9 @@ computation, since it can only come from a convention bug.  The integrals
 depend on (a, b, c) alone, so each curve is evaluated and cross-checked
 once and then served from a memo.
 
-Conventions: every Legendre routine takes the MODULUS ``k`` (not the
-parameter ``m = k**2``), and the first argument of the incomplete integral
-``legendre_F`` is the sine of the amplitude.  Both conventions were fixed by
-requiring the closed forms to reproduce the quadrature values.
+Convention: ``legendre_K`` takes the MODULUS ``k`` (not the parameter
+``m = k**2``), fixed by requiring the closed forms to reproduce the
+quadrature values.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ __all__ = [
     "CurveParams",
     "EllipticConstants",
     "legendre_K",
-    "legendre_F",
-    "legendre_Pi",
     "curve_integrals",
 ]
 
@@ -172,33 +169,6 @@ def legendre_K(k):
     return _K_from_m1((1.0 - k) * (1.0 + k))
 
 
-def legendre_F(sin_phi, k):
-    """Incomplete integral of the first kind; first argument is sin(phi)."""
-    if not 0.0 <= sin_phi <= 1.0:
-        raise ValueError(f"sin(phi) must lie in [0, 1], got {sin_phi}")
-    if not 0.0 <= k < 1.0:
-        raise ValueError(f"modulus must lie in [0, 1), got {k}")
-    # F = s R_F(1 - s**2, 1 - k**2 s**2, 1), arguments without cancellation
-    c2 = (1.0 - sin_phi) * (1.0 + sin_phi)
-    m1 = (1.0 - k) * (1.0 + k)
-    return sin_phi * _rf(c2, c2 + sin_phi * sin_phi * m1, 1.0)
-
-
-def legendre_Pi(n, k):
-    """Complete elliptic integral of the third kind, modulus convention."""
-    if not 0.0 <= k < 1.0:
-        raise ValueError(f"modulus must lie in [0, 1), got {k}")
-    if n >= 1.0:
-        raise ValueError(f"characteristic must satisfy n < 1, got {n}")
-    m1 = (1.0 - k) * (1.0 + k)
-    rf, w = _rf(0.0, m1, 1.0), 1.0 - n
-    if n >= 0.0:
-        return rf + n / 3.0 * _rj(0.0, m1, 1.0, w)
-    # n < 0: K + n/3 R_J cancels; u -> K - u maps n to (k**2 - n)/(1 - n)
-    # in (k**2, 1), where every term is positive
-    return (rf - n * m1 / (3.0 * w) * _rj(0.0, m1, 1.0, m1 / w)) / w
-
-
 # ---------------------------------------------------------------------------
 # direct quadrature of the seven integrals
 
@@ -247,15 +217,8 @@ def _quad_integrals(a, b, c):
 
     f_minus = tanh_sinh(f_fm, 1.0)
 
-    return EllipticConstants(
-        a_plus=a_plus,
-        b_plus=b_plus,
-        a_minus=a_minus,
-        b_minus=b_minus,
-        b1_minus=b1_minus,
-        d_minus=d_minus,
-        f_minus=f_minus,
-    )
+    return EllipticConstants(a_plus, b_plus, a_minus, b_minus, b1_minus,
+                             d_minus, f_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +311,8 @@ def _closed_integrals(a, b, c):
         / (b * rca)
     f_minus = _f_minus_gauss(a, b, c)
 
-    return EllipticConstants(
-        a_plus=a_plus,
-        b_plus=b_plus,
-        a_minus=a_minus,
-        b_minus=b_minus,
-        b1_minus=b1_minus,
-        d_minus=d_minus,
-        f_minus=f_minus,
-    )
+    return EllipticConstants(a_plus, b_plus, a_minus, b_minus, b1_minus,
+                             d_minus, f_minus)
 
 
 def curve_integrals(params: CurveParams):
@@ -390,7 +346,7 @@ def _checked_integrals(a, b, c):
             rel = abs(q - cf) / max(abs(q), abs(cf))
             if rel > _CROSS_TOL:
                 raise RuntimeError(
-                    f"integral {name}: quadrature {q!r} and closed form "
-                    f"{cf!r} disagree by {rel:.3e} relative"
+                    f"integral {name}: quadrature {float(q)!r} and closed "
+                    f"form {float(cf)!r} disagree by {rel:.3e} relative"
                 )
     return quad

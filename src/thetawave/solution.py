@@ -15,11 +15,7 @@ Full grids (``sample_grid`` and the stencils of :mod:`thetawave.verify`) are
 evaluated in row bands of at most ``_BAND_BYTES`` (1 MiB) of complex values
 into one preallocated array, and the thetas that depend on t alone once per
 grid; a grid that fits one band (verify's default 128**2 and 255**2) is one
-call.  Peak RSS of the in-process CLI, 2-core Xeon: ``grid`` 2048**2 pgm
-289 / 387 MiB (lambda0 = 0 / 0.7) in one call, 140 / 141 MiB in bands;
-``verify --nx 255 --nt 255`` 53.9 -> 44.6 MiB; ``--nx 511 --nt 511``
-119.5 -> 76.6 MiB.  ``sample_grid`` 2048**2 takes 0.19 / 0.23 s (0.26 /
-0.36 s in one call).
+call.  Bands bound the peak memory of a large grid without slowing it.
 """
 
 from __future__ import annotations
@@ -79,11 +75,10 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SampledField:
-    """Complex field values on a grid, with provenance."""
+    """Complex field values on a grid."""
 
     grid: GridSpec
     values: np.ndarray
-    params: SolutionParams
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -92,6 +87,13 @@ class SampledField:
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", v)
+
+
+def _reduced_phase(Z):
+    """Z less the nearest integer to each Re Z_j (half to even).  p is
+    1-periodic in each Re Z_j, so this costs a large real phase no
+    precision; |Re Z_j| <= 1/2 passes bit for bit."""
+    return Z - np.array([float(round(float(r))) for r in Z.real])
 
 
 def _quotient_terms(t, sp: SolutionParams, signs):
@@ -109,8 +111,9 @@ def _quotient_terms(t, sp: SolutionParams, signs):
     t = np.asarray(t)
     tau1 = 2j * sp.frb_minus
     tau2 = 2j * sp.frb_plus
-    u1 = sp.kappa1 * t + 2.0 * sp.Z[0]
-    c = 2.0 * sp.Z[1]
+    z = _reduced_phase(sp.Z)
+    u1 = sp.kappa1 * t + 2.0 * z[0]
+    c = 2.0 * z[1]
     theta1 = [(jacobi_theta(3, u, tau1), jacobi_theta(2, u, tau1))
               for u in [u1] + [u1 + s * 1j * sp.delta for s in signs]]
     row = sp.kappa2 != 0.0 and t.ndim == 2 and t.shape[0] == 1
@@ -212,7 +215,7 @@ def sample_grid(spec: GridSpec, sp: SolutionParams) -> SampledField:
     xs, ts = spec.axes()
     p = _p_at(ts[None, :], sp)
     values = _in_bands(lambda r: p(xs[r, None]), spec.nx, spec.nt)
-    return SampledField(grid=spec, values=values, params=sp)
+    return SampledField(grid=spec, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +259,7 @@ def eval_p_general(x, t, params: CurveParams, Z=None, data=None):
                                np.asarray(t, dtype=float))
     # v2 = -x/A+ runs against u2 = 2x/A+ in eval_p and theta is even in
     # its second slot, so the phase enters v as (Z1, -Z2)
-    z = sp.Z * np.array([1.0, -1.0])
+    z = _reduced_phase(sp.Z) * np.array([1.0, -1.0])
     # Im z = Im(B) M moves v by B M off a real point; theta(v + B M)
     # = exp(-i*pi*M.B.M - 2*pi*i*M.v) theta(v), so the shift by -D leaves
     # exp(2*pi*i*M.D) in the quotient

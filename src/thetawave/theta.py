@@ -3,11 +3,11 @@ Riemann theta.
 
 Series conventions: the nome is h = exp(i*pi*tau) and
     theta3(u|tau) = 1 + 2 * sum_m h**(m**2) * cos(2*pi*m*u),
-so the real period in ``u`` is 1 (2 for theta1/theta2 because of their sign
-flip).  The genus-2 theta over a symmetric period matrix B with positive
-definite imaginary part reduces, for the matrices produced by this package's
-curves, to the combination H of products of theta2/theta3 at doubled
-arguments; ``theta_reduction_check`` verifies that identity numerically.
+so the real period in ``u`` is 1 (2 for theta2 because of its sign flip).
+The genus-2 theta over a symmetric period matrix B with positive definite
+imaginary part reduces, for the matrices produced by this package's curves,
+to the combination H of products of theta2/theta3 at doubled arguments;
+``theta_reduction_check`` verifies that identity numerically.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "PeriodMatrix",
     "jacobi_theta",
-    "theta_H",
     "riemann_theta2",
     "theta_reduction_check",
 ]
@@ -49,8 +48,6 @@ class PeriodMatrix:
     @classmethod
     def from_ratios(cls, frb_minus, frb_plus):
         """The curve-family matrix [[i*frb-/2, -1/2], [-1/2, i*frb+/2]]."""
-        if frb_minus <= 0.0 or frb_plus <= 0.0:
-            raise ValueError("period ratios must be positive")
         return cls(np.array(
             [[0.5j * frb_minus, -0.5], [-0.5, 0.5j * frb_plus]]
         ))
@@ -64,9 +61,9 @@ class PeriodMatrix:
 
 
 def _theta_modes(j, tau, d):
-    """Fourier modes of theta_j(u | tau) kept for arguments with
-    |Im u| <= d: theta_j(u) = [1 +] 2 * sum_m coef_m * cs(base*mult_m*u),
-    cs = sin for j = 1 and cos otherwise, the 1 for j = 3, 4 only.
+    """Fourier modes of theta_j(u | tau), j in (2, 3), kept for arguments
+    with |Im u| <= d: theta_j(u) = [1 +] 2 * sum_m coef_m * cos(base*mult_m*u),
+    the 1 for j = 3 only.
 
     Truncation: with y = Im tau, the m-th term is bounded by
     exp(-pi*y*m^2 + 2*pi*d*m + pi*y*m); stop once it falls 1e-17 below the
@@ -79,16 +76,11 @@ def _theta_modes(j, tau, d):
         _LOG_TERM_CUTOFF + np.pi * d * d / y))) / (2.0 * a_))) + 2
 
     m = np.arange(1, mmax + 1, dtype=float)
-    if j in (2, 1):
+    if j == 2:
         base, mult, expo = np.pi, 2.0 * m - 1.0, (m - 0.5) ** 2
     else:
         base, mult, expo = 2.0 * np.pi, m, m ** 2
-    coef = np.exp(1j * np.pi * tau * expo)
-    if j == 4:
-        coef = coef * (-1.0) ** m
-    if j == 1:
-        coef = coef * (-1.0) ** (m - 1.0)
-    return base, mult, coef
+    return base, mult, np.exp(1j * np.pi * tau * expo)
 
 
 def _reduce(u, tau):
@@ -107,15 +99,15 @@ def _reduce(u, tau):
 
 
 def jacobi_theta(j, u, tau):
-    """Jacobi theta function theta_j(u | tau), j in 1..4.
+    """Jacobi theta function theta_j(u | tau), j in (2, 3).
 
     Vectorized over ``u``.  The argument is first reduced modulo the real
     period and modulo tau (peeling off the quasi-periodicity factor), so
     large |Im u| stays representable; if the peeled factor itself would
     overflow binary64 an OverflowError is raised.
     """
-    if j not in (1, 2, 3, 4):
-        raise ValueError(f"theta index must be 1..4, got {j}")
+    if j not in (2, 3):
+        raise ValueError(f"theta index must be 2 or 3, got {j}")
     tau = complex(tau)
     if not tau.imag > 0.0:
         raise ValueError("tau must have positive imaginary part")
@@ -126,30 +118,15 @@ def jacobi_theta(j, u, tau):
 
     up, n = _reduce(u_arr, tau)
     fac = np.exp(-1j * np.pi * n * n * tau - 2j * np.pi * n * up)
-    if j in (1, 4):
-        fac = fac * np.where(n.astype(int) % 2 == 0, 1.0, -1.0)
 
     d = float(np.max(np.abs(up.imag))) if up.size else 0.0
     base, mult, coef = _theta_modes(j, tau, d)
     ang = base * np.outer(mult, up.ravel())
-    if j in (3, 4):
-        val = 1.0 + 2.0 * np.sum(coef[:, None] * np.cos(ang), axis=0)
-    elif j == 2:
-        val = 2.0 * np.sum(coef[:, None] * np.cos(ang), axis=0)
-    else:
-        val = 2.0 * np.sum(coef[:, None] * np.sin(ang), axis=0)
+    val = 2.0 * np.sum(coef[:, None] * np.cos(ang), axis=0)
+    if j == 3:
+        val = 1.0 + val
     out = val.reshape(up.shape) * fac
     return complex(out[0]) if scalar else out
-
-
-def theta_H(u1, u2, frb_minus, frb_plus):
-    """The combination theta3*theta3 + theta2*theta3 + theta3*theta2
-    - theta2*theta2 at moduli 2i*frb_minus, 2i*frb_plus."""
-    if frb_minus <= 0.0 or frb_plus <= 0.0:
-        raise ValueError("period ratios must be positive")
-    return _H_with_scale(
-        *(jacobi_theta(j, u1, 2j * frb_minus) for j in (3, 2)),
-        *(jacobi_theta(j, u2, 2j * frb_plus) for j in (3, 2)))[0]
 
 
 def _theta_outer(j, bt, c, tau):
@@ -248,5 +225,7 @@ def theta_reduction_check(u, frb_minus, frb_plus):
     u = np.asarray(u, dtype=complex)
     B = PeriodMatrix.from_ratios(frb_minus, frb_plus)
     lhs = riemann_theta2(u, B)
-    rhs = theta_H(2.0 * u[0], 2.0 * u[1], frb_minus, frb_plus)
+    rhs = _H_with_scale(
+        *(jacobi_theta(j, 2.0 * u[0], 2j * frb_minus) for j in (3, 2)),
+        *(jacobi_theta(j, 2.0 * u[1], 2j * frb_plus) for j in (3, 2)))[0]
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))

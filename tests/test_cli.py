@@ -75,6 +75,15 @@ class TestParams:
         for name, val in (("a", a), ("b", b), ("c", c)):
             assert f"{name}={float(val)}" in captured.err
 
+    def test_route_disagreement_prints_plain_floats(self, capsys):
+        # the quadrature of a_plus underflows to 0 at this scale, so the
+        # two routes disagree; the message gives both values as floats
+        code = main(["params", "--a", "1e150", "--b", "2e150", "--c", "3e150"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "quadrature 0.0 and closed form" in captured.err
+        assert "np.float64" not in captured.err
+
     @pytest.mark.parametrize("a, b, c", [("1e-160", "1", "2"),
                                          ("1", "2", "1e154"),
                                          ("7.999999992", "8", "9")])

@@ -1,7 +1,6 @@
 """Unit tests for the field evaluators."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -9,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetawave import solution
-from thetawave.curve import build_solution_params, period_lattice
+from thetawave.curve import (build_solution_params, period_lattice,
+                             period_matrix)
 from thetawave.elliptic import CurveParams
 from thetawave.solution import (
     GridSpec,
@@ -20,7 +20,7 @@ from thetawave.solution import (
     general_theta_data,
     sample_grid,
 )
-from thetawave.theta import theta_H
+from thetawave.theta import riemann_theta2
 
 P689 = CurveParams(0.0, 6.0, 8.0, 9.0)
 
@@ -114,6 +114,24 @@ class TestComplexPhase:
         with pytest.raises(ValueError):
             eval_amp2(0.0, 0.0, sp_bad)
 
+    @pytest.mark.parametrize("curve", [P689, CurveParams(0.7, 6.0, 8.0, 9.0)])
+    @pytest.mark.parametrize("shift", [(0.0, 1e8), (-1e8, 0.0)])
+    def test_large_real_phase_keeps_precision(self, curve, shift):
+        # p is 1-periodic in each Re Z_j, so an integer added to Re Z costs
+        # all three routes no precision; the (x column, t row) grid takes
+        # the outer-product path at lambda0 != 0
+        z = np.array([0.375, 0.25])  # exact at 1e8 too
+        sp_z = build_solution_params(curve, z)
+        sp_far = build_solution_params(curve, z + np.array(shift))
+        xs = np.linspace(-0.3, 0.3, 7)[:, None]
+        ts = np.linspace(-0.02, 0.02, 5)[None, :]
+        for route, a, b in [
+                (eval_p, sp_z, sp_far), (eval_amp2, sp_z, sp_far),
+                (lambda x, t, z: eval_p_general(x, t, curve, z),
+                 z, z + np.array(shift))]:
+            want, got = route(xs, ts, a), route(xs, ts, b)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("curve", [P689, CurveParams(0.7, 1.0, 2.0, 3.0)])
     @pytest.mark.parametrize("m", [1, 2])
     def test_first_slot_imaginary_shift_keeps_modulus(self, curve, m):
@@ -148,10 +166,10 @@ class TestGrid:
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 0.0, 1.0, 1, 4)
 
-    def test_sampled_field_validation(self, sp):
+    def test_sampled_field_validation(self):
         spec = GridSpec(0.0, 0.3, 0.0, 0.01, 5, 4)
         with pytest.raises(ValueError):
-            SampledField(grid=spec, values=np.zeros((4, 5)), params=sp)
+            SampledField(grid=spec, values=np.zeros((4, 5)))
 
 
 class TestGeneralRoute:
@@ -285,10 +303,11 @@ class TestSeparableEngine:
         spec = GridSpec(0.0, lat.X, 0.0, lat.T, 64, 48)
         xs, ts = spec.axes()
         x, t = xs[20], ts[30]
-        # Newton on w -> H(u1, w) at the node's u1, then choose Z2 so that
-        # u2 = w there
+        # Newton on w -> H(u1, w) = theta(u1/2, w/2 | B) at the node's u1,
+        # then choose Z2 so that u2 = w there
         u1 = sp_l.kappa1 * t
-        H = lambda w: theta_H(u1, w, sp_l.frb_minus, sp_l.frb_plus)
+        B = period_matrix(curve)
+        H = lambda w: riemann_theta2(np.array([u1, w]) / 2, B)
         w, h = 0.5 + 1j * sp_l.frb_plus, 1e-6
         for _ in range(30):
             w = w - H(w) * 2.0 * h / (H(w + h) - H(w - h))
@@ -383,7 +402,8 @@ class TestRowBands:
         spec = GridSpec(0.0, lat.X, 0.0, lat.T, 64, 48)
         xs, ts = spec.axes()
         u1 = sp_l.kappa1 * ts[30]
-        H = lambda w: theta_H(u1, w, sp_l.frb_minus, sp_l.frb_plus)
+        B = period_matrix(curve)
+        H = lambda w: riemann_theta2(np.array([u1, w]) / 2, B)
         w, h = 0.5 + 1j * sp_l.frb_plus, 1e-6
         for _ in range(30):
             w = w - H(w) * 2.0 * h / (H(w + h) - H(w - h))
