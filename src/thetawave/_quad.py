@@ -7,12 +7,11 @@ like ``sqrt(b2 - t)`` without catastrophic cancellation at either end, which
 is what makes inverse-square-root endpoint singularities converge at full
 binary64 accuracy.
 
-``_level`` builds each level's nodes once per process, on first use, read-only,
-so only the levels a run reaches cost memory.  ``_block`` keeps levels 0 to
-_BLOCK_LEVEL side by side, also on first use, so that one integrand call
-evaluates all five: most quadratures stop near _BLOCK_LEVEL, and on so few
-nodes an integrand call costs mostly its fixed overhead.  Later levels take
-one call each.
+One integrand call evaluates levels 0 to _BLOCK_LEVEL on one table, every
+multiple of 2**-_BLOCK_LEVEL on [-_T_MAX, _T_MAX]: most quadratures stop near
+_BLOCK_LEVEL, and on so few nodes an integrand call costs mostly its fixed
+overhead.  ``_level`` tabulates each later level, one call each.  Tables are
+built once per process, on first use, read-only.
 """
 
 from __future__ import annotations
@@ -36,7 +35,8 @@ _BLOCK_LEVEL = 4
 
 
 def _nodes(t):
-    """Map trapezoid abscissas t to (u_frac, v_frac, weight_factor)."""
+    """Map trapezoid abscissas t to the read-only rows (u_frac, v_frac,
+    weight_factor)."""
     z = 0.5 * np.pi * np.sinh(t)
     # logistic distances from the two endpoints, written with exp(-2|z|) so
     # that the short side stays a positive subnormal instead of overflowing
@@ -46,32 +46,26 @@ def _nodes(t):
     pos = z > 0.0
     u = np.where(pos, far, near)
     v = np.where(pos, near, far)
-    w = np.pi * np.cosh(t) * ez / (1.0 + ez) ** 2
-    return u, v, w
-
-
-@functools.lru_cache(maxsize=None)
-def _level(level):
-    """Read-only _nodes of what ``level`` adds: every multiple of h = 1 at
-    level 0, after it the odd multiples of h = 2**-level (the new nodes)."""
-    h = 0.5 ** level
-    kmax = int(_T_MAX / h)
-    if level and kmax % 2 == 0:
-        kmax -= 1
-    uvw = np.array(_nodes(h * np.arange(-kmax, kmax + 1, 2 if level else 1)))
+    uvw = np.array([u, v, np.pi * np.cosh(t) * ez / (1.0 + ez) ** 2])
     uvw.setflags(write=False)
     return uvw
 
 
 @functools.lru_cache(maxsize=None)
-def _block():
-    """Read-only _level(0) to _level(_BLOCK_LEVEL) side by side, and the
-    offset at which each level starts (with the end as the last)."""
-    levels = [_level(level) for level in range(_BLOCK_LEVEL + 1)]
-    uvw = np.concatenate(levels, axis=1)
-    uvw.setflags(write=False)
-    starts = np.cumsum([0] + [table.shape[1] for table in levels]).tolist()
-    return uvw, starts
+def _table():
+    """Read-only _nodes of every multiple of h = 2**-_BLOCK_LEVEL: the nodes
+    of levels 0 to _BLOCK_LEVEL, in the order of t."""
+    kmax = int(_T_MAX * 2 ** _BLOCK_LEVEL)
+    return _nodes(np.arange(-kmax, kmax + 1) / 2 ** _BLOCK_LEVEL)
+
+
+@functools.lru_cache(maxsize=None)
+def _level(level):
+    """Read-only _nodes of what ``level`` > _BLOCK_LEVEL adds: the odd
+    multiples k*h of h = 2**-level in [-_T_MAX, _T_MAX], from k = -kmax | 1."""
+    h = 0.5 ** level
+    kmax = int(_T_MAX / h)
+    return _nodes(h * np.arange(-kmax | 1, kmax + 1, 2))
 
 
 def tanh_sinh(f, length):
@@ -96,7 +90,9 @@ def tanh_sinh(f, length):
 
     def evaluate(level):
         if level <= _BLOCK_LEVEL:
-            vals = block[starts[level]:starts[level + 1]]
+            # s table nodes span 2**-level; level > 0 adds the odd multiples
+            s = 1 << (_BLOCK_LEVEL - level)
+            vals = block[::s] if level == 0 else block[s::2 * s]
         else:
             vals = weighted(_level(level))
         # non-finite when a value is, or when the sizes overflow, which would
@@ -111,8 +107,7 @@ def tanh_sinh(f, length):
     # a non-finite value raises in evaluate, and one that overflows to zero
     # stalls convergence; numpy's warnings would only precede that error
     with np.errstate(all="ignore"):
-        uvw, starts = _block()
-        block = weighted(uvw)
+        block = weighted(_table())
         total, size = evaluate(0)
         prev = h * total
         err = np.inf

@@ -283,6 +283,9 @@ def cmd_grid(cfg, abs_only=False):
 def cmd_scan(cfg, vary, start, stop, num):
     if vary is None or start is None or stop is None:
         raise ValueError("scan needs --vary, --start and --stop")
+    for flag, val in (("--start", start), ("--stop", stop)):
+        if not math.isfinite(val):
+            raise ValueError(f"{flag} must be finite, got {val}")
     if num < 1:
         raise ValueError(f"--num must be at least 1, got {num}")
     if num > _MAX_NODES:

@@ -26,10 +26,12 @@ numerically by an independent PDE-residual fit and by the degenerate limits
 of the solution.
 
 Everything the solution takes from the curve depends on (a, b, c) alone: the
-seven integrals, p1, q0, the centred K1, K2, delta, K0 and B.  One memoized
+seven integrals, p1, q0, the centred K2, delta, K0 and B.  One memoized
 record per (a, b, c) holds them; lambda0 and Z enter ``SolutionParams``
 only as closed-form transforms (K1 = -lambda0, K2 - 2*lambda0**2,
-kappa2 = 8*lambda0/A+, the theta-argument shift 2Z) and Z's witness.
+kappa2 = 8*lambda0/A+, the theta-argument shift 2Z) and Z's witness.  The
+centred K1 vanishes identically; ``second_kind_constants`` computes it on
+demand, as a cross-check.
 """
 
 from __future__ import annotations
@@ -168,12 +170,11 @@ def _real_axis_tail(near_f, far_f, c):
 @dataclass(frozen=True)
 class _CurveData:
     """What the solution takes from the centred curve (a, b, c): p1, q0,
-    the centred k1, k2, and the period data frb-, frb+, delta, K0, B."""
+    the centred k2, and the period data frb-, frb+, delta, K0, B."""
 
     ell: EllipticConstants
     p1: float
     q0: float
-    k1: float
     k2: float
     frb_minus: float
     frb_plus: float
@@ -197,27 +198,9 @@ def _curve_data(a, b, c):
                - 2.0 * s1 * _axis_moment(2, a, b, c)) \
             / _axis_moment(0, a, b, c)
 
-        # vertical leg from i*a to 0 contributes only to the first constant
-        k1_vert = p1 * _axis_moment(1, a, b, c) - _axis_moment(3, a, b, c)
-
-        a4_1, a2_1, a0_1 = 2.0 * p1 - s1, p1 * p1 - e2, -e3
         a4_2 = 4.0 * s1 * s1 + 8.0 * q0 - 16.0 * e2
         a2_2 = 4.0 * s1 * q0 - 16.0 * e3
         a0_2 = q0 * q0
-
-        def r1_near(x):
-            w = _w_real(x, a, b, c)
-            n = x ** 3 + p1 * x
-            x2 = x * x
-            return ((a4_1 * x2 + a2_1) * x2 + a0_1) / (w * (n + w))
-
-        def r1_far(u):
-            # x = c/u; everything divided through by x**6
-            y2 = (u / c) ** 2
-            W = np.sqrt((1.0 + a * a * y2) * (1.0 + b * b * y2)
-                        * (1.0 + c * c * y2))
-            num = (a4_1 + y2 * (a2_1 + y2 * a0_1)) / c
-            return num / (W * (1.0 + p1 * y2 + W))
 
         def r2_near(x):
             w = _w_real(x, a, b, c)
@@ -234,14 +217,12 @@ def _curve_data(a, b, c):
             den = W * (4.0 + 2.0 * s1 * y2 + q0 * y2 * y2 + 4.0 * W)
             return num / den
 
-        k1 = (k1_vert + _real_axis_tail(r1_near, r1_far, c)
-              + math.pi / ell.a_plus)
         k2 = _real_axis_tail(r2_near, r2_far, c) + 2.0 * math.pi / ell.a_minus
     frbm = ell.b_minus / ell.a_minus
     frbp = ell.b_plus / ell.a_plus
     delta = ell.b1_minus / ell.a_minus
     K0 = 1j * c * math.exp(ell.d_minus * delta - ell.f_minus)
-    return _CurveData(ell, p1, q0, k1, k2, frbm, frbp, delta, K0,
+    return _CurveData(ell, p1, q0, k2, frbm, frbp, delta, K0,
                       PeriodMatrix.from_ratios(frbm, frbp))
 
 
@@ -249,15 +230,38 @@ def second_kind_constants(a, b, c):
     """Asymptotic constants (first, second) of the normalized second-kind
     Abelian integrals on the centred curve, in the representative entering
     the solution formula.  The first constant vanishes identically for this
-    symmetric family; it is still computed, as a cross-check."""
+    symmetric family; only this cross-check computes it, on demand."""
     cd = _curve_data(a, b, c)
-    return cd.k1, cd.k2
+    p1, a2, b2, c2 = cd.p1, a * a, b * b, c * c
+    with _naming_curve(a, b, c):
+        # vertical leg from i*a to 0 contributes only to the first constant
+        k1_vert = p1 * _axis_moment(1, a, b, c) - _axis_moment(3, a, b, c)
+        a4_1 = 2.0 * p1 - (a2 + b2 + c2)
+        a2_1 = p1 * p1 - (a2 * b2 + a2 * c2 + b2 * c2)
+        a0_1 = -(a2 * b2 * c2)
+
+        def r1_near(x):
+            w = _w_real(x, a, b, c)
+            n = x ** 3 + p1 * x
+            x2 = x * x
+            return ((a4_1 * x2 + a2_1) * x2 + a0_1) / (w * (n + w))
+
+        def r1_far(u):
+            # x = c/u; everything divided through by x**6
+            y2 = (u / c) ** 2
+            W = np.sqrt((1.0 + a * a * y2) * (1.0 + b * b * y2)
+                        * (1.0 + c * c * y2))
+            num = (a4_1 + y2 * (a2_1 + y2 * a0_1)) / c
+            return num / (W * (1.0 + p1 * y2 + W))
+
+        return (k1_vert + _real_axis_tail(r1_near, r1_far, c)
+                + math.pi / cd.ell.a_plus), cd.k2
 
 
 def phase_constants(a, b, c):
     """The second asymptotic constant (the plane-wave frequency content of
     the solution before the lambda0 shift)."""
-    return second_kind_constants(a, b, c)[1]
+    return _curve_data(a, b, c).k2
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +309,14 @@ def period_lattice(params: CurveParams, ell: EllipticConstants | None = None):
 def reality_check(Z, B: PeriodMatrix):
     """The integer witness N with 2*Im Z = Im(B N) and Re(B N) integral.
     Im B is positive definite, so the only candidate is the rounded
-    B-coordinate vector of 2Z.  Returns (found, N or None)."""
+    B-coordinate vector of 2Z.  Returns (found, N or None); no N once
+    |Im Z_j| > 2**51 * _REALITY_TOL/10 (2.2e5), where binary64 cannot tell."""
     Z = np.asarray(Z, dtype=complex)
+    # written as <= here and below so that a NaN phase is refused
+    if not np.all(2.0 * np.abs(Z.imag) * 2.0 ** -52 <= _REALITY_TOL / 10.0):
+        return False, None
     N = np.round(B.b_coordinates(2.0 * Z))
     BN = B.entries @ N
-    # written as <= so that a NaN phase is refused
     ok = (np.all(np.abs(BN.imag - 2.0 * Z.imag) <= _REALITY_TOL)
           and np.all(np.abs(BN.real - np.round(BN.real)) <= _REALITY_TOL))
     return (True, N.astype(int)) if ok else (False, None)

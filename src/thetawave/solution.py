@@ -33,8 +33,7 @@ from .curve import (
     wave_vectors,
 )
 from .elliptic import CurveParams
-from .theta import (_H_with_scale, _theta_outer, jacobi_theta,
-                     riemann_theta2)
+from .theta import _H, _theta_outer, jacobi_theta, riemann_theta2
 
 __all__ = [
     "GridSpec",
@@ -132,14 +131,16 @@ def _quotient_terms(t, sp: SolutionParams, signs):
                   else sp.k * x + sp.kappa2 * t + c)
             theta2 = ((jacobi_theta(3, u, tau2), jacobi_theta(2, u, tau2))
                       for u in [u2] + [u2 + s for s in signs])
-        hs = (_H_with_scale(*a, *b) for a, b in zip(theta1, theta2))
-        den, scale = next(hs)
+        (t31, t21), (t32, t22) = theta1[0], next(theta2)
+        den = _H(t31, t21, t32, t22)
+        scale = (np.abs(t31) + np.abs(t21)) * (np.abs(t32) + np.abs(t22))
         if np.any(np.abs(den) < _DENOM_RTOL * scale):
             raise ArithmeticError(
                 "theta denominator vanishes; the solution parameters do not "
                 "describe a smooth real solution"
             )
-        return den, [h for h, _ in hs]
+        del t32, t22, scale  # grid-sized; free them before the numerators
+        return den, [_H(*a, *b) for a, b in zip(theta1[1:], theta2)]
 
     return terms
 
@@ -222,13 +223,13 @@ def sample_grid(spec: GridSpec, sp: SolutionParams) -> SampledField:
 # the genus-2 Riemann-theta route
 
 def general_theta_data(params: CurveParams, Z=None):
-    """Assemble the ingredients of the genus-2 form: the period matrix B,
-    wave vectors, connector vector D with its lattice coordinates, and the
-    phase constants adjusted for the lattice representative of D."""
+    """The ingredients of the genus-2 form: the solution params, period
+    matrix B, wave vectors, connector vector D and the phase constants
+    adjusted for D's lattice representative (``eval_p_general``'s data)."""
     sp = build_solution_params(params, Z)
     B = period_matrix(params)
     wv = wave_vectors(params)
-    D, n, m, resid = connector_calibration(params.a, params.b, params.c)
+    D, n, _, resid = connector_calibration(params.a, params.b, params.c)
     if resid > 1e-8:
         raise ArithmeticError(
             f"connector vector fails its lattice decomposition ({resid:.3e})"
@@ -238,23 +239,23 @@ def general_theta_data(params: CurveParams, Z=None):
     # into the plane-wave constants
     K1g = sp.K1 - math.pi * float(n @ wv.U)
     K2g = sp.K2 - math.pi * float(n @ wv.V)
-    return sp, B, wv, D, n, K1g, K2g
+    return sp, B, wv, D, K1g, K2g
 
 
-def eval_p_general(x, t, params: CurveParams, Z=None, data=None):
+def eval_p_general(x, t, params: CurveParams, data=None):
     """p(x, t) through the genus-2 Riemann theta directly.  Vectorized over
     broadcastable x, t.
 
     Agrees with ``eval_p`` in modulus exactly and in phase up to one global
     unimodular constant (the free normalization of the general form).
-    ``data`` may carry a precomputed ``general_theta_data`` result; it
-    must be that of ``params``, and Z is then read from it.
+    ``data`` is ``general_theta_data(params, Z)``, which carries the phase
+    Z; without it Z = 0.  Data of another curve is a ValueError.
     """
     if data is None:
-        data = general_theta_data(params, Z)
-    elif params != data[0].curve or Z is not None:
-        raise ValueError("data must come from params, and Z from data")
-    sp, B, wv, D, n, K1g, K2g = data
+        data = general_theta_data(params)
+    elif params != data[0].curve:
+        raise ValueError("data must come from params")
+    sp, B, wv, D, K1g, K2g = data
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(t, dtype=float))
     # v2 = -x/A+ runs against u2 = 2x/A+ in eval_p and theta is even in

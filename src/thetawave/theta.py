@@ -168,13 +168,9 @@ def _theta_outer(j, bt, c, tau):
     return on_columns
 
 
-def _H_with_scale(t31, t21, t32, t22):
-    """H from theta_3 and theta_2 at u1 (moduli 2i*frb_minus) and at u2
-    (2i*frb_plus), and a magnitude scale of its four products (for the zero
-    test)."""
-    h = t31 * t32 + t21 * t32 + t31 * t22 - t21 * t22
-    scale = (np.abs(t31) + np.abs(t21)) * (np.abs(t32) + np.abs(t22))
-    return h, scale
+def _H(t31, t21, t32, t22):
+    """H from theta_3, theta_2 at u1 (modulus 2i*frb-) and u2 (2i*frb+)."""
+    return t31 * t32 + t21 * t32 + t31 * t22 - t21 * t22
 
 
 def riemann_theta2(u, B: PeriodMatrix):
@@ -225,7 +221,6 @@ def theta_reduction_check(u, frb_minus, frb_plus):
     u = np.asarray(u, dtype=complex)
     B = PeriodMatrix.from_ratios(frb_minus, frb_plus)
     lhs = riemann_theta2(u, B)
-    rhs = _H_with_scale(
-        *(jacobi_theta(j, 2.0 * u[0], 2j * frb_minus) for j in (3, 2)),
-        *(jacobi_theta(j, 2.0 * u[1], 2j * frb_plus) for j in (3, 2)))[0]
+    rhs = _H(*(jacobi_theta(j, 2.0 * u[0], 2j * frb_minus) for j in (3, 2)),
+             *(jacobi_theta(j, 2.0 * u[1], 2j * frb_plus) for j in (3, 2)))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))

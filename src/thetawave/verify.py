@@ -39,7 +39,6 @@ __all__ = [
 class ResidualReport:
     """Normalized residual of the governing equation on a grid."""
 
-    grid: GridSpec
     residual_norm: float
     order_estimate: float
 
@@ -96,8 +95,7 @@ def nls_residual(sp: SolutionParams, spec: GridSpec, order=4):
     )
     fine = field_residual(field, fine_spec, order)
     order_est = math.log2(coarse / fine) if fine > 0.0 else math.inf
-    return ResidualReport(grid=fine_spec, residual_norm=fine,
-                          order_estimate=order_est)
+    return ResidualReport(residual_norm=fine, order_estimate=order_est)
 
 
 def residual_fit_k2(params: CurveParams, spec: GridSpec, order=4):

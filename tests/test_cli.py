@@ -283,6 +283,20 @@ class TestScan:
         assert captured.err.startswith("error:")
         assert f"--num must be at most 2048, got {num}" in captured.err
 
+    @pytest.mark.parametrize("bounds, flag, value", [
+        (["--start", "9.5", "--stop", "inf"], "--stop", "inf"),
+        (["--start=-inf", "--stop", "12"], "--start", "-inf"),
+        (["--start", "nan", "--stop", "12"], "--start", "nan")])
+    def test_non_finite_bound_one_error_line(self, bounds, flag, value):
+        # np.linspace used to warn before c's own check refused the curve
+        res = subprocess.run(
+            [sys.executable, "-m", "thetawave.cli", "scan", "--vary", "c",
+             *bounds], env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, timeout=120)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: {flag} must be finite, got {value}\n"
+
 
 class TestVerify:
     def test_passes_at_reference(self, capsys):
@@ -584,6 +598,28 @@ class TestRealityRefusal:
         assert code == 0
         assert json.loads(out)["reality"] == {"passed": False,
                                               "witness": None}
+
+    @pytest.mark.parametrize("argv", [
+        ["params"], ["grid", "--nx", "16", "--nt", "16"],
+        ["verify", "--nx", "16", "--nt", "16"]])
+    def test_phase_beyond_binary64_resolution(self, argv):
+        # params used to report the false witness [0, -2**63], after
+        # numpy's int64 cast warning
+        res = subprocess.run(
+            [sys.executable, "-m", "thetawave.cli", *argv, "--z-im2", "1e300"],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+            text=True, timeout=120)
+        if argv == ["params"]:
+            assert res.returncode == 0
+            assert res.stderr == ""
+            assert json.loads(res.stdout)["reality"] == {"passed": False,
+                                                         "witness": None}
+        else:
+            assert res.returncode == 2
+            assert res.stdout == ""
+            assert res.stderr.startswith("error: --z-im1 and --z-im2 fail "
+                                         "the reality condition")
+            assert len(res.stderr.splitlines()) == 1
 
 
 class TestNonFiniteInputs:

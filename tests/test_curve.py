@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,37 @@ class TestRealityCheck:
         z1 = np.array([2.5j * self.sp.frb_minus, 0.0])
         ok, n = reality_check(z1, self.B)
         assert ok and tuple(n) == (10, 0)
+
+    @pytest.mark.parametrize("decade", [13, 16])
+    def test_no_witness_beyond_binary64_resolution(self, decade):
+        # binary64 rounds 2 Im Z_j by up to 2|Im Z_j| 2**-52; from about
+        # 1e13 on that rounding alone passed the check, for 3 in 200 such
+        # phases in [1e13, 1e14) and 188 in 200 in [1e16, 1e17)
+        rng = np.random.default_rng(decade)
+        for im in 10.0 ** rng.uniform(decade, decade + 1, 200):
+            for z in (np.array([1j * im, 0.0]), np.array([0.0, 1j * im])):
+                assert reality_check(z, self.B) == (False, None)
+
+    def test_no_witness_at_huge_imaginary_part(self):
+        # the rounded N used to overflow int64, with numpy's cast warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reality_check(np.array([0.0, 1e300j]), self.B) \
+                == (False, None)
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_witness_up_to_the_bound(self, slot):
+        # Im Z_j = m frb/2 has the witness 2m in slot j for each m with
+        # |Im Z_j| below 2**51 * _REALITY_TOL/10, about 2.25e5
+        frb = (self.sp.frb_minus, self.sp.frb_plus)[slot]
+        top = int(2.0 ** 51 * curve_mod._REALITY_TOL / 10.0 / (frb / 2.0))
+        for m in (1, 7, 1000, top):
+            z = np.zeros(2, dtype=complex)
+            z[slot] = 0.5j * m * frb
+            ok, n = reality_check(z, self.B)
+            assert ok and n[slot] == 2 * m and n[1 - slot] == 0
+        z[slot] = 0.5j * (top + 1) * frb
+        assert reality_check(z, self.B) == (False, None)
 
     def test_quarter_b_period_rejected_by_real_part(self):
         # N = (0, 1) matches Im(B N) = 2 Im Z, but Re(B N) = (-1/2, 0)

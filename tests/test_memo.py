@@ -6,10 +6,12 @@ import pytest
 
 from thetawave import curve as curve_mod
 from thetawave import elliptic
+from thetawave._quad import tanh_sinh
 from thetawave.curve import (
     b_period_errors,
     build_solution_params,
     connector_calibration,
+    phase_constants,
     second_kind_constants,
 )
 from thetawave.elliptic import CurveParams, curve_integrals
@@ -40,6 +42,28 @@ def test_one_quadrature_per_curve(monkeypatch):
     assert seen[0] == (2.2, 3.9, 5.3)
     assert len(seen) == len(set(seen)) == 2
     assert curve_mod._curve_data.cache_info().misses - records == 2
+
+
+def test_fresh_record_costs_fourteen_quadratures(monkeypatch):
+    calls = []
+
+    def counted(f, length):
+        calls.append(length)
+        return tanh_sinh(f, length)
+
+    for mod in (elliptic, curve_mod):
+        monkeypatch.setattr(mod, "tanh_sinh", counted)
+    # a curve no other test touches: its seven integrals, then p1 (2), q0
+    # (3) and k2 (2); the record holds no k1
+    build_solution_params(CurveParams(0.3, 2.7, 4.3, 6.1))
+    assert len(calls) == 14
+    calls.clear()
+    # k2 is a read of the record; k1 is computed on demand, and only there
+    assert phase_constants(2.7, 4.3, 6.1) == \
+        build_solution_params(CurveParams(0.0, 2.7, 4.3, 6.1)).K2
+    assert calls == []
+    second_kind_constants(2.7, 4.3, 6.1)
+    assert len(calls) == 4
 
 
 def test_cross_check_runs_on_first_computation(monkeypatch):

@@ -1,5 +1,6 @@
 """The fixed quadrature rules are tabulated once per process: tanh-sinh's
-per-level node tables and the Gauss-Legendre rules of the f_minus route.
+one table of levels 0 to _BLOCK_LEVEL, its later levels' node tables and the
+Gauss-Legendre rules of the f_minus route.
 Tabulating must not change a bit of any result, nor any error."""
 
 import os
@@ -75,24 +76,29 @@ def test_each_level_built_once(monkeypatch):
     nodes = _quad._nodes
 
     def counted(t):
-        built.append(t.size)    # the size tells the levels apart
+        built.append(t.size)    # the size tells the tables apart
         return nodes(t)
 
     monkeypatch.setattr(_quad, "_nodes", counted)
+    _quad._table.cache_clear()
     _quad._level.cache_clear()
-    _quad._block.cache_clear()
+    # levels 0 to _BLOCK_LEVEL come from the one table of 193 nodes
+    tanh_sinh(INTEGRANDS["endpoint_root"][0], 1.0)
+    assert built == [193]
+    assert _quad._level.cache_info().currsize == 0
+    # levels 5 and 6 add 192 and 384 nodes, each built once
     f = INTEGRANDS["narrow_peak"][0]
     tanh_sinh(f, 1.0)
     tanh_sinh(f, 0.3)
-    levels = _quad._level.cache_info().currsize
-    assert len(built) == len(set(built)) == levels >= 7
+    assert built == [193, 192, 384]
+    assert _quad._level.cache_info().currsize == 2
 
 
 def test_tables_not_built_at_import():
     probe = ("import thetawave\n"
              "from thetawave import _quad, elliptic\n"
              "print(_quad._level.cache_info().currsize,"
-             " _quad._block.cache_info().currsize,"
+             " _quad._table.cache_info().currsize,"
              " elliptic._gauss_rule.cache_info().currsize)\n")
     res = subprocess.run([sys.executable, "-c", probe],
                          env={**os.environ, "PYTHONPATH": SRC},
@@ -104,15 +110,21 @@ def test_tables_not_built_at_import():
 def test_cached_tables_are_read_only():
     tanh_sinh(INTEGRANDS["mixed_sign"][0], 1.0)
     elliptic._f_minus_gauss(6.0, 8.0, 9.0)
-    for table in (*_quad._level(0), *_quad._level(1), *_quad._block()[0],
+    for table in (*_quad._table(), *_quad._level(5),
                   *elliptic._gauss_rule(24)):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.5
 
 
 def _nan_at(level, g, length):
-    """g, but NaN at the nodes (u, v) that ``level`` adds on (0, length)."""
-    u, v, _ = _quad._level(level)
+    """g, but NaN at the nodes (u, v) that ``level`` adds on (0, length):
+    every multiple of h = 1 at level 0, after it the odd multiples of
+    h = 2**-level."""
+    h = 0.5 ** level
+    kmax = int(_T_MAX / h)
+    if level and kmax % 2 == 0:
+        kmax -= 1
+    u, v, _ = _quad._nodes(h * np.arange(-kmax, kmax + 1, 2 if level else 1))
     marked = set(zip(u * length, v * length))
 
     def f(u, v):

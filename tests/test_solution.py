@@ -127,7 +127,8 @@ class TestComplexPhase:
         ts = np.linspace(-0.02, 0.02, 5)[None, :]
         for route, a, b in [
                 (eval_p, sp_z, sp_far), (eval_amp2, sp_z, sp_far),
-                (lambda x, t, z: eval_p_general(x, t, curve, z),
+                (lambda x, t, z: eval_p_general(
+                    x, t, curve, data=general_theta_data(curve, z)),
                  z, z + np.array(shift))]:
             want, got = route(xs, ts, a), route(xs, ts, b)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -146,7 +147,8 @@ class TestComplexPhase:
         ts = rng.uniform(-0.03, 0.03, 12)
         ref = np.abs(eval_p(xs, ts, sp_r))
         p = eval_p(xs, ts, sp_c)
-        for route in (p, eval_p_general(xs, ts, curve, z_c)):
+        for route in (p, eval_p_general(
+                xs, ts, curve, data=general_theta_data(curve, z_c))):
             assert np.max(np.abs(np.abs(route) - ref) / ref) <= 1e-12
         amp = eval_amp2(xs, ts, sp_c)
         assert np.max(np.abs(amp - np.abs(p) ** 2) / amp) <= 1e-10
@@ -191,11 +193,6 @@ class TestGeneralRoute:
             eval_p_general(0.1, 0.01, CurveParams(0.7, 1.0, 2.0, 3.0),
                            data=data)
 
-    def test_phase_next_to_data_refused(self):
-        data = general_theta_data(P689)
-        with pytest.raises(ValueError, match="Z from data"):
-            eval_p_general(0.1, 0.01, P689, np.array([0.25, 0.0]), data=data)
-
     @pytest.mark.parametrize("curve", [P689, CurveParams(0.7, 1.0, 2.0, 3.0)])
     @pytest.mark.parametrize("z", [(0.0, 0.1), (0.3, -0.25), (0.0, 0.5),
                                    (0.2, -0.3 + 0.5j), (0.4, 2.5j)])
@@ -209,7 +206,7 @@ class TestGeneralRoute:
         rng = np.random.default_rng(1)
         xs = rng.uniform(-1.0, 1.0, 9)
         ts = rng.uniform(-0.1, 0.1, 9)
-        g = eval_p_general(xs, ts, curve, Z)
+        g = eval_p_general(xs, ts, curve, data=general_theta_data(curve, Z))
         j = eval_p(xs, ts, sp_z)
         assert np.max(np.abs(np.abs(g) - np.abs(j))) \
             <= 1e-13 * np.max(np.abs(j))
