@@ -283,7 +283,8 @@ def cmd_grid(cfg, abs_only=False):
 def cmd_scan(cfg, vary, start, stop, num):
     if vary is None or start is None or stop is None:
         raise ValueError("scan needs --vary, --start and --stop")
-    for flag, val in (("--start", start), ("--stop", stop)):
+    for flag, val in (("--start", start), ("--stop", stop),
+                      ("--stop minus --start", stop - start)):
         if not math.isfinite(val):
             raise ValueError(f"{flag} must be finite, got {val}")
     if num < 1:

@@ -117,9 +117,7 @@ def dn_wave_theta(x, t, lambda0, b, c):
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     u = k * x + kappa2 * t
-    tau = 2j * frb_plus
-    t3 = jacobi_theta(3, u, tau)
-    t2 = jacobi_theta(2, u, tau)
+    t3, t2 = jacobi_theta(2j * frb_plus, u)
     out = (math.sqrt((c - b) * (c + b)) * (t3 - t2) / (t3 + t2)
            * np.exp(2j * (K1 * x + K2 * t)))
     return complex(out) if out.ndim == 0 else out

@@ -64,6 +64,9 @@ class GridSpec:
         if not (np.all(np.isfinite([self.x0, self.x1, self.t0, self.t1]))
                 and self.x1 > self.x0 and self.t1 > self.t0):
             raise ValueError("need finite x0 < x1 and t0 < t1")
+        # np.linspace overflows on a width beyond binary64
+        if not np.all(np.isfinite([self.x1 - self.x0, self.t1 - self.t0])):
+            raise ValueError("need finite widths x1 - x0 and t1 - t0")
         if self.nx < 2 or self.nt < 2:
             raise ValueError("need nx >= 2 and nt >= 2")
 
@@ -113,23 +116,23 @@ def _quotient_terms(t, sp: SolutionParams, signs):
     z = _reduced_phase(sp.Z)
     u1 = sp.kappa1 * t + 2.0 * z[0]
     c = 2.0 * z[1]
-    theta1 = [(jacobi_theta(3, u, tau1), jacobi_theta(2, u, tau1))
+    theta1 = [jacobi_theta(tau1, u)
               for u in [u1] + [u1 + s * 1j * sp.delta for s in signs]]
     row = sp.kappa2 != 0.0 and t.ndim == 2 and t.shape[0] == 1
     if row:
         bt = sp.kappa2 * t
-        outer = [(_theta_outer(3, bt, cs, tau2), _theta_outer(2, bt, cs, tau2))
+        outer = [_theta_outer(bt, cs, tau2)
                  for cs in [c] + [c + s for s in signs]]
 
     def terms(x):
         x = np.asarray(x)
         if row and x.ndim == 2 and x.shape[1] == 1:
             kx = sp.k * x
-            theta2 = ((f3(kx), f2(kx)) for f3, f2 in outer)
+            theta2 = (f(kx) for f in outer)
         else:
             u2 = (sp.k * x + c if sp.kappa2 == 0.0
                   else sp.k * x + sp.kappa2 * t + c)
-            theta2 = ((jacobi_theta(3, u, tau2), jacobi_theta(2, u, tau2))
+            theta2 = (jacobi_theta(tau2, u)
                       for u in [u2] + [u2 + s for s in signs])
         (t31, t21), (t32, t22) = theta1[0], next(theta2)
         den = _H(t31, t21, t32, t22)
@@ -242,18 +245,16 @@ def general_theta_data(params: CurveParams, Z=None):
     return sp, B, wv, D, K1g, K2g
 
 
-def eval_p_general(x, t, params: CurveParams, data=None):
+def eval_p_general(x, t, params: CurveParams, data):
     """p(x, t) through the genus-2 Riemann theta directly.  Vectorized over
     broadcastable x, t.
 
     Agrees with ``eval_p`` in modulus exactly and in phase up to one global
     unimodular constant (the free normalization of the general form).
     ``data`` is ``general_theta_data(params, Z)``, which carries the phase
-    Z; without it Z = 0.  Data of another curve is a ValueError.
+    Z.  Data of another curve is a ValueError.
     """
-    if data is None:
-        data = general_theta_data(params)
-    elif params != data[0].curve:
+    if params != data[0].curve:
         raise ValueError("data must come from params")
     sp, B, wv, D, K1g, K2g = data
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float),

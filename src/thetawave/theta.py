@@ -4,6 +4,8 @@ Riemann theta.
 Series conventions: the nome is h = exp(i*pi*tau) and
     theta3(u|tau) = 1 + 2 * sum_m h**(m**2) * cos(2*pi*m*u),
 so the real period in ``u`` is 1 (2 for theta2 because of its sign flip).
+H reads theta3 and theta2 at each of its arguments, so ``jacobi_theta`` and
+``_theta_outer`` return the pair, from one argument reduction.
 The genus-2 theta over a symmetric period matrix B with positive definite
 imaginary part reduces, for the matrices produced by this package's curves,
 to the combination H of products of theta2/theta3 at doubled arguments;
@@ -60,10 +62,11 @@ class PeriodMatrix:
                                np.imag(v)[..., None])[..., 0]
 
 
-def _theta_modes(j, tau, d):
-    """Fourier modes of theta_j(u | tau), j in (2, 3), kept for arguments
-    with |Im u| <= d: theta_j(u) = [1 +] 2 * sum_m coef_m * cos(base*mult_m*u),
-    the 1 for j = 3 only.
+def _theta_modes(tau, d):
+    """Fourier modes of theta3 and then theta2 (u | tau), kept for arguments
+    with |Im u| <= d: each a (base, mult, coef) with
+    theta_j(u) = [1 +] 2 * sum_m coef_m * cos(base*mult_m*u), the 1 for
+    theta3 only.  Both share one mode count.
 
     Truncation: with y = Im tau, the m-th term is bounded by
     exp(-pi*y*m^2 + 2*pi*d*m + pi*y*m); stop once it falls 1e-17 below the
@@ -76,17 +79,15 @@ def _theta_modes(j, tau, d):
         _LOG_TERM_CUTOFF + np.pi * d * d / y))) / (2.0 * a_))) + 2
 
     m = np.arange(1, mmax + 1, dtype=float)
-    if j == 2:
-        base, mult, expo = np.pi, 2.0 * m - 1.0, (m - 0.5) ** 2
-    else:
-        base, mult, expo = 2.0 * np.pi, m, m ** 2
-    return base, mult, np.exp(1j * np.pi * tau * expo)
+    return ((2.0 * np.pi, m, np.exp(1j * np.pi * tau * m ** 2)),
+            (np.pi, 2.0 * m - 1.0, np.exp(1j * np.pi * tau * (m - 0.5) ** 2)))
 
 
 def _reduce(u, tau):
     """(r, n) with u = r + 2*s + n*tau: u reduced by the real period 2
-    (every theta_j has it), then by tau.  Raises OverflowError if the factor
-    peeled off with n, exp(-i*pi*n^2*tau - 2*pi*i*n*r), leaves binary64."""
+    (theta3 and theta2 both have it), then by tau.  Raises OverflowError if
+    the factor peeled off with n, exp(-i*pi*n^2*tau - 2*pi*i*n*r), leaves
+    binary64."""
     r = u - 2.0 * np.round(u.real / 2.0)
     n = np.round(r.imag / tau.imag)
     r = r - n * tau
@@ -98,72 +99,65 @@ def _reduce(u, tau):
     return r, n
 
 
-def jacobi_theta(j, u, tau):
-    """Jacobi theta function theta_j(u | tau), j in (2, 3).
+def jacobi_theta(tau, u):
+    """The pair (theta3(u | tau), theta2(u | tau)).
 
-    Vectorized over ``u``.  The argument is first reduced modulo the real
-    period and modulo tau (peeling off the quasi-periodicity factor), so
-    large |Im u| stays representable; if the peeled factor itself would
+    Vectorized over ``u``: a scalar gives two Python complex values, an
+    array two arrays of its shape.  The argument is reduced once, modulo the
+    real period and modulo tau (peeling off the quasi-periodicity factor),
+    so large |Im u| stays representable; if the peeled factor itself would
     overflow binary64 an OverflowError is raised.
     """
-    if j not in (2, 3):
-        raise ValueError(f"theta index must be 2 or 3, got {j}")
     tau = complex(tau)
     if not tau.imag > 0.0:
         raise ValueError("tau must have positive imaginary part")
-
-    u_in = np.asarray(u, dtype=complex)
-    scalar = u_in.ndim == 0
-    u_arr = np.atleast_1d(u_in)
-
-    up, n = _reduce(u_arr, tau)
+    u = np.asarray(u, dtype=complex)
+    up, n = _reduce(np.atleast_1d(u), tau)
     fac = np.exp(-1j * np.pi * n * n * tau - 2j * np.pi * n * up)
-
     d = float(np.max(np.abs(up.imag))) if up.size else 0.0
-    base, mult, coef = _theta_modes(j, tau, d)
-    ang = base * np.outer(mult, up.ravel())
-    val = 2.0 * np.sum(coef[:, None] * np.cos(ang), axis=0)
-    if j == 3:
-        val = 1.0 + val
-    out = val.reshape(up.shape) * fac
-    return complex(out[0]) if scalar else out
+    t3, t2 = (2.0 * np.sum(coef[:, None]
+                           * np.cos(base * np.outer(mult, up.ravel())), axis=0)
+              for base, mult, coef in _theta_modes(tau, d))
+    pair = ((1.0 + t3).reshape(up.shape) * fac, t2.reshape(up.shape) * fac)
+    return (complex(pair[0][0]), complex(pair[1][0])) if u.ndim == 0 else pair
 
 
-def _theta_outer(j, bt, c, tau):
-    """theta_j(ax + bt + c | tau), j in (2, 3), on the outer grid of a real
-    row ``bt`` (shape (1, nt)) and real columns ``ax`` (shape (nx, 1)), c a
-    complex scalar: the function ax -> grid values.
+def _theta_outer(bt, c, tau):
+    """(theta3, theta2)(ax + bt + c | tau) on the outer grid of a real row
+    ``bt`` (shape (1, nt)) and real columns ``ax`` (shape (nx, 1)), c a
+    complex scalar: the function ax -> the pair of grids.
 
     The Fourier modes split cos(w*(ax + bt + c)) into column and row
     factors, so a grid is one (nx x K)(K x nt) matrix product.  The row
-    factor is built here once, for every column the function is given.
+    factors are built here once, for every column the function is given.
     Im u = Im c at every node, so one quasi-period reduction, on c, serves
-    the grid.
+    both grids.
     """
     tau = complex(tau)
     c, n = _reduce(complex(c), tau)
     # real-period reduction (period 2) of each part keeps the angles small
     bt = bt - 2.0 * np.round(bt / 2.0)
     v = bt + c
-    base, mult, coef = _theta_modes(j, tau, abs(c.imag))
-    w = base * mult
-    row = w[:, None] * v
-    right = [coef[:, None] * (2.0 * np.cos(row)),
-             coef[:, None] * (-2.0 * np.sin(row))]
-    if j == 3:
-        right.insert(0, np.ones_like(v))
     # the peeled factor exp(-i*pi*n^2*tau - 2*pi*i*n*(ax + bt + c)), split
     # into its row part here and its column part below
-    right = np.vstack(right) * np.exp(-1j * np.pi * n * n * tau
-                                      - 2j * np.pi * n * v)
+    peel = np.exp(-1j * np.pi * n * n * tau - 2j * np.pi * n * v)
+    factors = []
+    for one, (base, mult, coef) in zip((True, False),
+                                       _theta_modes(tau, abs(c.imag))):
+        w = base * mult
+        row = w[:, None] * v
+        right = ([np.ones_like(v)] if one else []) + [
+            coef[:, None] * (2.0 * np.cos(row)),
+            coef[:, None] * (-2.0 * np.sin(row))]
+        factors.append((one, w, np.vstack(right) * peel))
 
     def on_columns(ax):
         ax = ax - 2.0 * np.round(ax / 2.0)
-        col = w * ax
-        left = [np.cos(col), np.sin(col)]
-        if j == 3:
-            left.insert(0, np.ones_like(ax))
-        return (np.hstack(left) * np.exp(-2j * np.pi * n * ax)) @ right
+        col_peel = np.exp(-2j * np.pi * n * ax)
+        return tuple(
+            (np.hstack(([np.ones_like(ax)] if one else [])
+                       + [np.cos(w * ax), np.sin(w * ax)]) * col_peel) @ right
+            for one, w, right in factors)
 
     return on_columns
 
@@ -221,6 +215,6 @@ def theta_reduction_check(u, frb_minus, frb_plus):
     u = np.asarray(u, dtype=complex)
     B = PeriodMatrix.from_ratios(frb_minus, frb_plus)
     lhs = riemann_theta2(u, B)
-    rhs = _H(*(jacobi_theta(j, 2.0 * u[0], 2j * frb_minus) for j in (3, 2)),
-             *(jacobi_theta(j, 2.0 * u[1], 2j * frb_plus) for j in (3, 2)))
+    rhs = _H(*jacobi_theta(2j * frb_minus, 2.0 * u[0]),
+             *jacobi_theta(2j * frb_plus, 2.0 * u[1]))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))

@@ -297,6 +297,21 @@ class TestScan:
         assert res.stdout == ""
         assert res.stderr == f"error: {flag} must be finite, got {value}\n"
 
+    @pytest.mark.parametrize("bounds, width", [
+        (["--start=-1e308", "--stop", "1e308"], "inf"),
+        (["--start", "1e308", "--stop=-1e308"], "-inf")])
+    def test_overflowing_range_one_error_line(self, bounds, width):
+        # finite bounds whose difference overflows used to warn in
+        # np.linspace before c's own check refused the curve
+        res = subprocess.run(
+            [sys.executable, "-m", "thetawave.cli", "scan", "--vary", "c",
+             *bounds], env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, timeout=120)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == ("error: --stop minus --start must be finite, "
+                              f"got {width}\n")
+
 
 class TestVerify:
     def test_passes_at_reference(self, capsys):
@@ -653,6 +668,20 @@ class TestNonFiniteInputs:
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr == "error: need finite x0 < x1 and t0 < t1\n"
+
+    @pytest.mark.parametrize("window", [["--x0=-1e308", "--x1", "1e308"],
+                                        ["--t0=-1e308", "--t1", "1e308"]])
+    def test_overflowing_grid_width_one_error_line(self, window):
+        # finite bounds whose width overflows used to reach np.linspace,
+        # which warned, and the field check refused the result
+        res = subprocess.run(
+            [sys.executable, "-m", "thetawave.cli", "grid", *window,
+             "--nx", "4", "--nt", "4"],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+            text=True, timeout=120)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: need finite widths x1 - x0 and t1 - t0\n"
 
     def test_non_finite_integrand_exit_2(self, capsys):
         code = main(["params", "--a", "1e-160", "--b", "1", "--c", "2"])

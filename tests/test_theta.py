@@ -34,58 +34,70 @@ class TestJacobiTheta:
     @settings(max_examples=30, deadline=None)
     def test_matches_series(self, ur, ui):
         u = ur + 1j * ui
-        assert jacobi_theta(3, u, TAU) == pytest.approx(
-            brute_theta3(u, TAU), rel=1e-12)
-        assert jacobi_theta(2, u, TAU) == pytest.approx(
-            brute_theta2(u, TAU), rel=1e-12)
+        t3, t2 = jacobi_theta(TAU, u)
+        assert t3 == pytest.approx(brute_theta3(u, TAU), rel=1e-12)
+        assert t2 == pytest.approx(brute_theta2(u, TAU), rel=1e-12)
 
     def test_real_period(self):
+        # theta3(u + 1) = theta3(u), theta2(u + 1) = -theta2(u)
         u = 0.37 + 0.21j
-        for j in (2, 3):
-            sign = -1.0 if j == 2 else 1.0
-            assert jacobi_theta(j, u + 1.0, TAU) == pytest.approx(
-                sign * jacobi_theta(j, u, TAU), rel=1e-13)
+        (s3, s2), (t3, t2) = jacobi_theta(TAU, u + 1.0), jacobi_theta(TAU, u)
+        assert s3 == pytest.approx(t3, rel=1e-13)
+        assert s2 == pytest.approx(-t2, rel=1e-13)
 
     def test_quasi_period(self):
+        # both gain the same factor over one quasi-period
         u = 0.11 + 0.05j
         fac = np.exp(-1j * np.pi * TAU - 2j * np.pi * u)
-        assert jacobi_theta(3, u + TAU, TAU) == pytest.approx(
-            fac * jacobi_theta(3, u, TAU), rel=1e-12)
+        (s3, s2), (t3, t2) = jacobi_theta(TAU, u + TAU), jacobi_theta(TAU, u)
+        assert s3 == pytest.approx(fac * t3, rel=1e-12)
+        assert s2 == pytest.approx(fac * t2, rel=1e-12)
 
     def test_half_quasi_period_swap(self):
         # theta3(u + tau/2) = exp(-i*pi*tau/4 - i*pi*u) theta2(u)
         u = 0.23 - 0.4j
         fac = np.exp(-1j * np.pi * TAU / 4.0 - 1j * np.pi * u)
-        assert jacobi_theta(3, u + TAU / 2.0, TAU) == pytest.approx(
-            fac * jacobi_theta(2, u, TAU), rel=1e-12)
-        assert jacobi_theta(2, u + TAU / 2.0, TAU) == pytest.approx(
-            fac * jacobi_theta(3, u, TAU), rel=1e-12)
+        s3, s2 = jacobi_theta(TAU, u + TAU / 2.0)
+        t3, t2 = jacobi_theta(TAU, u)
+        assert s3 == pytest.approx(fac * t2, rel=1e-12)
+        assert s2 == pytest.approx(fac * t3, rel=1e-12)
 
     def test_large_imaginary_argument_stable(self):
-        # reduction keeps the value finite where the raw series overflows
-        val = jacobi_theta(3, 0.2 + 10.0j, 2.0j)
-        assert np.isfinite(val.real) and np.isfinite(val.imag)
-        assert abs(val) > 1e60  # the true value really is this large
+        # reduction keeps the values finite where the raw series overflows
+        for val in jacobi_theta(2.0j, 0.2 + 10.0j):
+            assert np.isfinite(val.real) and np.isfinite(val.imag)
+            assert abs(val) > 1e60  # the true value really is this large
 
     def test_unrepresentable_value_raises(self):
-        # theta3 at Im u = 40 exceeds the binary64 range; the evaluator
-        # must refuse rather than return inf
+        # theta3 and theta2 at Im u = 40 exceed the binary64 range; the
+        # evaluator must refuse rather than return inf
         with pytest.raises(OverflowError):
-            jacobi_theta(3, 0.2 + 40.0j, 2.0j)
+            jacobi_theta(2.0j, 0.2 + 40.0j)
 
     def test_vectorized(self):
         us = np.array([0.1, 0.2 + 0.3j, -1.7])
-        vals = jacobi_theta(3, us, TAU)
-        assert vals.shape == (3,)
-        assert vals[0] == pytest.approx(jacobi_theta(3, 0.1, TAU))
+        for vals, one in zip(jacobi_theta(TAU, us), jacobi_theta(TAU, 0.1)):
+            assert vals.shape == (3,)
+            assert vals[0] == pytest.approx(one)
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3,), (2, 0), (2, 3)])
+    def test_return_contract(self, shape):
+        # a scalar u (a 0-d array too) gives a pair of Python complex, an
+        # array (an empty one too) a pair of arrays of u's shape
+        one = jacobi_theta(TAU, 0.2 + 0.1j)
+        assert [type(v) for v in one] == [complex, complex]
+        pair = jacobi_theta(TAU, np.full(shape, 0.2 + 0.1j))
+        assert isinstance(pair, tuple) and len(pair) == 2
+        for val, want in zip(pair, one):
+            if shape:
+                assert isinstance(val, np.ndarray) and val.shape == shape
+            else:
+                assert type(val) is complex
+            assert np.all(val == want)
 
     def test_invalid_arguments(self):
-        # theta1 and theta4 have no caller, so only j = 2, 3 are accepted
-        for j in (1, 4, 5):
-            with pytest.raises(ValueError):
-                jacobi_theta(j, 0.0, TAU)
         with pytest.raises(ValueError):
-            jacobi_theta(3, 0.0, 1.0 - 0.5j)
+            jacobi_theta(1.0 - 0.5j, 0.0)
 
 
 class TestThetaOuter:
@@ -94,19 +106,20 @@ class TestThetaOuter:
     AX = np.linspace(-3.1, 5.3, 17)[:, None]
     BT = np.linspace(-2.6, 1.7, 9)[None, :]
 
-    @pytest.mark.parametrize("j", [2, 3])
     @pytest.mark.parametrize("c", [0.3 + 0.2j, -1.2 + 2.9j, 3.4 - 3.3j])
-    def test_matches_pointwise(self, j, c):
+    def test_matches_pointwise(self, c):
         # Im c spans several quasi-periods, so the peeled factor is tested
-        grid = _theta_outer(j, self.BT, c, TAU)(self.AX)
-        points = jacobi_theta(j, (self.AX + self.BT + c).ravel(), TAU)
-        points = points.reshape(grid.shape)
-        assert np.max(np.abs(grid - points)) \
-            <= 1e-13 * np.max(np.abs(points))
+        grids = _theta_outer(self.BT, c, TAU)(self.AX)
+        points = jacobi_theta(TAU, (self.AX + self.BT + c).ravel())
+        assert len(grids) == 2
+        for grid, point in zip(grids, points):
+            point = point.reshape(grid.shape)
+            assert np.max(np.abs(grid - point)) \
+                <= 1e-13 * np.max(np.abs(point))
 
     def test_unrepresentable_value_raises(self):
         with pytest.raises(OverflowError):
-            _theta_outer(3, self.BT, 0.2 + 40.0j, 2.0j)
+            _theta_outer(self.BT, 0.2 + 40.0j, 2.0j)
 
 
 class TestPeriodMatrix:
