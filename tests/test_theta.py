@@ -106,16 +106,18 @@ class TestThetaOuter:
     AX = np.linspace(-3.1, 5.3, 17)[:, None]
     BT = np.linspace(-2.6, 1.7, 9)[None, :]
 
+    @pytest.mark.parametrize("j", [2, 3])
     @pytest.mark.parametrize("c", [0.3 + 0.2j, -1.2 + 2.9j, 3.4 - 3.3j])
-    def test_matches_pointwise(self, c):
-        # Im c spans several quasi-periods, so the peeled factor is tested
+    def test_matches_pointwise(self, j, c):
+        # Im c spans several quasi-periods, so the peeled factor is tested;
+        # j picks the pair member: theta3 first, theta2 second
         grids = _theta_outer(self.BT, c, TAU)(self.AX)
         points = jacobi_theta(TAU, (self.AX + self.BT + c).ravel())
-        assert len(grids) == 2
-        for grid, point in zip(grids, points):
-            point = point.reshape(grid.shape)
-            assert np.max(np.abs(grid - point)) \
-                <= 1e-13 * np.max(np.abs(point))
+        assert len(grids) == 2 and len(points) == 2
+        k = {3: 0, 2: 1}[j]
+        grid, point = grids[k], points[k].reshape(grids[k].shape)
+        assert np.max(np.abs(grid - point)) \
+            <= 1e-13 * np.max(np.abs(point))
 
     def test_unrepresentable_value_raises(self):
         with pytest.raises(OverflowError):
