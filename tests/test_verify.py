@@ -213,6 +213,35 @@ class TestSplitStep:
         psi = split_step_evolve(psi0, L, dt, steps)
         assert np.linalg.norm(psi - ref) / np.linalg.norm(ref) < 1e-12
 
+    @pytest.mark.parametrize("steps", [1, 2, 7, 400])
+    def test_matches_fused_reference_bit_for_bit(self, sp, steps):
+        # N(dt/2) L N(dt) L ... L N(dt/2), each factor numpy's exp of the
+        # imaginary angle and each product in this operand order
+        lat = period_lattice(P689, sp.ell)
+        L, n, dt = 2.0 * lat.X, 512, lat.T / 4000
+        psi0 = eval_p(np.linspace(0.0, L, n, endpoint=False), 0.0, sp)
+        linear = np.exp(-1j * (2.0 * math.pi * np.fft.fftfreq(n, d=L / n))
+                        ** 2 * dt)
+        ref = psi0.copy()
+        for step in range(steps):
+            ref = ref * np.exp(1j * np.abs(ref) ** 2
+                               * (2.0 * dt if step else dt))
+            ref = np.fft.ifft(linear * np.fft.fft(ref))
+        ref = ref * np.exp(1j * np.abs(ref) ** 2 * dt)
+        assert np.array_equal(split_step_evolve(psi0, L, dt, steps), ref)
+
+    def test_cos_sin_phase_is_exp_bit_for_bit(self):
+        # the evolution builds exp(i theta) as cos(theta) + i sin(theta);
+        # 10**6 angles, uniform over verify's range (below 0.2) and
+        # log-uniform from 1e-12 to 10
+        rng = np.random.default_rng(0)
+        theta = np.concatenate([rng.uniform(0.0, 0.2, 500_000),
+                                10.0 ** rng.uniform(-12.0, 1.0, 500_000)])
+        phase = np.empty(theta.shape, dtype=complex)
+        np.cos(theta, out=phase.real)
+        np.sin(theta, out=phase.imag)
+        assert np.array_equal(phase, np.exp(1j * theta))
+
 
 def _extrapolated_error(sp, steps):
     # the verify setup: 512 samples over one x period, evolved to T
@@ -225,6 +254,26 @@ def _extrapolated_error(sp, steps):
 
 
 class TestRichardsonSplitStep:
+    @pytest.mark.parametrize("curve", [P689, CurveParams(0.0, 1.0, 2.0,
+                                                         3.0)])
+    @pytest.mark.parametrize("steps", [2, 10, 1000])
+    def test_is_two_evolutions_bit_for_bit(self, curve, steps):
+        # the rows of the batched loop are the two single evolutions
+        sp_c = build_solution_params(curve)
+        lat = period_lattice(curve, sp_c.ell)
+        L, T = 2.0 * lat.X, lat.T
+        psi0 = eval_p(np.linspace(0.0, L, 512, endpoint=False), 0.0, sp_c)
+        ref = (4.0 * split_step_evolve(psi0, L, T / steps, steps)
+               - split_step_evolve(psi0, L, 2.0 * T / steps, steps // 2)) / 3.0
+        assert np.array_equal(_richardson_split_step(psi0, L, T, steps), ref)
+
+    @pytest.mark.parametrize("steps", [1, 3, 999])
+    def test_odd_steps_refused(self, steps):
+        # S(m) and S((m - 1)/2) have step sizes not in the ratio 2
+        with pytest.raises(ValueError, match="even step count"):
+            _richardson_split_step(np.ones(128, dtype=complex), 1.0, 0.1,
+                                   steps)
+
     def test_fourth_order(self, sp):
         # halving every step size divides the error by 2**4
         coarse = _extrapolated_error(sp, 500)
@@ -256,6 +305,38 @@ class TestRichardsonSplitStep:
             code = main(["verify", "--z-im2", "0.446332530511924"])
         assert code == 0
         assert json.loads(out.getvalue())["split_step"]["passed"]
+
+
+def _white_noise(n):
+    rng = np.random.default_rng(0)
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+class TestSplitStepRefusals:
+    """``_richardson_split_step(psi, L, t_end, steps)`` refuses what
+    ``split_step_evolve(psi, L, dt, steps)`` refuses, with t_end in dt's
+    place, by the same exception and message."""
+
+    @pytest.mark.parametrize("psi, L, dt, steps, exc", [
+        (np.ones(100, dtype=complex), 1.0, 1e-3, 10, ValueError),
+        (np.ones(1, dtype=complex), 1.0, 1e-3, 10, ValueError),
+        (np.ones((1, 128), dtype=complex), 1.0, 1e-3, 10, ValueError),
+        (np.ones(128, dtype=complex), 0.0, 1e-3, 10, ValueError),
+        (np.ones(128, dtype=complex), -1.0, 1e-3, 10, ValueError),
+        (np.ones(128, dtype=complex), 1.0, 0.0, 10, ValueError),
+        (np.ones(128, dtype=complex), 1.0, -1e-3, 10, ValueError),
+        (np.ones(128, dtype=complex), 1.0, 1e-3, 0, ValueError),
+        (np.ones(128, dtype=complex), 1.0, 1e-3, -2, ValueError),
+        # white noise has a full spectral tail
+        (_white_noise(128), 1.0, 1e-3, 10, RuntimeError),
+    ], ids=["n100", "n1", "2d", "L0", "L-", "dt0", "dt-", "steps0", "steps-",
+            "tail"])
+    def test_same_refusal(self, psi, L, dt, steps, exc):
+        with pytest.raises(exc) as single:
+            split_step_evolve(psi, L, dt, steps)
+        with pytest.raises(exc) as pair:
+            _richardson_split_step(psi, L, dt, steps)
+        assert str(pair.value) == str(single.value)
 
 
 class TestSymmetrySuite:
