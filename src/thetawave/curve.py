@@ -287,8 +287,12 @@ def period_matrix(params: CurveParams):
 
 
 def period_lattice(params: CurveParams, ell: EllipticConstants | None = None):
-    """Solve X_j U + T_j V = e_j in closed form."""
-    ell = ell or curve_integrals(params)
+    """Solve X_j U + T_j V = e_j in closed form.  An ``ell`` other than
+    ``curve_integrals(params)`` is a ValueError."""
+    own = curve_integrals(params)
+    if ell is not None and ell != own:
+        raise ValueError("ell must come from params")
+    ell = own
     wv = wave_vectors(params)
     M = np.column_stack([wv.U, wv.V])  # [X_j, T_j] solves M @ (X, T) = e_j
     det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]

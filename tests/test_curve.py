@@ -155,12 +155,13 @@ class TestSecondKindConstants:
 
 
 class TestBPeriods:
-    # the last three have b-period integrands some 1e4 in size
+    # the last four have b-period integrands some 1e4 in size
     @pytest.mark.parametrize("abc", [
         (6.0, 8.0, 9.0), (1.0, 3.0, 9.0), (0.5, 2.0, 2.5),
         (0.1, 100.0, 300.00000000000006),
         (28.32167994957774, 45.00055249237433, 391.3070816533399),
-        (70.02701388744157, 186.4288495134704, 316.4575829490708)])
+        (70.02701388744157, 186.4288495134704, 316.4575829490708),
+        (0.1, 100.0, 300.0)])
     def test_contour_vs_closed_form(self, abc):
         errs = b_period_errors(CurveParams(0.0, *abc))
         assert max(errs.values()) < 1e-8, errs
@@ -245,6 +246,16 @@ class TestPeriodLattice:
         lam = ell.a_plus / (2.0 * ell.a_minus)
         lat = period_lattice(CurveParams(lam, 6.0, 8.0, 9.0))
         assert lat.Tprime == pytest.approx(lat.T, rel=1e-14)
+
+    def test_foreign_ell_refused(self):
+        # X is A+/2 and X1, X2 solve P689's wave vectors, so an ell of
+        # (1, 3, 9) would pair its X = 0.1803 with P689's X2 = -0.5886
+        other = build_solution_params(CurveParams(0.0, 1.0, 3.0, 9.0)).ell
+        with pytest.raises(ValueError, match="ell must come from params"):
+            period_lattice(P689, other)
+        own = period_lattice(P689, build_solution_params(P689).ell)
+        assert own == period_lattice(P689)
+        assert own.X == pytest.approx(-own.X2 / 2.0, rel=1e-12)
 
 
 class TestRealityCheck:

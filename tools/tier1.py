@@ -11,8 +11,9 @@ fail.  Usage, from anywhere:
 Exit 0 when the set of failed or errored tests is exactly the documented
 one; exit 1 when a further test fails or a test module does not import
 (either is named), when one of the three starts to pass, or when pytest
-itself breaks.  Needs only the standard library and the test dependencies
-(``pip install -e ".[test]"``).
+itself breaks.  A skipped test counts as neither passed nor failed, and
+the summary line gives both counts (without scipy, its oracle skips).
+Needs only the standard library, pytest and hypothesis.
 """
 
 from __future__ import annotations
@@ -36,16 +37,18 @@ EXPECTED = {
 
 
 class _Recorder:
-    """pytest plugin: the node IDs of the tests run, and of the tests and
-    collected modules that failed or errored."""
+    """pytest plugin: the node IDs of the tests run, of the tests skipped,
+    and of the tests and collected modules that failed or errored."""
 
     def __init__(self):
-        self.ran, self.bad = set(), set()
+        self.ran, self.skipped, self.bad = set(), set(), set()
 
     def pytest_runtest_logreport(self, report):
         self.ran.add(report.nodeid)
         if report.failed:
             self.bad.add(report.nodeid)
+        elif report.skipped:
+            self.skipped.add(report.nodeid)
 
     def pytest_collectreport(self, report):
         if report.failed:
@@ -62,7 +65,9 @@ def main(argv):
         print(f"tier1: pytest exited {int(code)} without a result to check",
               file=sys.stderr)
         return 1
-    ran, bad = rec.ran, rec.bad
+    bad = rec.bad
+    skipped = rec.skipped - bad
+    ran = rec.ran - skipped
     problems = [f"tier1: unexpected failure: {n}"
                 for n in sorted(bad - EXPECTED)]
     problems += [f"tier1: documented failure now passes: {n}"
@@ -73,8 +78,8 @@ def main(argv):
         print(line, file=sys.stderr)
     if problems:
         return 1
-    print(f"tier1: {len(ran - bad)} passed, and the {len(bad)} "
-          f"documented failures failed")
+    print(f"tier1: {len(ran - bad)} passed, {len(skipped)} skipped, and the "
+          f"{len(bad)} documented failures failed")
     return 0
 
 
