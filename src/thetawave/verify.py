@@ -110,6 +110,14 @@ def residual_fit_k2(params: CurveParams, spec: GridSpec, order=4):
     return float(np.real(np.vdot(F, G)) / (2.0 * np.real(np.vdot(F, F))))
 
 
+def _resolved(psi):
+    """Whether the line ``psi`` of n samples has its spectral tail, the
+    modes n/2 - n/8 to n/2 + n/8, at most 1e-10 of its peak mode."""
+    spec = np.abs(np.fft.fft(psi))
+    mid, tail = psi.size // 2, psi.size // 8
+    return not np.max(spec[mid - tail:mid + tail]) > 1e-10 * np.max(spec)
+
+
 def _checked_line(initial, L, dt, steps):
     """``initial`` as a complex copy, or the refusal of data that is not
     one line of samples, a sample count that is not a power of two, a
@@ -123,11 +131,7 @@ def _checked_line(initial, L, dt, steps):
         raise ValueError("sample count must be a power of two")
     if not (L > 0.0 and dt > 0.0 and steps > 0):
         raise ValueError("need positive domain length, dt and steps")
-    spec = np.fft.fft(psi)
-    tail = int(n // 8)
-    lo = n // 2 - tail
-    hi = n // 2 + tail
-    if np.max(np.abs(spec[lo:hi])) > 1e-10 * np.max(np.abs(spec)):
+    if not _resolved(psi):
         raise RuntimeError(
             "initial data is under-resolved: spectral tail above 1e-10 of "
             "the peak mode"
@@ -206,13 +210,13 @@ def _ledger_entry(error, tol):
 
 
 def symmetry_suite(sp: SolutionParams):
-    """Run the symmetry, periodicity and reality checks; return a ledger
-    mapping check name to {passed, error, tol}."""
+    """Symmetry, periodicity and reality checks at 40 points scaled to the
+    period lattice, as a ledger: check name -> {passed, error, tol}."""
     cp = sp.curve
     lat = period_lattice(cp, sp.ell)
     rng = np.random.default_rng(0)
-    xs = rng.uniform(-0.4, 0.4, 40)
-    ts = rng.uniform(-0.03, 0.03, 40)
+    xs = lat.X * rng.uniform(-1.36, 1.36, 40)
+    ts = lat.T * rng.uniform(-1.93, 1.93, 40)
     ledger = {}
 
     p = eval_p(xs, ts, sp)
@@ -231,7 +235,7 @@ def symmetry_suite(sp: SolutionParams):
                / np.max(np.abs(p))), 1e-9
     )
 
-    lam = 0.5
+    lam = 0.5 * cp.b / 8.0  # 0.5 on the reference curve, where b = 8
     sp_0 = build_solution_params(CurveParams(0.0, cp.a, cp.b, cp.c), sp.Z)
     sp_b = build_solution_params(CurveParams(lam, cp.a, cp.b, cp.c), sp.Z)
     boost = (eval_p(xs + 4.0 * lam * ts, ts, sp_0)
@@ -273,9 +277,9 @@ def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
                   eps=1e-4):
     """The ``verify`` ledger and its verdict, as (ledger, passed): the FD
     residual on an (nx, nt) period cell, the split-step (lambda0 = 0 only:
-    512 samples over one x period, evolved to T by Strang split-steps,
-    1,000 and 500 of them in one loop, Richardson-extrapolated, l2 gate
-    1e-5),
+    the fewest of 128, 256 or 512 samples over one x period that resolve
+    the field, evolved to T by Strang split-steps, 1,000 and 500 of them
+    in one loop, Richardson-extrapolated, l2 gate 1e-5),
     ``symmetry_suite`` and, for ``limit``, the unjudged distance at ``eps``;
     ``corrupt_k2`` adds 0.1 to K2 and runs the residual alone.  A phase
     Z without a reality witness is refused before any evaluation."""
@@ -296,11 +300,14 @@ def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
     }
 
     if curve.lambda0 == 0.0 and not corrupt_k2:
-        n = 512
         L = 2.0 * lat.X
-        xs = np.linspace(0.0, L, n, endpoint=False)
-        evolved = _richardson_split_step(eval_p(xs, 0.0, sp), L, lat.T,
-                                         1000)
+        # the smallest resolved line; at 512 the pair refuses an unresolved one
+        for n in (128, 256, 512):
+            xs = np.linspace(0.0, L, n, endpoint=False)
+            line = eval_p(xs, 0.0, sp)
+            if _resolved(line):
+                break
+        evolved = _richardson_split_step(line, L, lat.T, 1000)
         ref = eval_p(xs, lat.T, sp)
         err = float(np.linalg.norm(evolved - ref) / np.linalg.norm(ref))
         ledger["split_step"] = {"passed": err < 1e-5, "l2_error": err}

@@ -16,6 +16,7 @@ from thetawave.elliptic import CurveParams
 from thetawave.limits import dn_wave_theta, plane_wave_ab, plane_wave_cb
 from thetawave.solution import GridSpec, eval_p
 from thetawave.verify import (
+    _resolved,
     _richardson_split_step,
     _stencil_residual,
     field_residual,
@@ -244,10 +245,14 @@ class TestSplitStep:
 
 
 def _extrapolated_error(sp, steps):
-    # the verify setup: 512 samples over one x period, evolved to T
+    # the verify setup: the fewest of 128, 256 or 512 samples over one x
+    # period that resolve the field, evolved to T
     lat = period_lattice(sp.curve, sp.ell)
     L = 2.0 * lat.X
-    xs = np.linspace(0.0, L, 512, endpoint=False)
+    for n in (128, 256, 512):
+        xs = np.linspace(0.0, L, n, endpoint=False)
+        if _resolved(eval_p(xs, 0.0, sp)):
+            break
     out = _richardson_split_step(eval_p(xs, 0.0, sp), L, lat.T, steps)
     ref = eval_p(xs, lat.T, sp)
     return float(np.linalg.norm(out - ref) / np.linalg.norm(ref))
@@ -312,6 +317,74 @@ def _white_noise(n):
     return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
+def _tail_mode(x, L):
+    # mode 50 of the period L: in the spectral tail band of 128 samples
+    # (modes 48 to 80), not in that of 256 (96 to 160)
+    return 1e-6 * np.cos(2.0 * math.pi * 50.0 * x / L)
+
+
+class TestLineChoice:
+    """``verify_ledger`` evolves the fewest of 128, 256 or 512 samples whose
+    spectral tail passes ``_checked_line``'s test (``_resolved``); a line
+    unresolved at 512 is refused as ``split_step_evolve`` refuses it."""
+
+    def test_predicate_is_the_refusal(self):
+        # a band-limited line: unresolved at 128 samples, resolved at 256
+        def line(n):
+            x = np.linspace(0.0, 1.0, n, endpoint=False)
+            return np.exp(2j * math.pi * x) + _tail_mode(x, 1.0)
+
+        assert [_resolved(line(n)) for n in (128, 256, 512)] == [
+            False, True, True]
+        assert not _resolved(_white_noise(512))
+        with pytest.raises(RuntimeError, match="spectral tail"):
+            split_step_evolve(line(128), 1.0, 1e-3, 10)
+        split_step_evolve(line(256), 1.0, 1e-3, 10)
+
+    @staticmethod
+    def _record(monkeypatch, sp, extra):
+        # lists that fill with the sizes of the lines verify_ledger samples
+        # (its 1-D evaluations of 128 samples or more), each with
+        # extra(x, L) added, and with the size that it evolves
+        L = 2.0 * period_lattice(sp.curve, sp.ell).X
+        sampled, evolved = [], []
+
+        def sampling(x, t, params):
+            p = eval_p(x, t, params)
+            if np.ndim(x) == 1 and np.size(x) >= 128:
+                sampled.append(np.size(x))
+                p = p + extra(x, L)
+            return p
+
+        def evolving(psi, *args):
+            evolved.append(np.size(psi))
+            return _richardson_split_step(psi, *args)
+
+        monkeypatch.setattr("thetawave.verify.eval_p", sampling)
+        monkeypatch.setattr("thetawave.verify._richardson_split_step",
+                            evolving)
+        return sampled, evolved
+
+    def test_reference_line_at_128(self, sp, monkeypatch):
+        sampled, evolved = self._record(monkeypatch, sp, lambda x, L: 0.0)
+        verify_ledger(sp, 16, 16)
+        # the line at 0 and the reference at T
+        assert (sampled, evolved) == ([128, 128], [128])
+
+    def test_tail_at_128_chosen_at_256(self, sp, monkeypatch):
+        sampled, evolved = self._record(monkeypatch, sp, _tail_mode)
+        verify_ledger(sp, 16, 16)
+        assert (sampled, evolved) == ([128, 256, 256], [256])
+
+    def test_unresolved_at_512_refused(self, sp, monkeypatch):
+        rng = np.random.default_rng(0)
+        noise = lambda x, L: 1e-6 * rng.normal(size=np.size(x))
+        sampled, evolved = self._record(monkeypatch, sp, noise)
+        with pytest.raises(RuntimeError, match="spectral tail"):
+            verify_ledger(sp, 16, 16)
+        assert (sampled, evolved) == ([128, 256, 512], [512])
+
+
 class TestSplitStepRefusals:
     """``_richardson_split_step(psi, L, t_end, steps)`` refuses what
     ``split_step_evolve(psi, L, dt, steps)`` refuses, with t_end in dt's
@@ -369,6 +442,21 @@ class TestSymmetrySuite:
         # SolutionParams refuses to be built without its curve
         with pytest.raises(ValueError):
             symmetry_suite(dataclasses.replace(sp, curve=None))
+
+
+class TestScaledCurves:
+    @pytest.mark.parametrize("j", [-5, 0, 3, 10, 30])
+    def test_every_entry_passes(self, j):
+        # the symmetry samples sit in lattice units and the Galilean boost
+        # scales with b, so no check reads phases that grow as b**2; at
+        # (6, 8, 9)*1e3, samples in fixed windows read scaling 3.0e-9
+        s = 10.0 ** j
+        sp_s = build_solution_params(CurveParams(0.0, 6 * s, 8 * s, 9 * s))
+        ledger, passed = verify_ledger(sp_s, 128, 128)
+        entries = [ledger["residual"], ledger["split_step"],
+                   *ledger["symmetries"].values()]
+        assert all(e["passed"] for e in entries), ledger
+        assert passed
 
 
 class TestVerifyLedger:
