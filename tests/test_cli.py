@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import thetawave.cli as cli
 from thetawave.cli import _json_blocks, _parser, _resolve, main
 from thetawave.curve import build_solution_params, period_lattice
 from thetawave.elliptic import CurveParams
@@ -19,6 +20,7 @@ BASE = ["--lambda0", "0", "--a", "6", "--b", "8", "--c", "9"]
 FRB_PLUS = float(
     build_solution_params(CurveParams(0.0, 6.0, 8.0, 9.0)).frb_plus)
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, argv):
@@ -223,6 +225,134 @@ class TestGrid:
         lo, hi = float(np.min(mag)), float(np.max(mag))
         img = np.round((mag.T - lo) / (hi - lo) * 255.0).astype(np.uint8)
         assert out_path.read_bytes() == b"P5\n300 200\n255\n" + img.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedGrid:
+    """grid's csv and json text formatted by forked children: the cutoff
+    patched to 0 cells and os.sched_getaffinity to 1, 2 or 3 CPUs."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """forks(cpus): force the forked path; returns the list of the
+        children's pids, filled as they are forked."""
+        pids = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        def set_cpus(cpus):
+            monkeypatch.setattr(cli, "_FORK_CELLS", 0)
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
+            monkeypatch.setattr(os, "fork", counted_fork)
+            return pids
+
+        return set_cpus
+
+    @staticmethod
+    def assert_all_reaped():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("name, argv", [
+        ("grid_csv", ["--nx", "16", "--nt", "16"]),
+        ("grid_csv_abs_lambda0", ["--lambda0", "0.6", "--nx", "16", "--nt",
+                                  "16", "--abs-only"]),
+        ("grid_json", ["--nx", "16", "--nt", "16", "--format", "json"]),
+        ("grid_json_lambda0", ["--lambda0", "0.6", "--nx", "8", "--nt", "8",
+                               "--format", "json"])])
+    def test_golden_bytes(self, capsys, forks, name, argv, cpus):
+        argv = ["grid"] + argv
+        one_process = run(capsys, argv)
+        pids = forks(cpus)
+        assert run(capsys, argv) == one_process
+        assert one_process[1] == (GOLDEN / f"{name}.out").read_text()
+        assert len(pids) == cpus - 1
+        self.assert_all_reaped()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fewer_rows_than_cpus(self, capsys, forks, fmt):
+        argv = ["grid", "--nx", "2", "--nt", "5", "--format", fmt]
+        one_process = run(capsys, argv)
+        pids = forks(3)
+        assert run(capsys, argv) == one_process
+        assert len(pids) == 1
+        self.assert_all_reaped()
+
+    def test_failing_child_exit_3(self, capsys, forks, monkeypatch):
+        parent = os.getpid()
+
+        def abs_in_parent_only(v):
+            if os.getpid() != parent:
+                raise ValueError("a child cannot format")
+            return abs(v)
+
+        # the csv rows call abs through the module's globals
+        monkeypatch.setattr(cli, "abs", abs_in_parent_only, raising=False)
+        forks(2)
+        code = main(["grid", "--nx", "8", "--nt", "8"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ("i/o error: the process formatting row 1 "
+                                "ended early\n")
+        # the header and row 0, which the parent formats: no more
+        assert len(captured.out.splitlines()) == 1 + 8
+        self.assert_all_reaped()
+
+    def test_failing_parent_reaps_children(self, capsys, forks, monkeypatch):
+        parent = os.getpid()
+
+        def abs_in_children_only(v):
+            if os.getpid() == parent:
+                raise ValueError("the parent cannot format")
+            return abs(v)
+
+        monkeypatch.setattr(cli, "abs", abs_in_children_only, raising=False)
+        pids = forks(3)
+        code = main(["grid", "--nx", "8", "--nt", "8"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: the parent cannot format\n"
+        assert len(pids) == 2
+        self.assert_all_reaped()
+
+    ARGV = [sys.executable, "-m", "thetawave.cli", "grid", "--nx", "300",
+            "--nt", "300"]
+    # a block-buffered stdout, as without PYTHONUNBUFFERED
+    ENV = {**{k: v for k, v in os.environ.items()
+              if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": SRC}
+
+    def test_pipe_gets_in_process_bytes(self, capsys, monkeypatch):
+        # a child that flushed the stdout buffer it inherited would repeat
+        # the header; on one CPU nothing is forked and this still holds
+        res = subprocess.run(self.ARGV, env=self.ENV, capture_output=True,
+                             text=True, timeout=120)
+        monkeypatch.setattr(cli, "_FORK_CELLS", float("inf"))
+        assert (res.returncode, res.stdout) == run(capsys, self.ARGV[3:])
+        assert res.stdout.count("x,t,abs_p") == 1
+        assert res.stderr == ""
+
+    def test_closed_pipe_exit_3(self):
+        proc = subprocess.Popen(self.ARGV, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=self.ENV)
+        assert proc.stdout.readline() == b"x,t,abs_p,re_p,im_p\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 3
+        # the parent has exited, and stderr is at EOF only if no forked
+        # child still holds it: a read that would block raises here
+        os.set_blocking(proc.stderr.fileno(), False)
+        err = b""
+        while chunk := os.read(proc.stderr.fileno(), 4096):
+            err += chunk
+        proc.stderr.close()
+        assert err.startswith(b"i/o error: ")
+        assert err.count(b"\n") == 1
+
 
 class TestScan:
     def test_vary_c_monotone(self, capsys):
