@@ -56,11 +56,13 @@ _FLAGS = {
 # it allocates
 _MAX_NODES = 2048
 
-# the fewest grid cells whose text _in_order formats in forked children.
-# Formatting took, in one process and forked on 2 cores (median of 41):
-# csv 16 x 16 0.6 and 3.3 ms, 128 x 128 40 and 44 ms, 192 x 192 92 and
-# 58 ms; json 128 x 128 18 and 24 ms, 192 x 192 33 and 29 ms
-_FORK_CELLS = 192 * 192
+# the grid cells per process of _in_order: w processes format at least
+# w * _FORK_CELLS cells.  On 2 cores (BENCH_27.json "cutoff": 41 rounds, the
+# median and quartiles in ms), 2 processes against one read json 128 x 128
+# 13.4 [12.7, 14.1] against 17.4 [12.6, 18.7], 160 x 160 18.7 [17.7, 19.9]
+# against 28.3 [23.9, 29.9]; csv was ahead from 96 x 96 on.  A further child
+# costs the parent about 2 ms, a seventh of what 12,800 json cells take
+_FORK_CELLS = 80 * 160
 
 
 def _c(z):
@@ -241,47 +243,50 @@ def _write_pgm(path, field):
     _emit_json(side, path + ".json")
 
 
+def _reap(pipes, pids):
+    """Kill and reap the children, then close their pipes; both lists are
+    emptied.  Killed first, a child never sees its pipe closed."""
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)
+    for pipe in pipes:
+        pipe.close()
+    for pid in pids:
+        os.waitpid(pid, 0)
+    del pipes[:], pids[:]
+
+
 def _in_order(block, n, cells):
-    """block(0), ..., block(n - 1), in order.  From _FORK_CELLS cells on,
-    forked child j of w (one per further usable CPU) writes the blocks with
-    i % w == j, length-prefixed, into its own pipe, and the parent formats
-    i % w == 0 and reads the rest in turn: the pipe buffers are the only
-    queue.  A short read is an OSError.  Every child is reaped on the way
-    out, also when the generator is closed early."""
+    """block(0), ..., block(n - 1), in order.  With w processes, one per
+    usable CPU and per _FORK_CELLS cells, forked child j writes the blocks
+    with i % w == j, length-prefixed, into its own pipe, and the parent
+    formats i % w == 0 and reads the rest in turn: the pipe buffers are the
+    only queue.  A short read is an OSError; a child that raised has
+    printed its traceback.  Every child is reaped on the way out, also when the
+    generator is closed early; if a fork fails, the parent formats every
+    block."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity, as on macOS
         cpus = os.cpu_count() or 1
-    w = min(cpus, n) if hasattr(os, "fork") and cells >= _FORK_CELLS else 1
+    w = max(1, min(cpus, n, cells // _FORK_CELLS)) \
+        if hasattr(os, "fork") else 1
     pipes, pids = [], []
     try:
-        for j in range(1, w):
-            r, wr = os.pipe()
-            with warnings.catch_warnings():
-                # Python 3.12+ warns of a fork beside BLAS threads; a child
-                # only formats text and writes it
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    # only the parent keeps a read end, so a child's write
-                    # fails at once when the parent stops reading
-                    os.close(r)
-                    for pipe in pipes:
-                        pipe.close()
-                    with open(wr, "wb") as out:
-                        for i in range(j, n, w):
-                            data = block(i).encode()
-                            out.write(len(data).to_bytes(8, "little") + data)
-                    code = 0
-                finally:
-                    # no flush of inherited stdout or --out buffers, no
-                    # atexit code, no return into the caller
-                    os._exit(code)
-            os.close(wr)
-            pipes.append(open(r, "rb"))
-            pids.append(pid)
+        try:
+            for j in range(1, w):
+                r, wr = os.pipe()
+                pipes.append(open(r, "rb"))
+                with open(wr, "wb") as out, warnings.catch_warnings():
+                    # Python 3.12+ warns of a fork beside BLAS threads; a
+                    # child only formats text and writes it
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+                    if pid == 0:
+                        _child(block, range(j, n, w), out, pipes)
+                pids.append(pid)
+        except OSError:  # no process or pipe left for another child
+            _reap(pipes, pids)
+            w = 1
         for i in range(n):
             if i % w == 0:
                 yield block(i)
@@ -293,11 +298,32 @@ def _in_order(block, n, cells):
                 raise OSError(f"the process formatting row {i} ended early")
             yield data.decode()
     finally:
+        _reap(pipes, pids)
+
+
+def _child(block, rows, out, pipes):
+    """A forked child of _in_order: writes block(i) for i in rows to
+    ``out`` and exits without returning."""
+    code = 1
+    try:
+        # only the parent keeps a read end, so a child's write fails at
+        # once when the parent stops reading
         for pipe in pipes:
             pipe.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for i in rows:
+            data = block(i).encode()
+            out.write(len(data).to_bytes(8, "little") + data)
+        out.flush()
+        code = 0
+    except Exception:
+        # the cause, as an uncaught exception prints it, on the stderr the
+        # child shares with the parent
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        # no flush of inherited stdout or --out buffers, no atexit code, no
+        # return into the caller
+        os._exit(code)
 
 
 def _csv_blocks(xs, ts, values, abs_only):

@@ -229,13 +229,13 @@ class TestGrid:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedGrid:
-    """grid's csv and json text formatted by forked children: the cutoff
-    patched to 0 cells and os.sched_getaffinity to 1, 2 or 3 CPUs."""
+    """grid's csv and json text formatted by forked children: the cells per
+    process patched to 1 and os.sched_getaffinity to 1, 2 or 3 CPUs."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        """forks(cpus): force the forked path; returns the list of the
-        children's pids, filled as they are forked."""
+        """forks(cpus, fork_cells=1): force the forked path; returns the
+        list of the children's pids, filled as they are forked."""
         pids = []
         fork = os.fork
 
@@ -245,8 +245,8 @@ class TestForkedGrid:
                 pids.append(pid)
             return pid
 
-        def set_cpus(cpus):
-            monkeypatch.setattr(cli, "_FORK_CELLS", 0)
+        def set_cpus(cpus, fork_cells=1):
+            monkeypatch.setattr(cli, "_FORK_CELLS", fork_cells)
             monkeypatch.setattr(os, "sched_getaffinity",
                                 lambda pid: set(range(cpus)), raising=False)
             monkeypatch.setattr(os, "fork", counted_fork)
@@ -285,7 +285,7 @@ class TestForkedGrid:
         assert len(pids) == 1
         self.assert_all_reaped()
 
-    def test_failing_child_exit_3(self, capsys, forks, monkeypatch):
+    def test_failing_child_exit_3(self, capfd, forks, monkeypatch):
         parent = os.getpid()
 
         def abs_in_parent_only(v):
@@ -297,12 +297,44 @@ class TestForkedGrid:
         monkeypatch.setattr(cli, "abs", abs_in_parent_only, raising=False)
         forks(2)
         code = main(["grid", "--nx", "8", "--nt", "8"])
-        captured = capsys.readouterr()
+        captured = capfd.readouterr()
         assert code == 3
-        assert captured.err == ("i/o error: the process formatting row 1 "
-                                "ended early\n")
+        # the child's traceback, then the parent's one error line
+        err = captured.err.splitlines()
+        assert err[0] == "Traceback (most recent call last):"
+        assert "ValueError: a child cannot format" in err
+        assert [ln for ln in err if ln.startswith("i/o error:")] == [err[-1]]
+        assert err[-1] == ("i/o error: the process formatting row 1 ended "
+                           "early")
         # the header and row 0, which the parent formats: no more
         assert len(captured.out.splitlines()) == 1 + 8
+        self.assert_all_reaped()
+
+    def test_failing_fork_formats_in_parent(self, capsys, forks, monkeypatch):
+        argv = ["grid", "--nx", "6", "--nt", "4"]
+        one_process = run(capsys, argv)
+        pids = forks(3)
+        fork = os.fork
+
+        def second_fork_fails():
+            if pids:
+                raise BlockingIOError("Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        assert run(capsys, argv) == one_process
+        # the first child was forked, then killed and reaped
+        assert len(pids) == 1
+        self.assert_all_reaped()
+
+    @pytest.mark.parametrize("nx, nt, children", [
+        (16, 16, 0), (159, 160, 0), (160, 160, 1), (240, 160, 2)])
+    def test_children_per_fork_cells(self, capsys, forks, nx, nt, children):
+        # 64 CPUs, but a process for every 80 x 160 cells only
+        pids = forks(64, cli._FORK_CELLS)
+        argv = ["grid", "--nx", str(nx), "--nt", str(nt), "--abs-only"]
+        assert run(capsys, argv)[0] == 0
+        assert len(pids) == children
         self.assert_all_reaped()
 
     def test_failing_parent_reaps_children(self, capsys, forks, monkeypatch):
@@ -332,7 +364,7 @@ class TestForkedGrid:
         # the header; on one CPU nothing is forked and this still holds
         res = subprocess.run(self.ARGV, env=self.ENV, capture_output=True,
                              text=True, timeout=120)
-        monkeypatch.setattr(cli, "_FORK_CELLS", float("inf"))
+        monkeypatch.setattr(cli, "_FORK_CELLS", 10**9)
         assert (res.returncode, res.stdout) == run(capsys, self.ARGV[3:])
         assert res.stdout.count("x,t,abs_p") == 1
         assert res.stderr == ""
