@@ -197,6 +197,11 @@ def _solution_constants(s):
             "delta": s.delta, "K0": _c(s.K0), "K1": s.K1, "K2": s.K2}
 
 
+def _nome(frb):
+    """exp(-2*pi*frb): the nome of the field's thetas (modulus 2i*frb)."""
+    return math.exp(-2.0 * math.pi * frb)
+
+
 def cmd_params(cfg):
     curve = _curve(cfg)
     sp = build_solution_params(curve, _phase(cfg))
@@ -212,10 +217,8 @@ def cmd_params(cfg):
             "lattice": {"X1": lat.X1, "T1": lat.T1,
                         "X2": lat.X2, "T2": lat.T2},
         },
-        # the nome-style quantities as defined alongside the period ratios
-        # (h = exp(-2*pi*frb)); a smaller value means weaker harmonics
-        "h_minus": math.exp(-2.0 * math.pi * sp.frb_minus),
-        "h_plus": math.exp(-2.0 * math.pi * sp.frb_plus),
+        "h_minus": _nome(sp.frb_minus),
+        "h_plus": _nome(sp.frb_plus),
         "reality": {"passed": sp.witness is not None,
                     "witness": None if sp.witness is None
                     else sp.witness.tolist()},
@@ -402,10 +405,9 @@ def cmd_scan(cfg, vary, start, stop, num):
             curve = CurveParams(cfg["lambda0"], cfg["a"], cfg["b"], float(val))
         ell = curve_integrals(curve)
         lat = period_lattice(curve, ell)
-        hm = math.exp(-2.0 * math.pi * ell.b_minus / ell.a_minus)
-        hp = math.exp(-2.0 * math.pi * ell.b_plus / ell.a_plus)
-        lines.append(",".join(
-            _FMT % v for v in (val, lat.X, lat.T, hm, hp)) + "\n")
+        row = (val, lat.X, lat.T, _nome(ell.b_minus / ell.a_minus),
+               _nome(ell.b_plus / ell.a_plus))
+        lines.append(",".join(_FMT % v for v in row) + "\n")
     _emit(lines, cfg["out"])
     return 0
 

@@ -287,25 +287,18 @@ def period_matrix(params: CurveParams):
 
 
 def period_lattice(params: CurveParams, ell: EllipticConstants | None = None):
-    """Solve X_j U + T_j V = e_j in closed form.  An ``ell`` other than
-    ``curve_integrals(params)`` is a ValueError."""
+    """The solution of X_j U + T_j V = e_j in closed form:
+    (X1, T1) = (-2*lambda0*A-, A-/2) and (X2, T2) = (-A+, 0).  An ``ell``
+    other than ``curve_integrals(params)`` is a ValueError."""
     own = curve_integrals(params)
     if ell is not None and ell != own:
         raise ValueError("ell must come from params")
     ell = own
-    wv = wave_vectors(params)
-    M = np.column_stack([wv.U, wv.V])  # [X_j, T_j] solves M @ (X, T) = e_j
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if det == 0.0:
-        raise ValueError("wave vectors are linearly dependent")
-    inv = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
-    s1 = inv @ np.array([1.0, 0.0])
-    s2 = inv @ np.array([0.0, 1.0])
     lam0 = params.lambda0
     return PeriodLattice(
-        X1=s1[0], T1=s1[1], X2=s2[0], T2=s2[1],
-        X=ell.a_plus / 2.0,
-        T=ell.a_minus / 4.0,
+        # written 0.0 - ..., so that lambda0 = 0 gives X1 = +0.0
+        X1=0.0 - 2.0 * lam0 * ell.a_minus, T1=ell.a_minus / 2.0,
+        X2=-ell.a_plus, T2=0.0, X=ell.a_plus / 2.0, T=ell.a_minus / 4.0,
         Tprime=None if lam0 == 0.0 else ell.a_plus / (8.0 * lam0),
     )
 

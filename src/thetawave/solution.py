@@ -6,10 +6,13 @@ The working formula is the Jacobi-theta quotient
               * exp{2i K1 x + 2i K2 t},
     u1 = kappa1*t + 2*Z1,   u2 = k*x + kappa2*t + 2*Z2,
 
-with H the two-factor combination from :mod:`thetawave.theta`.  The squared
-amplitude has its own closed form (``eval_amp2``), which must agree with
-|p|**2; the genus-2 Riemann-theta form (``eval_p_general``) provides a third,
-structurally independent route that must agree up to one global phase.
+with H the two-factor combination from :mod:`thetawave.theta`.  theta3 has
+period 1 and theta2 changes sign under u2 -> u2 + 1, so the numerators read
+the denominator's u2 pair with theta2 negated: one u2 theta per evaluation.
+The squared amplitude has its own closed form (``eval_amp2``), which must
+agree with |p|**2; the genus-2 Riemann-theta form (``eval_p_general``)
+provides a third, structurally independent route that must agree up to one
+global phase.
 
 Full grids (``sample_grid`` and the stencils of :mod:`thetawave.verify`) are
 evaluated in row bands of at most ``_BAND_BYTES`` (1 MiB) of complex values
@@ -100,15 +103,15 @@ def _reduced_phase(Z):
 
 def _quotient_terms(t, sp: SolutionParams, signs):
     """x -> (den, nums): the denominator H(u1, u2), which must stay clear of
-    zero, and the numerators H(u1 + s*i*delta, u2 + s) for s in ``signs``,
-    where u1 = kappa1*t + 2*Z1 and u2 = k*x + kappa2*t + 2*Z2.  What depends
-    on t alone is computed here once, so row bands of a grid that share one
-    row t compute it once.
+    zero, and the numerators H(u1 + s*i*delta, u2 + 1) for s in ``signs``,
+    where u1 = kappa1*t + 2*Z1 and u2 = k*x + kappa2*t + 2*Z2, from one u2
+    pair.  What depends on t alone is computed here once, so row bands of a
+    grid that share one row t compute it once.
 
     At kappa2 = 0, u2 is formed on x's shape alone and broadcasting against
-    u1 forms the grid, so a theta runs on n points instead of n**2.  With
-    kappa2 != 0 on an outer grid (x a column, t a row), the u2 thetas are
-    ``_theta_outer``'s column-by-row products.  Other inputs are evaluated
+    u1 forms the grid, so the u2 theta runs on n points instead of n**2.
+    With kappa2 != 0 on an outer grid (x a column, t a row), it is
+    ``_theta_outer``'s column-by-row product.  Other inputs are evaluated
     point by point."""
     t = np.asarray(t)
     tau1 = 2j * sp.frb_minus
@@ -116,25 +119,19 @@ def _quotient_terms(t, sp: SolutionParams, signs):
     z = _reduced_phase(sp.Z)
     u1 = sp.kappa1 * t + 2.0 * z[0]
     c = 2.0 * z[1]
-    theta1 = [jacobi_theta(tau1, u)
-              for u in [u1] + [u1 + s * 1j * sp.delta for s in signs]]
+    t31, t21 = jacobi_theta(tau1, u1)
+    shifted = [jacobi_theta(tau1, u1 + s * 1j * sp.delta) for s in signs]
     row = sp.kappa2 != 0.0 and t.ndim == 2 and t.shape[0] == 1
     if row:
-        bt = sp.kappa2 * t
-        outer = [_theta_outer(bt, cs, tau2)
-                 for cs in [c] + [c + s for s in signs]]
+        outer = _theta_outer(sp.kappa2 * t, c, tau2)
 
     def terms(x):
         x = np.asarray(x)
         if row and x.ndim == 2 and x.shape[1] == 1:
-            kx = sp.k * x
-            theta2 = (f(kx) for f in outer)
+            t32, t22 = outer(sp.k * x)
         else:
-            u2 = (sp.k * x + c if sp.kappa2 == 0.0
-                  else sp.k * x + sp.kappa2 * t + c)
-            theta2 = (jacobi_theta(tau2, u)
-                      for u in [u2] + [u2 + s for s in signs])
-        (t31, t21), (t32, t22) = theta1[0], next(theta2)
+            t32, t22 = jacobi_theta(tau2, sp.k * x + c if sp.kappa2 == 0.0
+                                    else sp.k * x + sp.kappa2 * t + c)
         den = _H(t31, t21, t32, t22)
         scale = (np.abs(t31) + np.abs(t21)) * (np.abs(t32) + np.abs(t22))
         if np.any(np.abs(den) < _DENOM_RTOL * scale):
@@ -142,8 +139,9 @@ def _quotient_terms(t, sp: SolutionParams, signs):
                 "theta denominator vanishes; the solution parameters do not "
                 "describe a smooth real solution"
             )
-        del t32, t22, scale  # grid-sized; free them before the numerators
-        return den, [_H(*a, *b) for a, b in zip(theta1[1:], theta2)]
+        del scale  # grid-sized; free it before the numerators
+        t22 = -t22  # theta2(u2 + 1)
+        return den, [_H(*a, t32, t22) for a in shifted]
 
     return terms
 

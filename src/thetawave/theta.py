@@ -3,7 +3,8 @@ Riemann theta.
 
 Series conventions: the nome is h = exp(i*pi*tau) and
     theta3(u|tau) = 1 + 2 * sum_m h**(m**2) * cos(2*pi*m*u),
-so the real period in ``u`` is 1 (2 for theta2 because of its sign flip).
+so the real period in ``u`` is 1 (2 for theta2 because of its sign flip:
+the pair at u + 1 and at u - 1 is (theta3, -theta2) at u).
 H reads theta3 and theta2 at each of its arguments, so ``jacobi_theta`` and
 ``_theta_outer`` return the pair, from one argument reduction.
 The genus-2 theta over a symmetric period matrix B with positive definite

@@ -252,13 +252,13 @@ def symmetry_suite(sp: SolutionParams):
         return (np.max(np.abs(np.abs(eval_p(xs + dx, ts + dt, sp)) - absp))
                 / np.max(absp))
 
+    # lattice vector 1 is t -> t + 2T, which returns u1 to itself, with the
+    # Galilean x drift X1 = -8*lambda0*T that cancels its move of u2
+    drift1 = drift(lat.X1, lat.T1)
     ledger["lattice_periodicity"] = _ledger_entry(
-        max(drift(lat.X1, lat.T1), drift(lat.X2, lat.T2)), 1e-9)
+        max(drift1, drift(lat.X2, lat.T2)), 1e-9)
     ledger["x_periodicity"] = _ledger_entry(drift(2.0 * lat.X, 0.0), 1e-9)
-    # t -> t + 2T returns u1 to itself; it moves u2 by kappa2*2T, which the
-    # x shift -8*lambda0*T cancels (the Galilean drift; zero at lambda0 = 0)
-    ledger["t_periodicity"] = _ledger_entry(
-        drift(-8.0 * cp.lambda0 * lat.T, 2.0 * lat.T), 1e-9)
+    ledger["t_periodicity"] = _ledger_entry(drift1, 1e-9)
 
     # half-b-period complex phase versus its real-shift equivalent; Z has a
     # reality witness N (sp.witness; eval_amp2 above refuses None), so z_c
@@ -282,9 +282,20 @@ def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
     in one loop, Richardson-extrapolated, l2 gate 1e-5),
     ``symmetry_suite`` and, for ``limit``, the unjudged distance at ``eps``;
     ``corrupt_k2`` adds 0.1 to K2 and runs the residual alone.  A phase
-    Z without a reality witness is refused before any evaluation."""
+    Z without a reality witness, and an ``eps`` that leaves no degenerate
+    curve, are refused before any evaluation."""
     _require_witness(sp)
     curve = sp.curve
+    if limit is not None:
+        # the degenerate member first, at the Z where its field is the limit
+        lam0, a, b, c = curve.lambda0, curve.a, curve.b, curve.c
+        abc = {"c_to_b": (a, b, b + eps), "a_to_b": (b * (1.0 - eps), b, c)}
+        try:
+            deg = CurveParams(lam0, *abc.get(limit, (eps, b, c)))
+        except ValueError:
+            raise ValueError(f"no valid {limit} curve at eps={eps}") from None
+        Z = np.array(asymptotic_constants(LimitCase(limit, deg)).Z)
+        spd = build_solution_params(deg, Z)
     lat = period_lattice(curve, sp.ell)
     ledger = {}
 
@@ -316,21 +327,14 @@ def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
         ledger["symmetries"] = symmetry_suite(sp)
 
     if limit is not None:
-        lam0, a, b, c = curve.lambda0, curve.a, curve.b, curve.c
         xs = np.linspace(-0.2, 0.2, 21)[:, None]
         ts = np.linspace(-0.01, 0.01, 5)[None, :]
         if limit == "c_to_b":
-            deg = CurveParams(lam0, a, b, b + eps)
             ref = plane_wave_cb(xs, ts, lam0, a)
         elif limit == "a_to_b":
-            deg = CurveParams(lam0, b * (1.0 - eps), b, c)
             ref = plane_wave_ab(xs, ts, lam0, b, c)
         else:
-            deg = CurveParams(lam0, eps, b, c)
             ref = dn_wave_theta(xs, ts, lam0, b, c)
-        # the phase Z at which the degenerate field is the limit's
-        Z = np.array(asymptotic_constants(LimitCase(limit, deg)).Z)
-        spd = build_solution_params(deg, Z)
         sup = float(np.max(np.abs(eval_p(xs, ts, spd) - ref)))
         ledger["limit"] = {"kind": limit, "eps": eps, "sup_distance": sup}
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import thetawave.cli as cli
+import thetawave.verify as verify
 from thetawave.cli import _json_blocks, _parser, _resolve, main
 from thetawave.curve import build_solution_params, period_lattice
 from thetawave.elliptic import CurveParams
@@ -412,6 +413,21 @@ class TestScan:
             vals = [r[col] for r in rows]
             assert all(lo < hi for lo, hi in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("vary, start, stop", [
+        ("c", "5.5", "9"), ("a", "0.5", "4.5")])
+    def test_nomes_match_params(self, capsys, vary, start, stop):
+        # scan and params print the one nome exp(-2*pi*frb) of each curve
+        _, out = run(capsys, ["scan", "--a", "3", "--b", "5", "--c", "7",
+                              "--vary", vary, "--start", start, "--stop",
+                              stop, "--num", "9"])
+        for line in out.splitlines()[1:]:
+            val, _, _, hm, hp = line.split(",")
+            curve = {"a": "3", "b": "5", "c": "7", vary: val}
+            _, rep = run(capsys, ["params"] + [
+                s for k, v in curve.items() for s in (f"--{k}", v)])
+            rep = json.loads(rep)
+            assert (float(hm), float(hp)) == (rep["h_minus"], rep["h_plus"])
+
     def test_missing_vary_exit_2(self, capsys):
         code, _ = run(capsys, ["scan"] + BASE)
         assert code == 2
@@ -528,6 +544,23 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert "--eps must be positive" in captured.err
+
+    @pytest.mark.parametrize("kind, eps", [
+        ("c_to_b", "1e-300"), ("a_to_b", "1"), ("a_to_b", "3"),
+        ("a_to_0", "8"), ("a_to_0", "20")])
+    def test_limit_eps_without_curve_exit_2(self, capsys, monkeypatch, kind,
+                                            eps):
+        # b + 1e-300 == b, b*(1 - eps) <= 0 and a = eps >= b leave no
+        # degenerate curve; refused before the ledger is evaluated
+        calls = []
+        monkeypatch.setattr(verify, "nls_residual",
+                            lambda *a, **k: calls.append(a))
+        code = main(["verify", "--limit", kind, "--eps", eps])
+        captured = capsys.readouterr()
+        assert (code, captured.out, calls) == (2, "", [])
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "eps" in lines[0] and kind in lines[0]
 
     def test_limit_entry_carries_no_verdict(self, capsys):
         code, out = run(capsys, ["verify"] + BASE + ["--limit", "a_to_0"])

@@ -227,12 +227,26 @@ class TestConnector:
 
 class TestPeriodLattice:
     def test_lattice_solves_linear_system(self):
-        lat = period_lattice(P689)
-        wv = wave_vectors(P689)
-        e1 = lat.X1 * wv.U + lat.T1 * wv.V
-        e2 = lat.X2 * wv.U + lat.T2 * wv.V
-        assert np.allclose(e1, [1.0, 0.0], atol=1e-12)
-        assert np.allclose(e2, [0.0, 1.0], atol=1e-12)
+        for lam in (0.0, 0.7, -0.3):
+            curve = CurveParams(lam, 6.0, 8.0, 9.0)
+            lat = period_lattice(curve)
+            wv = wave_vectors(curve)
+            e1 = lat.X1 * wv.U + lat.T1 * wv.V
+            e2 = lat.X2 * wv.U + lat.T2 * wv.V
+            tol = 4.0 * np.finfo(float).eps * (1.0 + abs(lam))
+            assert np.allclose(e1, [1.0, 0.0], rtol=0.0, atol=tol)
+            assert np.allclose(e2, [0.0, 1.0], rtol=0.0, atol=tol)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7, -0.3])
+    def test_closed_form(self, lam):
+        # (X1, T1) = (-2 lambda0 A-, A-/2), (X2, T2) = (-A+, 0)
+        curve = CurveParams(lam, 6.0, 8.0, 9.0)
+        lat = period_lattice(curve)
+        ell = build_solution_params(curve).ell
+        assert (lat.X1, lat.T1, lat.X2, lat.T2) == (
+            -2.0 * lam * ell.a_minus, ell.a_minus / 2.0, -ell.a_plus, 0.0)
+        if lam == 0.0:
+            assert math.copysign(1.0, lat.X1) == 1.0  # +0.0, not -0.0
 
     def test_basic_periods(self):
         lat = period_lattice(P689)

@@ -315,6 +315,39 @@ class TestSeparableEngine:
             sample_grid(spec, sp_z)
 
 
+class TestThetaCalls:
+    """Every numerator reads the denominator's u2 pair with theta2 negated
+    (theta(u2 + 1)), so the u2 theta runs once per evaluation."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        real = getattr(solution, name)
+        monkeypatch.setattr(solution, name,
+                            lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    def test_point_path(self, sp, monkeypatch):
+        calls = self._count(monkeypatch, "jacobi_theta")
+        eval_p(0.13, 0.021, sp)
+        assert len(calls) == 3
+        eval_amp2(0.13, 0.021, sp)
+        assert len(calls) == 3 + 4
+
+    def test_kappa2_zero_grid(self, sp, monkeypatch):
+        calls = self._count(monkeypatch, "jacobi_theta")
+        outer = self._count(monkeypatch, "_theta_outer")
+        sample_grid(GridSpec(0.0, 0.5, 0.0, 0.03, 64, 48), sp)
+        assert (len(calls), len(outer)) == (3, 0)
+
+    def test_outer_grid_builds_one_product(self, monkeypatch):
+        sp_l = build_solution_params(CurveParams(0.7, 6.0, 8.0, 9.0))
+        calls = self._count(monkeypatch, "jacobi_theta")
+        outer = self._count(monkeypatch, "_theta_outer")
+        sample_grid(GridSpec(0.0, 0.5, 0.0, 0.03, 64, 48), sp_l)
+        assert (len(calls), len(outer)) == (2, 1)
+
+
 class TestRowBands:
     """Grids are evaluated in row bands of at most ``_BAND_BYTES``; the
     bands give the one-call values bit for bit.  ``_theta_outer`` is a

@@ -124,6 +124,41 @@ class TestThetaOuter:
             _theta_outer(self.BT, 0.2 + 40.0j, 2.0j)
 
 
+class TestUnitShift:
+    """theta3 has period 1 and theta2 changes sign under u -> u + 1, so the
+    pair at u + 1 and at u - 1 is (theta3, -theta2) at u: the identity by
+    which the solution's numerators read the denominator's pair.  Each
+    shifted argument reduces to another representative, so the two agree
+    to a few ulps of the largest modulus, not bit for bit."""
+
+    TOL = 32 * np.finfo(float).eps
+
+    # TAU and tau2 = 2i*frb_plus of the curve (0, 6, 8, 9)
+    @pytest.mark.parametrize("tau", [TAU, 2j * 0.892665061023848])
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+    def test_jacobi_theta(self, tau, scale):
+        rng = np.random.default_rng(7)
+        u = (rng.uniform(-scale, scale, 200)
+             + 1j * rng.uniform(-3.0, 3.0, 200) * tau.imag)
+        t3, t2 = jacobi_theta(tau, u)
+        big = np.maximum(np.abs(t3), np.abs(t2))
+        for s in (1.0, -1.0):
+            s3, s2 = jacobi_theta(tau, u + s)
+            assert np.all(np.abs(s3 - t3) <= self.TOL * big)
+            assert np.all(np.abs(s2 + t2) <= self.TOL * big)
+
+    @pytest.mark.parametrize("c", [0.3 + 0.2j, -1.2 + 2.9j,
+                                   1e6 + 0.37 - 0.9j, -123456.7 + 1.4j])
+    def test_theta_outer(self, c):
+        ax = TestThetaOuter.AX
+        t3, t2 = _theta_outer(TestThetaOuter.BT, c, TAU)(ax)
+        big = max(np.max(np.abs(t3)), np.max(np.abs(t2)))
+        for s in (1.0, -1.0):
+            s3, s2 = _theta_outer(TestThetaOuter.BT, c + s, TAU)(ax)
+            assert np.max(np.abs(s3 - t3)) <= self.TOL * big
+            assert np.max(np.abs(s2 + t2)) <= self.TOL * big
+
+
 class TestPeriodMatrix:
     def test_from_ratios(self):
         B = PeriodMatrix.from_ratios(1.3, 0.9)

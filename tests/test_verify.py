@@ -438,6 +438,22 @@ class TestSymmetrySuite:
         fixed_x = np.abs(eval_p(xs, ts + 2.0 * lat.T, sp_l))
         assert np.max(np.abs(fixed_x - absp)) / np.max(absp) > 0.1
 
+    @pytest.mark.parametrize("lambda0", [0.0, 0.6, -0.3])
+    def test_t_periodicity_is_lattice_vector_1(self, lambda0):
+        # (X1, T1) = (-8*lambda0*T, 2*T) bit for bit: the scalings are
+        # powers of two; the ledger reads the drift along it
+        curve = CurveParams(lambda0, 6.0, 8.0, 9.0)
+        sp_l = build_solution_params(curve)
+        lat = period_lattice(curve, sp_l.ell)
+        assert (lat.X1, lat.T1) == (-8.0 * lambda0 * lat.T, 2.0 * lat.T)
+        rng = np.random.default_rng(0)
+        xs = lat.X * rng.uniform(-1.36, 1.36, 40)
+        ts = lat.T * rng.uniform(-1.93, 1.93, 40)
+        absp = np.abs(eval_p(xs, ts, sp_l))
+        drift = (np.max(np.abs(np.abs(eval_p(xs + lat.X1, ts + lat.T1, sp_l))
+                               - absp)) / np.max(absp))
+        assert symmetry_suite(sp_l)["t_periodicity"]["error"] == drift
+
     def test_needs_provenance(self, sp):
         # SolutionParams refuses to be built without its curve
         with pytest.raises(ValueError):
