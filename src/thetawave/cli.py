@@ -6,8 +6,11 @@ as CSV/JSON/PGM), ``scan`` (period and nome scans over a branch point),
 (asymptotic-versus-numeric comparison for a degenerate regime).
 
 All outputs are deterministic: no timestamps, stable key order, 17
-significant digits for floating-point values.  Exit codes: 0 success,
-1 verification failure, 2 invalid parameters, 3 I/O error.
+significant digits for floating-point values.  ``grid`` formats its csv
+and json cells a band of whole x rows at a time, by the array kernel of
+``_text``, byte for byte the text of ``'%.17g' % v`` and ``repr(v)``, on up
+to one process per usable CPU.  Exit codes: 0 success, 1 verification
+failure, 2 invalid parameters, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import warnings
 
 import numpy as np
 
+from . import _text
 from .curve import build_solution_params, period_lattice, wave_vectors
 from .elliptic import CurveParams, curve_integrals
 from .limits import _KINDS, LimitCase, asymptotic_constants
@@ -57,12 +61,17 @@ _FLAGS = {
 _MAX_NODES = 2048
 
 # the grid cells per process of _in_order: w processes format at least
-# w * _FORK_CELLS cells.  On 2 cores (BENCH_27.json "cutoff": 41 rounds, the
-# median and quartiles in ms), 2 processes against one read json 128 x 128
-# 13.4 [12.7, 14.1] against 17.4 [12.6, 18.7], 160 x 160 18.7 [17.7, 19.9]
-# against 28.3 [23.9, 29.9]; csv was ahead from 96 x 96 on.  A further child
-# costs the parent about 2 ms, a seventh of what 12,800 json cells take
-_FORK_CELLS = 80 * 160
+# w * _FORK_CELLS cells.  On 2 cores (BENCH_30.json "cutoff": 41 rounds, the
+# median and quartiles in ms), 2 processes against one read json 192 x 192
+# 19.7 [17.9, 21.2] against 22.5 [20.0, 23.8] and 224 x 224 23.2 [20.8,
+# 24.6] against 29.6 [25.3, 31.5]; csv 192 x 192 27.8 [25.6, 30.8] against
+# 32.2 [25.6, 34.2] and 224 x 224 34.4 [32.3, 36.4] against 43.4 [37.1,
+# 48.0].  A further child costs the parent about 4 ms, a quarter of what
+# 25,088 json cells take
+_FORK_CELLS = 112 * 224
+
+# the least cells of a band of whole x rows that grid formats at once
+_BAND_CELLS = 2048
 
 
 def _c(z):
@@ -258,15 +267,17 @@ def _reap(pipes, pids):
     del pipes[:], pids[:]
 
 
-def _in_order(block, n, cells):
-    """block(0), ..., block(n - 1), in order.  With w processes, one per
-    usable CPU and per _FORK_CELLS cells, forked child j writes the blocks
-    with i % w == j, length-prefixed, into its own pipe, and the parent
-    formats i % w == 0 and reads the rest in turn: the pipe buffers are the
-    only queue.  A short read is an OSError; a child that raised has
-    printed its traceback.  Every child is reaped on the way out, also when the
-    generator is closed early; if a fork fails, the parent formats every
-    block."""
+def _in_order(block, starts, cells):
+    """block(starts[0]), block(starts[1]), ..., in order: block returns
+    ASCII bytes, yielded as text.  With w processes, one per usable CPU and per
+    _FORK_CELLS cells, forked child j writes the blocks with i % w == j,
+    length-prefixed, into its own pipe, and the parent formats i % w == 0
+    and reads the rest in turn: the pipe buffers are the only queue.  A
+    short read is an OSError naming the block's first row; a child that
+    raised has printed its traceback.  Every child is reaped on the way
+    out, also when the generator is closed early; if a fork fails, the
+    parent formats every block."""
+    n = len(starts)
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity, as on macOS
@@ -285,27 +296,28 @@ def _in_order(block, n, cells):
                     warnings.simplefilter("ignore", DeprecationWarning)
                     pid = os.fork()
                     if pid == 0:
-                        _child(block, range(j, n, w), out, pipes)
+                        _child(block, starts[j::w], out, pipes)
                 pids.append(pid)
         except OSError:  # no process or pipe left for another child
             _reap(pipes, pids)
             w = 1
         for i in range(n):
             if i % w == 0:
-                yield block(i)
+                yield block(starts[i]).decode()
                 continue
             head = pipes[i % w - 1].read(8)
             size = int.from_bytes(head, "little")
             data = pipes[i % w - 1].read(size)
             if len(head) < 8 or len(data) < size:
-                raise OSError(f"the process formatting row {i} ended early")
+                raise OSError(f"the process formatting row {starts[i]} "
+                              "ended early")
             yield data.decode()
     finally:
         _reap(pipes, pids)
 
 
-def _child(block, rows, out, pipes):
-    """A forked child of _in_order: writes block(i) for i in rows to
+def _child(block, starts, out, pipes):
+    """A forked child of _in_order: writes block(i) for i in starts to
     ``out`` and exits without returning."""
     code = 1
     try:
@@ -313,8 +325,8 @@ def _child(block, rows, out, pipes):
         # once when the parent stops reading
         for pipe in pipes:
             pipe.close()
-        for i in rows:
-            data = block(i).encode()
+        for i in starts:
+            data = block(i)
             out.write(len(data).to_bytes(8, "little") + data)
         out.flush()
         code = 0
@@ -329,28 +341,56 @@ def _child(block, rows, out, pipes):
         os._exit(code)
 
 
+def _band_starts(nx, nt):
+    """The first x row of each band of whole rows and at least
+    _BAND_CELLS cells."""
+    return range(0, nx, -(-_BAND_CELLS // nt))
+
+
+def _ascii(texts):
+    """The texts as NUL-padded rows of bytes, as wide as the longest."""
+    rows = np.array([t.encode() for t in texts])
+    return rows.view(np.uint8).reshape(len(texts), rows.itemsize)
+
+
+def _squeeze(buf):
+    """The bytes of ``buf`` without its NULs."""
+    return buf.tobytes().translate(None, b"\0")
+
+
 def _csv_blocks(xs, ts, values, abs_only):
-    """The CSV text, one block of rows per x; each axis formatted once."""
+    """The CSV text, one block per band of x rows: x formatted once per
+    row and t once per grid, the cells' values by the _text kernel.  abs
+    is np.hypot, the libm hypot that the scalar abs(complex) calls."""
     yield "x,t,abs_p\n" if abs_only else "x,t,abs_p,re_p,im_p\n"
-    tf = [_FMT % t for t in ts]
-    cell = ",%s,%.17g\n" if abs_only else ",%s,%.17g,%.17g,%.17g\n"
+    xt, tt = _ascii([_FMT % x for x in xs]), _ascii([_FMT % t for t in ts])
+    wx, wt, nt = xt.shape[1], tt.shape[1], len(ts)
+    starts = _band_starts(len(xs), nt)
+    k = 1 if abs_only else 3
 
     def block(i):
-        row = values[i]
-        # the scalar abs: the array np.abs differs from it in the last bit
-        cols = [[abs(v) for v in row]]
-        if not abs_only:
-            cols += [row.real.tolist(), row.imag.tolist()]
-        line = _FMT % xs[i] + cell
-        return "".join([line % c for c in zip(tf, *cols)])
+        band = values[i:i + starts.step]
+        cols = [np.hypot(band.real, band.imag), band.real, band.imag][:k]
+        text = _text.g17(np.concatenate([c.ravel() for c in cols]))
+        # each line: x, t and k times a comma and a value, then a newline
+        buf = np.empty((len(band), nt, wx + wt + 2 + k * (_text.WIDTH + 1)),
+                       np.uint8)
+        buf[:, :, :wx] = xt[i:i + len(band), None]
+        buf[:, :, wx] = ord(",")
+        buf[:, :, wx + 1:wx + 1 + wt] = tt
+        cells = buf[:, :, wx + 1 + wt:-1].reshape(len(band), nt, k, -1)
+        cells[..., 0] = ord(",")
+        cells[..., 1:] = np.moveaxis(text.reshape(k, len(band), nt, -1), 0, 2)
+        buf[:, :, -1] = ord("\n")
+        return _squeeze(buf)
 
-    yield from _in_order(block, len(xs), values.size)
+    yield from _in_order(block, starts, values.size)
 
 
 def _json_blocks(xs, ts, mag):
     """The text json.JSONEncoder(indent=2) writes for {"x": xs, "t": ts,
-    "abs_p": mag} and a newline, one row of ``mag`` per chunk: floats by
-    float.__repr__, as the encoder writes them."""
+    "abs_p": mag} and a newline, one band of ``mag``'s rows per chunk:
+    floats as float.__repr__ writes them, the cells by the _text kernel."""
 
     def array(values, pad):
         inner = " " * pad
@@ -359,14 +399,34 @@ def _json_blocks(xs, ts, mag):
 
     yield ('{\n  "x": ' + array(xs.tolist(), 4) + ',\n  "t": '
            + array(ts.tolist(), 4) + ',\n  "abs_p": [\n    ')
-    yield from _in_order(
-        lambda i: (",\n    " if i else "") + array(mag[i].tolist(), 6),
-        len(mag), mag.size)
+    nt = mag.shape[1]
+    starts = _band_starts(len(mag), nt)
+    cell = np.frombuffer(b",\n" + b" " * 6, np.uint8)
+    w = len(cell) + _text.WIDTH
+
+    def block(i):
+        band = mag[i:i + starts.step]
+        # each row: ",\n    " but before row 0, "[", the cells, "\n    ]"
+        buf = np.empty((len(band), nt * w + 12), np.uint8)
+        buf[:, :6] = cell[:6]
+        buf[:, -6:] = np.frombuffer(b"\n    ]", np.uint8)
+        cells = buf[:, 6:-6].reshape(len(band), nt, w)
+        cells[:, :, :len(cell)] = cell
+        cells[:, 0, 0] = ord("[")
+        cells[:, :, len(cell):] = _text.shortest(band.ravel()).reshape(
+            len(band), nt, _text.WIDTH)
+        if i == 0:
+            buf[0, :6] = 0
+        return _squeeze(buf)
+
+    yield from _in_order(block, starts, mag.size)
     yield "\n  ]\n}\n"
 
 
 def cmd_grid(cfg, abs_only=False):
     fmt = cfg["format"]
+    if abs_only and fmt != "csv":
+        raise ValueError(f"--abs-only applies to csv only, not --format {fmt}")
     if fmt == "pgm" and cfg["out"] is None:
         raise ValueError("pgm output requires --out")
     sp = _real_solution(cfg)

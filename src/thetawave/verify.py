@@ -283,7 +283,8 @@ def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
     ``symmetry_suite`` and, for ``limit``, the unjudged distance at ``eps``;
     ``corrupt_k2`` adds 0.1 to K2 and runs the residual alone.  A phase
     Z without a reality witness, and an ``eps`` that leaves no degenerate
-    curve, are refused before any evaluation."""
+    curve or one whose integrals do not converge, are refused before any
+    evaluation."""
     _require_witness(sp)
     curve = sp.curve
     if limit is not None:
@@ -294,8 +295,13 @@ def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
             deg = CurveParams(lam0, *abc.get(limit, (eps, b, c)))
         except ValueError:
             raise ValueError(f"no valid {limit} curve at eps={eps}") from None
-        Z = np.array(asymptotic_constants(LimitCase(limit, deg)).Z)
-        spd = build_solution_params(deg, Z)
+        try:
+            Z = np.array(asymptotic_constants(LimitCase(limit, deg)).Z)
+            spd = build_solution_params(deg, Z)
+        except RuntimeError:  # a quadrature that does not converge
+            raise ValueError(f"no {limit} curve at --eps {eps} builds: its "
+                             "integrals do not converge this close to the "
+                             "limit") from None
     lat = period_lattice(curve, sp.ell)
     ledger = {}
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import thetawave._text as _text
 import thetawave.cli as cli
 import thetawave.verify as verify
 from thetawave.cli import _json_blocks, _parser, _resolve, main
@@ -202,6 +203,46 @@ class TestGrid:
                "abs_p": np.abs(sample_grid(spec, sp).values).tolist()}
         assert out == json.JSONEncoder(indent=2).encode(doc) + "\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "abs-only", "json"])
+    @pytest.mark.parametrize("lambda0", [0.0, 0.7])
+    def test_text_matches_per_value_formatting(self, capsys, lambda0, fmt):
+        # the oracle: the per-value Python formatting the text kernel
+        # replaced; the scalar abs for csv, the array abs for json
+        argv = ["--lambda0", str(lambda0), "--nx", "64", "--nt", "64"]
+        argv += ["--abs-only"] if fmt == "abs-only" else ["--format", fmt]
+        code, out = run(capsys, ["grid"] + argv)
+        curve = CurveParams(lambda0, 6.0, 8.0, 9.0)
+        sp = build_solution_params(curve)
+        lat = period_lattice(curve, sp.ell)
+        spec = GridSpec(0.0, 2.0 * lat.X, 0.0, 2.0 * lat.T, 64, 64)
+        xs, ts = spec.axes()
+        values = sample_grid(spec, sp).values
+        if fmt == "json":
+            doc = {"x": xs.tolist(), "t": ts.tolist(),
+                   "abs_p": np.abs(values).tolist()}
+            want = json.JSONEncoder(indent=2).encode(doc) + "\n"
+        elif fmt == "abs-only":
+            want = "x,t,abs_p\n" + "".join(
+                "%.17g,%.17g,%.17g\n" % (x, t, abs(v))
+                for x, row in zip(xs, values) for t, v in zip(ts, row))
+        else:
+            want = "x,t,abs_p,re_p,im_p\n" + "".join(
+                "%.17g,%.17g,%.17g,%.17g,%.17g\n"
+                % (x, t, abs(v), v.real, v.imag)
+                for x, row in zip(xs, values) for t, v in zip(ts, row))
+        assert (code, out) == (0, want)
+
+    @pytest.mark.parametrize("fmt", ["json", "pgm"])
+    def test_abs_only_other_format_exit_2(self, capsys, tmp_path, fmt):
+        out = tmp_path / "field"
+        code = main(["grid", "--nx", "4", "--nt", "4", "--abs-only",
+                     "--format", fmt, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: --abs-only applies to csv only, not "
+                                f"--format {fmt}\n")
+        assert not out.exists()
+
     def test_json_blocks_write_floats_as_the_encoder(self):
         mag = np.array([[0.0, -0.0, 5e-324], [1e308, 0.1, 1.0 / 3.0]])
         axis = np.array([-1e-300, 2.5])
@@ -248,6 +289,8 @@ class TestForkedGrid:
 
         def set_cpus(cpus, fork_cells=1):
             monkeypatch.setattr(cli, "_FORK_CELLS", fork_cells)
+            # one x row per band, so that every row can go to a child
+            monkeypatch.setattr(cli, "_BAND_CELLS", 1)
             monkeypatch.setattr(os, "sched_getaffinity",
                                 lambda pid: set(range(cpus)), raising=False)
             monkeypatch.setattr(os, "fork", counted_fork)
@@ -288,14 +331,15 @@ class TestForkedGrid:
 
     def test_failing_child_exit_3(self, capfd, forks, monkeypatch):
         parent = os.getpid()
+        g17 = _text.g17
 
-        def abs_in_parent_only(v):
+        def g17_in_parent_only(v):
             if os.getpid() != parent:
                 raise ValueError("a child cannot format")
-            return abs(v)
+            return g17(v)
 
-        # the csv rows call abs through the module's globals
-        monkeypatch.setattr(cli, "abs", abs_in_parent_only, raising=False)
+        # the csv bands call the kernel through the module
+        monkeypatch.setattr(_text, "g17", g17_in_parent_only)
         forks(2)
         code = main(["grid", "--nx", "8", "--nt", "8"])
         captured = capfd.readouterr()
@@ -332,21 +376,43 @@ class TestForkedGrid:
         (16, 16, 0), (159, 160, 0), (160, 160, 1), (240, 160, 2)])
     def test_children_per_fork_cells(self, capsys, forks, nx, nt, children):
         # 64 CPUs, but a process for every 80 x 160 cells only
-        pids = forks(64, cli._FORK_CELLS)
+        pids = forks(64, 80 * 160)
         argv = ["grid", "--nx", str(nx), "--nt", str(nt), "--abs-only"]
+        assert run(capsys, argv)[0] == 0
+        assert len(pids) == children
+        self.assert_all_reaped()
+
+    @pytest.mark.parametrize("nx, children", [(223, 0), (224, 1)])
+    def test_two_processes_from_224_squared(self, capsys, monkeypatch, nx,
+                                            children):
+        # the tuned _FORK_CELLS and band size, on 64 CPUs
+        pids = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(64)), raising=False)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        argv = ["grid", "--nx", str(nx), "--nt", "224", "--abs-only"]
         assert run(capsys, argv)[0] == 0
         assert len(pids) == children
         self.assert_all_reaped()
 
     def test_failing_parent_reaps_children(self, capsys, forks, monkeypatch):
         parent = os.getpid()
+        g17 = _text.g17
 
-        def abs_in_children_only(v):
+        def g17_in_children_only(v):
             if os.getpid() == parent:
                 raise ValueError("the parent cannot format")
-            return abs(v)
+            return g17(v)
 
-        monkeypatch.setattr(cli, "abs", abs_in_children_only, raising=False)
+        monkeypatch.setattr(_text, "g17", g17_in_children_only)
         pids = forks(3)
         code = main(["grid", "--nx", "8", "--nt", "8"])
         assert code == 2
@@ -561,6 +627,21 @@ class TestVerify:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "eps" in lines[0] and kind in lines[0]
+
+    @pytest.mark.parametrize("kind", ["c_to_b", "a_to_b"])
+    def test_limit_eps_unbuildable_curve_exit_2(self, capsys, monkeypatch,
+                                                kind):
+        # a valid degenerate curve whose quadratures do not converge is
+        # refused naming --eps, not the curve, before the ledger
+        calls = []
+        monkeypatch.setattr(verify, "nls_residual",
+                            lambda *a, **k: calls.append(a))
+        code = main(["verify", "--limit", kind, "--eps", "1e-9"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, calls) == (2, "", [])
+        assert captured.err == (f"error: no {kind} curve at --eps 1e-09 "
+                                "builds: its integrals do not converge this "
+                                "close to the limit\n")
 
     def test_limit_entry_carries_no_verdict(self, capsys):
         code, out = run(capsys, ["verify"] + BASE + ["--limit", "a_to_0"])
