@@ -109,7 +109,7 @@ def _parser():
     cmd["scan"].add_argument("--num", type=int, default=40)
     cmd["verify"].add_argument("--corrupt-k2", action="store_true")
     cmd["verify"].add_argument("--limit", choices=_KINDS)
-    cmd["verify"].add_argument("--eps", type=float, default=1e-4)
+    cmd["verify"].add_argument("--eps", type=float)
     cmd["limits"].add_argument("--kind", choices=_KINDS)
     return p
 
@@ -236,8 +236,14 @@ def cmd_params(cfg):
     return 0
 
 
+def _abs(values):
+    """|p| in every format: libm's hypot, as abs(complex).  np.abs differs
+    in the last bit and moves with numpy's SIMD dispatch; np.hypot does not."""
+    return np.hypot(values.real, values.imag)
+
+
 def _write_pgm(path, field):
-    mag = np.abs(field.values)
+    mag = _abs(field.values)
     lo, hi = float(np.min(mag)), float(np.max(mag))
     span = hi - lo if hi > lo else 1.0
     # in place, in the order of round((mag - lo) / span * 255)
@@ -360,8 +366,7 @@ def _squeeze(buf):
 
 def _csv_blocks(xs, ts, values, abs_only):
     """The CSV text, one block per band of x rows: x formatted once per
-    row and t once per grid, the cells' values by the _text kernel.  abs
-    is np.hypot, the libm hypot that the scalar abs(complex) calls."""
+    row and t once per grid, the cells' values by the _text kernel."""
     yield "x,t,abs_p\n" if abs_only else "x,t,abs_p,re_p,im_p\n"
     xt, tt = _ascii([_FMT % x for x in xs]), _ascii([_FMT % t for t in ts])
     wx, wt, nt = xt.shape[1], tt.shape[1], len(ts)
@@ -370,7 +375,7 @@ def _csv_blocks(xs, ts, values, abs_only):
 
     def block(i):
         band = values[i:i + starts.step]
-        cols = [np.hypot(band.real, band.imag), band.real, band.imag][:k]
+        cols = [_abs(band), band.real, band.imag][:k]
         text = _text.g17(np.concatenate([c.ravel() for c in cols]))
         # each line: x, t and k times a comma and a value, then a newline
         buf = np.empty((len(band), nt, wx + wt + 2 + k * (_text.WIDTH + 1)),
@@ -436,9 +441,7 @@ def cmd_grid(cfg, abs_only=False):
     if fmt == "pgm":
         _write_pgm(cfg["out"], field)
         return 0
-    # the array abs for json, which the scalar abs may differ from in the
-    # last bit
-    blocks = _json_blocks(xs, ts, np.abs(field.values)) if fmt == "json" \
+    blocks = _json_blocks(xs, ts, _abs(field.values)) if fmt == "json" \
         else _csv_blocks(xs, ts, field.values, abs_only)
     # closed at once on an error, which reaps _in_order's children
     with contextlib.closing(blocks):
@@ -472,7 +475,10 @@ def cmd_scan(cfg, vary, start, stop, num):
     return 0
 
 
-def cmd_verify(cfg, corrupt_k2=False, limit=None, eps=1e-4):
+def cmd_verify(cfg, corrupt_k2=False, limit=None, eps=None):
+    if eps is not None and limit is None:
+        raise ValueError("--eps applies only with --limit")
+    eps = 1e-4 if eps is None else eps
     if not eps > 0.0:
         raise ValueError(f"--eps must be positive, got {eps}")
     sp = _real_solution(cfg)

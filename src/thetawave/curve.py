@@ -102,8 +102,8 @@ class SolutionParams:
         cd = _curve_data(self.curve.a, self.curve.b, self.curve.c)
         ell, lam0 = cd.ell, self.curve.lambda0
         for name, val in (
-                ("Z", z), ("frb_minus", cd.frb_minus),
-                ("frb_plus", cd.frb_plus), ("kappa1", 4.0 / ell.a_minus),
+                ("Z", z), ("frb_minus", cd.B.frb_minus),
+                ("frb_plus", cd.B.frb_plus), ("kappa1", 4.0 / ell.a_minus),
                 ("k", 2.0 / ell.a_plus), ("kappa2", 8.0 * lam0 / ell.a_plus),
                 ("delta", cd.delta), ("K0", cd.K0), ("K1", -lam0),
                 ("ell", ell), ("witness", reality_check(z, cd.B)[1])):
@@ -170,14 +170,12 @@ def _real_axis_tail(near_f, far_f, c):
 @dataclass(frozen=True)
 class _CurveData:
     """What the solution takes from the centred curve (a, b, c): p1, q0,
-    the centred k2, and the period data frb-, frb+, delta, K0, B."""
+    the centred k2, and the period data delta, K0 and B (frb-, frb+)."""
 
     ell: EllipticConstants
     p1: float
     q0: float
     k2: float
-    frb_minus: float
-    frb_plus: float
     delta: float
     K0: complex
     B: PeriodMatrix
@@ -218,12 +216,10 @@ def _curve_data(a, b, c):
             return num / den
 
         k2 = _real_axis_tail(r2_near, r2_far, c) + 2.0 * math.pi / ell.a_minus
-    frbm = ell.b_minus / ell.a_minus
-    frbp = ell.b_plus / ell.a_plus
     delta = ell.b1_minus / ell.a_minus
     K0 = 1j * c * math.exp(ell.d_minus * delta - ell.f_minus)
-    return _CurveData(ell, p1, q0, k2, frbm, frbp, delta, K0,
-                      PeriodMatrix.from_ratios(frbm, frbp))
+    return _CurveData(ell, p1, q0, k2, delta, K0, PeriodMatrix(
+        ell.b_minus / ell.a_minus, ell.b_plus / ell.a_plus))
 
 
 def second_kind_constants(a, b, c):
@@ -306,14 +302,15 @@ def period_lattice(params: CurveParams, ell: EllipticConstants | None = None):
 def reality_check(Z, B: PeriodMatrix):
     """The integer witness N with 2*Im Z = Im(B N) and Re(B N) integral.
     Im B is positive definite, so the only candidate is the rounded
-    B-coordinate vector of 2Z.  Returns (found, N or None); no N once
-    |Im Z_j| > 2**51 * _REALITY_TOL/10 (2.2e5), where binary64 cannot tell."""
+    B-coordinate vector of 2Z: Im Z_j = m_j*frb_j/2 has N = 2m.  Returns
+    (found, N or None); no N once |Im Z_j| > 2**51 * _REALITY_TOL/10
+    (2.2e5), where binary64 cannot tell."""
     Z = np.asarray(Z, dtype=complex)
     # written as <= here and below so that a NaN phase is refused
     if not np.all(2.0 * np.abs(Z.imag) * 2.0 ** -52 <= _REALITY_TOL / 10.0):
         return False, None
     N = np.round(B.b_coordinates(2.0 * Z))
-    BN = B.entries @ N
+    BN = B @ N
     ok = (np.all(np.abs(BN.imag - 2.0 * Z.imag) <= _REALITY_TOL)
           and np.all(np.abs(BN.real - np.round(BN.real)) <= _REALITY_TOL))
     return (True, N.astype(int)) if ok else (False, None)
@@ -430,6 +427,6 @@ def connector_calibration(a, b, c):
     D = _connector_vector(a, b, c)
     offset = D - np.array([-0.5j * cd.delta, -0.5])
     n = np.round(cd.B.b_coordinates(offset))
-    r = offset - cd.B.entries @ n
+    r = offset - cd.B @ n
     m = np.round(r.real)
     return D, n.astype(int), m.astype(int), float(np.max(np.abs(r - m)))

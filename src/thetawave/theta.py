@@ -7,9 +7,9 @@ so the real period in ``u`` is 1 (2 for theta2 because of its sign flip:
 the pair at u + 1 and at u - 1 is (theta3, -theta2) at u).
 H reads theta3 and theta2 at each of its arguments, so ``jacobi_theta`` and
 ``_theta_outer`` return the pair, from one argument reduction.
-The genus-2 theta over a symmetric period matrix B with positive definite
-imaginary part reduces, for the matrices produced by this package's curves,
-to the combination H of products of theta2/theta3 at doubled arguments;
+The genus-2 theta, a lattice sum over the curve family's period matrix
+B = [[i*frb-/2, -1/2], [-1/2, i*frb+/2]] (``PeriodMatrix``), reduces to the
+combination H of products of theta2/theta3 at doubled arguments;
 ``theta_reduction_check`` verifies that identity numerically.
 """
 
@@ -33,34 +33,30 @@ _BLOCK_TERMS = 1 << 20  # points x box terms riemann_theta2 sums at once
 
 @dataclass(frozen=True)
 class PeriodMatrix:
-    """Symmetric 2x2 matrix with positive definite imaginary part."""
+    """B = [[i*frb_minus/2, -1/2], [-1/2, i*frb_plus/2]], the curve family's
+    period matrix, from its two period ratios, both > 0 (NaN refused)."""
 
-    entries: np.ndarray
+    frb_minus: float
+    frb_plus: float
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("period matrix must be 2x2")
-        if m[0, 1] != m[1, 0]:
-            raise ValueError("period matrix must be symmetric")
-        y = m.imag
-        if not (y[0, 0] > 0.0 and np.linalg.det(y) > 0.0):
-            raise ValueError("imaginary part must be positive definite")
-        object.__setattr__(self, "entries", m)
+        if not (self.frb_minus > 0.0 and self.frb_plus > 0.0):
+            raise ValueError("period ratios must be > 0")
 
-    @classmethod
-    def from_ratios(cls, frb_minus, frb_plus):
-        """The curve-family matrix [[i*frb-/2, -1/2], [-1/2, i*frb+/2]]."""
-        return cls(np.array(
-            [[0.5j * frb_minus, -0.5], [-0.5, 0.5j * frb_plus]]
-        ))
+    @property
+    def entries(self):
+        return np.array([[0.5j * self.frb_minus, -0.5],
+                         [-0.5, 0.5j * self.frb_plus]])
+
+    def __matmul__(self, n):
+        """B n for real n of shape (..., 2)."""
+        return (0.5j * np.array([self.frb_minus, self.frb_plus]) * n
+                - 0.5 * n[..., ::-1])
 
     def b_coordinates(self, v):
-        """The real M with Im v = Im(B) M: where v sits along the b-periods,
-        for v of shape (..., 2).  Im B is positive definite, so M exists and
-        is unique."""
-        return np.linalg.solve(self.entries.imag,
-                               np.imag(v)[..., None])[..., 0]
+        """The real M with Im v = Im(B) M, for v of shape (..., 2): where v
+        sits along the b-periods, Im v over (frb-/2, frb+/2)."""
+        return np.imag(v) / (0.5 * np.array([self.frb_minus, self.frb_plus]))
 
 
 def _theta_modes(tau, d):
@@ -175,20 +171,20 @@ def riemann_theta2(u, B: PeriodMatrix):
     Theta(u | B) = sum over m in Z^2 of exp{i*pi*m^T B m + 2*pi*i*m^T u}.
 
     The lattice sum runs over one box around every point's maximizer of the
-    Gaussian term, with radius set by the smallest eigenvalue of Im B so the
-    omitted tail is below 1e-14 of the retained sum.  Each point is scaled
-    by its own largest term; blocks of points hold at most ``_BLOCK_TERMS``
-    terms.
+    Gaussian term, with radius set by min(frb-, frb+)/2, the smallest
+    eigenvalue of Im B, so the omitted tail is below 1e-14 of the retained
+    sum.  Each point is scaled by its own largest term; blocks of points
+    hold at most ``_BLOCK_TERMS`` terms.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim == 0 or u.shape[-1] != 2:
         raise ValueError("theta argument must have shape (..., 2)")
     Bm = B.entries
-    lam_min = float(np.min(np.linalg.eigvalsh(Bm.imag)))
     w = u.reshape(-1, 2)
     if not len(w):
         return np.empty(u.shape[:-1], dtype=complex)
     center = -B.b_coordinates(w)
+    lam_min = 0.5 * min(B.frb_minus, B.frb_plus)
     radius = int(np.ceil(np.sqrt(14.0 * np.log(10.0) / (np.pi * lam_min)))) + 2
 
     lo = np.floor(center.min(axis=0)) - radius
@@ -214,7 +210,7 @@ def theta_reduction_check(u, frb_minus, frb_plus):
     """Relative discrepancy between the genus-2 theta over the curve-family
     period matrix and the Jacobi-product combination H at doubled arguments."""
     u = np.asarray(u, dtype=complex)
-    B = PeriodMatrix.from_ratios(frb_minus, frb_plus)
+    B = PeriodMatrix(frb_minus, frb_plus)
     lhs = riemann_theta2(u, B)
     rhs = _H(*jacobi_theta(2j * frb_minus, 2.0 * u[0]),
              *jacobi_theta(2j * frb_plus, 2.0 * u[1]))

@@ -25,6 +25,11 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+def hypot(values):
+    """|p| as grid writes it for every format: the libm hypot."""
+    return np.hypot(values.real, values.imag)
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -200,14 +205,14 @@ class TestGrid:
                                                9.0))
         xs, ts = spec.axes()
         doc = {"x": xs.tolist(), "t": ts.tolist(),
-               "abs_p": np.abs(sample_grid(spec, sp).values).tolist()}
+               "abs_p": hypot(sample_grid(spec, sp).values).tolist()}
         assert out == json.JSONEncoder(indent=2).encode(doc) + "\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "abs-only", "json"])
     @pytest.mark.parametrize("lambda0", [0.0, 0.7])
     def test_text_matches_per_value_formatting(self, capsys, lambda0, fmt):
         # the oracle: the per-value Python formatting the text kernel
-        # replaced; the scalar abs for csv, the array abs for json
+        # replaced; the scalar abs for csv, its array form np.hypot for json
         argv = ["--lambda0", str(lambda0), "--nx", "64", "--nt", "64"]
         argv += ["--abs-only"] if fmt == "abs-only" else ["--format", fmt]
         code, out = run(capsys, ["grid"] + argv)
@@ -219,7 +224,7 @@ class TestGrid:
         values = sample_grid(spec, sp).values
         if fmt == "json":
             doc = {"x": xs.tolist(), "t": ts.tolist(),
-                   "abs_p": np.abs(values).tolist()}
+                   "abs_p": hypot(values).tolist()}
             want = json.JSONEncoder(indent=2).encode(doc) + "\n"
         elif fmt == "abs-only":
             want = "x,t,abs_p\n" + "".join(
@@ -263,7 +268,7 @@ class TestGrid:
         sp = build_solution_params(curve)
         lat = period_lattice(curve, sp.ell)
         spec = GridSpec(0.0, 2.0 * lat.X, 0.0, 2.0 * lat.T, 300, 200)
-        mag = np.abs(sample_grid(spec, sp).values)
+        mag = hypot(sample_grid(spec, sp).values)
         lo, hi = float(np.min(mag)), float(np.max(mag))
         img = np.round((mag.T - lo) / (hi - lo) * 255.0).astype(np.uint8)
         assert out_path.read_bytes() == b"P5\n300 200\n255\n" + img.tobytes()
@@ -610,6 +615,18 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert "--eps must be positive" in captured.err
+
+    @pytest.mark.parametrize("eps", ["0.5", "1e-4", "0"])
+    def test_eps_without_limit_exit_2(self, capsys, monkeypatch, eps):
+        # eps is read only by --limit; without it the flag used to be
+        # silently ignored.  Refused before any evaluation
+        calls = []
+        monkeypatch.setattr(verify, "nls_residual",
+                            lambda *a, **k: calls.append(a))
+        code = main(["verify", "--eps", eps])
+        captured = capsys.readouterr()
+        assert (code, captured.out, calls) == (2, "", [])
+        assert captured.err == "error: --eps applies only with --limit\n"
 
     @pytest.mark.parametrize("kind, eps", [
         ("c_to_b", "1e-300"), ("a_to_b", "1"), ("a_to_b", "3"),

@@ -24,6 +24,7 @@ from thetawave.curve import (
     wave_vectors,
 )
 from thetawave.elliptic import CurveParams
+from thetawave.theta import PeriodMatrix
 
 P689 = CurveParams(0.0, 6.0, 8.0, 9.0)
 
@@ -93,7 +94,7 @@ class TestSolutionParamsFields:
         cd = curve_mod._curve_data(6.0, 8.0, 9.0)
         ell = cd.ell
         want = {
-            "frb_minus": cd.frb_minus, "frb_plus": cd.frb_plus,
+            "frb_minus": cd.B.frb_minus, "frb_plus": cd.B.frb_plus,
             "kappa1": 4.0 / ell.a_minus, "k": 2.0 / ell.a_plus,
             "kappa2": 8.0 * lam / ell.a_plus, "delta": cd.delta,
             "K0": cd.K0, "K1": -lam, "K2": cd.k2 - 2.0 * lam ** 2,
@@ -276,6 +277,25 @@ class TestRealityCheck:
     def setup_method(self):
         self.B = period_matrix(P689)
         self.sp = build_solution_params(P689)
+
+    @given(st.tuples(st.floats(0.05, 20.0), st.floats(0.05, 20.0)),
+           st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+           st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+           st.integers(0, 1), st.integers(-1000, 999))
+    @settings(max_examples=300, deadline=None)
+    def test_witness_is_twice_the_half_period_count(self, frb, m, re, slot,
+                                                    k):
+        # Im Z_j = m_j frb_j/2, whatever the real parts, has N = 2m; an odd
+        # quarter multiple in one slot, or a 1e-6 offset, has none
+        B = PeriodMatrix(*frb)
+        Z = np.array(re) + 0.5j * np.array(frb) * np.array(m)
+        ok, n = reality_check(Z, B)
+        assert ok and n.tolist() == [2 * m[0], 2 * m[1]]
+        quarter, offset = Z.copy(), Z.copy()
+        quarter[slot] = re[slot] + 0.25j * (2 * k + 1) * frb[slot]
+        offset[slot] += 1e-6j
+        assert reality_check(quarter, B) == (False, None)
+        assert reality_check(offset, B) == (False, None)
 
     def test_real_Z_passes(self):
         ok, n = reality_check(np.array([0.3, -0.2]), self.B)

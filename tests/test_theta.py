@@ -161,21 +161,29 @@ class TestUnitShift:
 
 class TestPeriodMatrix:
     def test_from_ratios(self):
-        B = PeriodMatrix.from_ratios(1.3, 0.9)
-        assert B.entries[0, 1] == -0.5
-        assert B.entries[0, 0] == 0.65j
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            PeriodMatrix(np.array([[1j, 0.1], [0.2, 1j]]))
+        B = PeriodMatrix(1.3, 0.9)
+        assert B.entries.tolist() == [[0.65j, -0.5], [-0.5, 0.45j]]
 
     def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            PeriodMatrix(np.array([[-1j, 0.0], [0.0, 1j]]))
-        # non-positive period ratios give an indefinite imaginary part
-        for frb in [(0.0, 0.9), (1.3, -0.9)]:
-            with pytest.raises(ValueError):
-                PeriodMatrix.from_ratios(*frb)
+        # a ratio <= 0 leaves Im B indefinite or singular; NaN is refused too
+        for frb in [(0.0, 0.9), (1.3, -0.0), (-1.3, 0.9), (1.3, -0.9),
+                    (np.nan, 0.9), (1.3, np.nan)]:
+            with pytest.raises(ValueError, match="> 0"):
+                PeriodMatrix(*frb)
+
+    def test_closed_forms_are_the_matrix_algebra(self):
+        # b_coordinates solves Im(B) M = Im v and B @ n is the product with
+        # the entries, for random ratios, points and integer vectors
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            B = PeriodMatrix(*10.0 ** rng.uniform(-2.0, 2.0, 2))
+            v = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2)) * 9.0
+            M = B.b_coordinates(v)
+            np.testing.assert_allclose(M @ B.entries.imag.T, v.imag,
+                                       rtol=1e-15, atol=0.0)
+            n = rng.integers(-40, 41, (7, 2)).astype(float)
+            np.testing.assert_allclose(B @ n, n @ B.entries.T,
+                                       rtol=1e-15, atol=0.0)
 
 
 class TestRiemannTheta:
@@ -189,7 +197,7 @@ class TestRiemannTheta:
     def test_truncation_robustness(self):
         # against the plain lattice sum over a 25 x 25 box, far wider than
         # the Gaussian decay needs
-        B = PeriodMatrix.from_ratios(1.34, 0.89)
+        B = PeriodMatrix(1.34, 0.89)
         u = np.array([0.31 + 0.6j, 0.17 - 0.2j])
         m = np.arange(-12, 13)
         m1, m2 = np.meshgrid(m, m, indexing="ij")
@@ -204,7 +212,7 @@ class TestRiemannTheta:
         # the points' peaks differ, so the shared box is wider than each
         # point's own; B is well conditioned, so the extra terms and the
         # summation order stay at roundoff
-        B = PeriodMatrix.from_ratios(1.34, 0.89)
+        B = PeriodMatrix(1.34, 0.89)
         rng = np.random.default_rng(11)
         u = rng.uniform(-1.0, 1.0, (12, 2)) \
             + 1j * rng.uniform(-1.5, 1.5, (12, 2))
@@ -215,7 +223,7 @@ class TestRiemannTheta:
     def test_batch_beyond_one_block(self):
         # the box has at least (2*2 + 1)**2 terms, so this batch spans
         # several blocks
-        B = PeriodMatrix.from_ratios(1.34, 0.89)
+        B = PeriodMatrix(1.34, 0.89)
         rng = np.random.default_rng(12)
         n = theta._BLOCK_TERMS // 25 + 1
         u = rng.uniform(-1.0, 1.0, (n, 2)) + 1j * np.array([0.2, -0.1])
@@ -226,7 +234,7 @@ class TestRiemannTheta:
 
     @pytest.mark.parametrize("shape", [(0,), (1,), (3,), (2, 4), (3, 0)])
     def test_batch_shape(self, shape):
-        B = PeriodMatrix.from_ratios(1.1, 0.7)
+        B = PeriodMatrix(1.1, 0.7)
         u = np.full(shape + (2,), 0.2 + 0.1j)
         one = riemann_theta2(np.array([0.2 + 0.1j, 0.2 + 0.1j]), B)
         assert isinstance(one, complex)
@@ -237,5 +245,5 @@ class TestRiemannTheta:
     @pytest.mark.parametrize("u", [0.1j, np.zeros(3), np.zeros((2, 3))])
     def test_rejects_non_pair_argument(self, u):
         with pytest.raises(ValueError):
-            riemann_theta2(u, PeriodMatrix.from_ratios(1.1, 0.7))
+            riemann_theta2(u, PeriodMatrix(1.1, 0.7))
 
