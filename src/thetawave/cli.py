@@ -29,7 +29,8 @@ import warnings
 import numpy as np
 
 from . import _text
-from .curve import build_solution_params, period_lattice, wave_vectors
+from .curve import (_quotient_constants, build_solution_params,
+                    period_lattice, wave_vectors)
 from .elliptic import CurveParams, curve_integrals
 from .limits import _KINDS, LimitCase, asymptotic_constants
 from .solution import GridSpec, sample_grid
@@ -468,8 +469,9 @@ def cmd_scan(cfg, vary, start, stop, num):
             curve = CurveParams(cfg["lambda0"], cfg["a"], cfg["b"], float(val))
         ell = curve_integrals(curve)
         lat = period_lattice(curve, ell)
-        row = (val, lat.X, lat.T, _nome(ell.b_minus / ell.a_minus),
-               _nome(ell.b_plus / ell.a_plus))
+        qc = _quotient_constants(ell, curve.lambda0)
+        row = (val, lat.X, lat.T, _nome(qc["frb_minus"]),
+               _nome(qc["frb_plus"]))
         lines.append(",".join(_FMT % v for v in row) + "\n")
     _emit(lines, cfg["out"])
     return 0

@@ -26,12 +26,13 @@ numerically by an independent PDE-residual fit and by the degenerate limits
 of the solution.
 
 Everything the solution takes from the curve depends on (a, b, c) alone: the
-seven integrals, p1, q0, the centred K2, delta, K0 and B.  One memoized
-record per (a, b, c) holds them; lambda0 and Z enter ``SolutionParams``
-only as closed-form transforms (K1 = -lambda0, K2 - 2*lambda0**2,
-kappa2 = 8*lambda0/A+, the theta-argument shift 2Z) and Z's witness.  The
-centred K1 vanishes identically; ``second_kind_constants`` computes it on
-demand, as a cross-check.
+seven integrals, p1, q0, the centred K2, K0 and B.  One memoized record per
+(a, b, c) holds them; lambda0 and Z enter ``SolutionParams`` only as
+closed-form transforms (K2 - 2*lambda0**2, the theta-argument shift 2Z) and
+Z's witness; frb-, frb+, kappa1, k, kappa2, delta and K1 follow from the
+integrals and lambda0 by ``_quotient_constants``, which the limit tables
+share.  The centred K1 vanishes identically; ``second_kind_constants``
+computes it on demand, as a cross-check.
 """
 
 from __future__ import annotations
@@ -75,8 +76,9 @@ _REALITY_TOL = 1e-9
 class SolutionParams:
     """Everything the theta-quotient solution formula needs.  Only the
     curve, the phase Z and K2 are set; the other fields are read off the
-    curve's record, so they always describe the curve.  ``witness`` is
-    Z's reality witness N (``reality_check``), None when Z has none."""
+    curve's record, frb- to K1 by ``_quotient_constants`` of its integrals
+    and lambda0, so they always describe the curve.  ``witness`` is Z's
+    reality witness N (``reality_check``), None when Z has none."""
 
     curve: CurveParams
     Z: np.ndarray
@@ -100,13 +102,10 @@ class SolutionParams:
             raise ValueError("initial phase Z must be a finite complex "
                              "2-vector")
         cd = _curve_data(self.curve.a, self.curve.b, self.curve.c)
-        ell, lam0 = cd.ell, self.curve.lambda0
         for name, val in (
-                ("Z", z), ("frb_minus", cd.B.frb_minus),
-                ("frb_plus", cd.B.frb_plus), ("kappa1", 4.0 / ell.a_minus),
-                ("k", 2.0 / ell.a_plus), ("kappa2", 8.0 * lam0 / ell.a_plus),
-                ("delta", cd.delta), ("K0", cd.K0), ("K1", -lam0),
-                ("ell", ell), ("witness", reality_check(z, cd.B)[1])):
+                ("Z", z), ("K0", cd.K0), ("ell", cd.ell),
+                ("witness", reality_check(z, cd.B)[1]),
+                *_quotient_constants(cd.ell, self.curve.lambda0).items()):
             object.__setattr__(self, name, val)
 
 
@@ -131,6 +130,15 @@ class PeriodLattice:
     X: float
     T: float
     Tprime: float | None
+
+
+def _quotient_constants(ell: EllipticConstants, lambda0):
+    """frb-, frb+, kappa1, k, kappa2, delta and K1 of a curve's integrals
+    and lambda0, by field name: the one place these formulas live."""
+    return {"frb_minus": ell.b_minus / ell.a_minus,
+            "frb_plus": ell.b_plus / ell.a_plus, "kappa1": 4.0 / ell.a_minus,
+            "k": 2.0 / ell.a_plus, "kappa2": 8.0 * lambda0 / ell.a_plus,
+            "delta": ell.b1_minus / ell.a_minus, "K1": -lambda0}
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +178,12 @@ def _real_axis_tail(near_f, far_f, c):
 @dataclass(frozen=True)
 class _CurveData:
     """What the solution takes from the centred curve (a, b, c): p1, q0,
-    the centred k2, and the period data delta, K0 and B (frb-, frb+)."""
+    the centred k2, K0 and B (frb-, frb+)."""
 
     ell: EllipticConstants
     p1: float
     q0: float
     k2: float
-    delta: float
     K0: complex
     B: PeriodMatrix
 
@@ -216,10 +223,10 @@ def _curve_data(a, b, c):
             return num / den
 
         k2 = _real_axis_tail(r2_near, r2_far, c) + 2.0 * math.pi / ell.a_minus
-    delta = ell.b1_minus / ell.a_minus
-    K0 = 1j * c * math.exp(ell.d_minus * delta - ell.f_minus)
-    return _CurveData(ell, p1, q0, k2, delta, K0, PeriodMatrix(
-        ell.b_minus / ell.a_minus, ell.b_plus / ell.a_plus))
+    qc = _quotient_constants(ell, 0.0)
+    K0 = 1j * c * math.exp(ell.d_minus * qc["delta"] - ell.f_minus)
+    return _CurveData(ell, p1, q0, k2, K0,
+                      PeriodMatrix(qc["frb_minus"], qc["frb_plus"]))
 
 
 def second_kind_constants(a, b, c):
@@ -271,10 +278,9 @@ def build_solution_params(params: CurveParams, Z=None) -> SolutionParams:
 
 
 def wave_vectors(params: CurveParams):
-    ell = curve_integrals(params)
-    U = np.array([0.0, -1.0 / ell.a_plus])
-    V = np.array([2.0 / ell.a_minus, -4.0 * params.lambda0 / ell.a_plus])
-    return WaveVectors(U=U, V=V)
+    qc = _quotient_constants(curve_integrals(params), params.lambda0)
+    return WaveVectors(U=np.array([0.0, -qc["k"] / 2.0]),
+                       V=np.array([qc["kappa1"] / 2.0, -qc["kappa2"] / 2.0]))
 
 
 def period_matrix(params: CurveParams):
@@ -425,7 +431,8 @@ def connector_calibration(a, b, c):
     rounded real part of what B n leaves."""
     cd = _curve_data(a, b, c)
     D = _connector_vector(a, b, c)
-    offset = D - np.array([-0.5j * cd.delta, -0.5])
+    delta = _quotient_constants(cd.ell, 0.0)["delta"]
+    offset = D - np.array([-0.5j * delta, -0.5])
     n = np.round(cd.B.b_coordinates(offset))
     r = offset - cd.B @ n
     m = np.round(r.real)

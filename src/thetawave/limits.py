@@ -2,18 +2,19 @@
 
 Three confluences of branch points collapse the solution to elementary
 fields: c -> b and a -> b produce plane waves, a -> 0 a one-phase dn-type
-traveling wave.  ``asymptotic_constants`` evaluates the leading-order
-expressions of every curve integral and derived parameter in each regime;
+traveling wave.  ``asymptotic_constants`` sets the leading-order curve
+integrals, K0 and K2 of each regime, and the solution's own map the rest;
 the degenerate fields serve as convergence oracles for the full solution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .curve import _quotient_constants
 from .elliptic import CurveParams, EllipticConstants, legendre_K
 from .theta import jacobi_theta
 
@@ -57,20 +58,27 @@ class LimitCase:
 class AsymptoticParams:
     """Leading-order curve integrals and solution parameters of a limit.
 
-    Divergent quantities are math.inf, vanishing ones 0.0.
+    Only the integrals, K0, K2, Z and lambda0 are set; frb- to K1 follow
+    from the integrals by ``_quotient_constants``, as in ``SolutionParams``.
+    Divergent quantities are math.inf.
     """
 
     ell: EllipticConstants
-    frb_minus: float
-    frb_plus: float
-    kappa1: float
-    k: float
-    kappa2: float
-    delta: float
     K0: complex
-    K1: float
     K2: float
     Z: tuple
+    lambda0: float
+    frb_minus: float = field(init=False)
+    frb_plus: float = field(init=False)
+    kappa1: float = field(init=False)
+    k: float = field(init=False)
+    kappa2: float = field(init=False)
+    delta: float = field(init=False)
+    K1: float = field(init=False)
+
+    def __post_init__(self):
+        for name, val in _quotient_constants(self.ell, self.lambda0).items():
+            object.__setattr__(self, name, val)
 
 
 def plane_wave_cb(x, t, lambda0, a):
@@ -97,29 +105,30 @@ def plane_wave_ab(x, t, lambda0, b, c):
     return complex(out) if out.ndim == 0 else out
 
 
-def _a0_plus_data(b, c):
-    """A+, B+ of the a = 0 curve (exact closed forms)."""
-    a_plus = 2.0 * legendre_K(b / c) / c
-    b_plus = 2.0 * legendre_K(math.sqrt((c - b) * (c + b)) / c) / c
-    return a_plus, b_plus
+def _a_to_0(lambda0, b, c):
+    """The a -> 0 table: the integrals of the a = 0 curve in closed form."""
+    rcb2 = (c - b) * (c + b)
+    ell = EllipticConstants(
+        2.0 * legendre_K(b / c) / c,
+        2.0 * legendre_K(math.sqrt(rcb2) / c) / c, math.pi / (b * c),
+        math.inf, math.log((c + b) / (c - b)) / (b * c), 0.0,
+        0.5 * math.log(4.0 * c * c / rcb2))
+    return AsymptoticParams(ell, 0.5j * math.sqrt(rcb2),
+                            b * b + c * c - 2.0 * lambda0 ** 2, (0.0, 0.0),
+                            lambda0)
 
 
 def dn_wave_theta(x, t, lambda0, b, c):
     """The a -> 0 one-phase traveling wave in its theta-quotient form."""
     if not 0.0 < b < c:
         raise ValueError("need 0 < b < c")
-    a_plus, b_plus = _a0_plus_data(b, c)
-    frb_plus = b_plus / a_plus
-    k = 2.0 / a_plus
-    kappa2 = 8.0 * lambda0 / a_plus
-    K1 = -lambda0
-    K2 = b * b + c * c - 2.0 * lambda0 ** 2
+    tab = _a_to_0(lambda0, b, c)
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    u = k * x + kappa2 * t
-    t3, t2 = jacobi_theta(2j * frb_plus, u)
+    u = tab.k * x + tab.kappa2 * t
+    t3, t2 = jacobi_theta(2j * tab.frb_plus, u)
     out = (math.sqrt((c - b) * (c + b)) * (t3 - t2) / (t3 + t2)
-           * np.exp(2j * (K1 * x + K2 * t)))
+           * np.exp(2j * (tab.K1 * x + tab.K2 * t)))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -214,94 +223,46 @@ def dn_fit(xs, fs, k20=None, tol=1e-6):
 
 
 def asymptotic_constants(case: LimitCase):
-    """Leading-order values of all constants in the given limit regime."""
+    """Leading-order values of all constants in the given limit regime.  A
+    c -> b curve whose leading-order periods are not all positive is a
+    ValueError."""
     p = case.params
     lam = p.lambda0
-    inf = math.inf
 
     if case.kind == "c_to_b":
         b = p.b
         ka = p.a / p.b
         eps = p.c - p.b
         kap = math.sqrt((1.0 - ka) * (1.0 + ka))
-        a_plus = -math.log(eps / (8.0 * b * kap * kap)) / (b * kap)
-        b_plus = math.pi / (b * kap)
-        a_minus = math.pi / (b * b * kap)
-        b_minus = -math.log(ka * ka * eps / (8.0 * b * kap * kap)) \
-            / (b * b * kap)
-        b1_minus = -math.log(ka * (1.0 + kap) * eps
-                             / (8.0 * b * kap * kap)) / (b * b * kap)
-        d_minus = math.pi * (1.0 - kap) / (2.0 * kap)
-        f_minus = math.log(2.0 / (1.0 + kap)) + 0.5 * b * b * b1_minus
-        frbm = b_minus / a_minus
-        return AsymptoticParams(
-            ell=EllipticConstants(a_plus, b_plus, a_minus, b_minus,
-                                  b1_minus, d_minus, f_minus),
-            frb_minus=frbm,
-            frb_plus=0.0,
-            kappa1=4.0 * b * b * kap / math.pi,
-            k=0.0,
-            kappa2=0.0,
-            delta=frbm - 2.0 / math.pi * math.log((1.0 + kap) / ka),
-            # the printed leading coefficient is dimensionless; restoring the
-            # amplitude scale requires the factor b (verified numerically:
-            # the ratio to the exact K0 is 1/b across b at fixed k_a)
-            K0=1j * b * (1.0 + kap) ** 2 / (2.0 * ka)
-               * math.exp(-math.pi * frbm / 2.0),
-            K1=-lam,
-            K2=-2.0 * lam * lam + p.a ** 2 + 2.0 * b * b * kap,
-            Z=(0.0, 0.25),
-        )
+        s = 8.0 * b * kap * kap
+        # the smallest c - b at which A+, B- or B1- stops being positive
+        bound = s / (1.0 + kap) ** 2
+        if not eps < bound:
+            raise ValueError(f"c - b = {eps} lies outside the c_to_b limit: "
+                             f"its leading-order periods need c - b < "
+                             f"{bound}")
+        b1_minus = -math.log((1.0 + kap) ** 2 * eps / s) / (b * b * kap)
+        ell = EllipticConstants(
+            -math.log(eps / s) / (b * kap), math.pi / (b * kap),
+            math.pi / (b * b * kap),
+            -math.log(ka * ka * eps / s) / (b * b * kap), b1_minus,
+            math.pi * (1.0 - kap) / (2.0 * kap),
+            math.log(2.0 / (1.0 + kap)) + 0.5 * b * b * b1_minus)
+        # i*b*(1 + k')**2/(2*k_a) * exp(-pi*frb-/2) at the table's frb-; the
+        # factor b restores the scale of the printed dimensionless coefficient
+        K0 = 0.5j * (1.0 + kap) ** 2 / kap * math.sqrt(b * eps / 8.0)
+        return AsymptoticParams(ell, K0, -2.0 * lam * lam + p.a ** 2
+                                + 2.0 * b * b * kap, (0.0, 0.25), lam)
 
     if case.kind == "a_to_b":
         b, c = p.b, p.c
         rcb = math.sqrt((c - b) * (c + b))
-        phi = math.acos((c * c - 2.0 * b * b) / (c * c))
-        b1_minus = phi / (b * rcb)
-        return AsymptoticParams(
-            ell=EllipticConstants(
-                a_plus=math.pi / rcb,
-                b_plus=inf,
-                a_minus=inf,
-                b_minus=math.pi / (b * rcb),
-                b1_minus=b1_minus,
-                d_minus=inf,
-                f_minus=math.log(2.0) + 0.5 * b * b * b1_minus,
-            ),
-            frb_minus=0.0,
-            frb_plus=inf,
-            kappa1=0.0,
-            k=2.0 * rcb / math.pi,
-            kappa2=8.0 * lam * rcb / math.pi,
-            delta=0.0,
-            K0=0.5j * c,
-            K1=-lam,
-            K2=-2.0 * lam * lam + c * c,
-            Z=(0.25, 0.0),
-        )
+        b1_minus = math.acos((c * c - 2.0 * b * b) / (c * c)) / (b * rcb)
+        ell = EllipticConstants(math.pi / rcb, math.inf, math.inf,
+                                math.pi / (b * rcb), b1_minus, math.inf,
+                                math.log(2.0) + 0.5 * b * b * b1_minus)
+        # K0 explicit: the record's c*exp(d- * delta - f-) is inf * 0 here
+        return AsymptoticParams(ell, 0.5j * c, -2.0 * lam * lam + c * c,
+                                (0.25, 0.0), lam)
 
-    # a_to_0
-    b, c = p.b, p.c
-    a_plus, b_plus = _a0_plus_data(b, c)
-    rcb2 = (c - b) * (c + b)
-    return AsymptoticParams(
-        ell=EllipticConstants(
-            a_plus=a_plus,
-            b_plus=b_plus,
-            a_minus=math.pi / (b * c),
-            b_minus=inf,
-            b1_minus=math.log((c + b) / (c - b)) / (b * c),
-            d_minus=0.0,
-            f_minus=0.5 * math.log(4.0 * c * c / rcb2),
-        ),
-        frb_minus=inf,
-        frb_plus=b_plus / a_plus,
-        kappa1=4.0 * b * c / math.pi,
-        k=2.0 / a_plus,
-        kappa2=8.0 * lam / a_plus,
-        delta=math.log((c + b) / (c - b)) / math.pi,
-        K0=0.5j * math.sqrt(rcb2),
-        K1=-lam,
-        K2=-2.0 * lam * lam + b * b + c * c,
-        Z=(0.0, 0.0),
-    )
+    return _a_to_0(lam, p.b, p.c)

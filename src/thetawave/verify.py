@@ -297,6 +297,9 @@ def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
             raise ValueError(f"no valid {limit} curve at eps={eps}") from None
         try:
             Z = np.array(asymptotic_constants(LimitCase(limit, deg)).Z)
+        except ValueError as exc:  # a c_to_b curve outside its table
+            raise ValueError(f"--eps {eps}: {exc}") from None
+        try:
             spd = build_solution_params(deg, Z)
         except RuntimeError:  # a quadrature that does not converge
             raise ValueError(f"no {limit} curve at --eps {eps} builds: its "

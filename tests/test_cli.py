@@ -645,6 +645,20 @@ class TestVerify:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "eps" in lines[0] and kind in lines[0]
 
+    def test_limit_eps_outside_c_to_b_table_exit_2(self, capsys,
+                                                   monkeypatch):
+        # (6, 8, 19) is a valid curve, but c - b = 11 exceeds the c_to_b
+        # table's bound 10.14; refused naming --eps, before the ledger
+        calls = []
+        monkeypatch.setattr(verify, "nls_residual",
+                            lambda *a, **k: calls.append(a))
+        code = main(["verify", "--limit", "c_to_b", "--eps", "11"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, calls) == (2, "", [])
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --eps 11.0")
+        assert "c_to_b" in lines[0] and "c - b < 10.14" in lines[0]
+
     @pytest.mark.parametrize("kind", ["c_to_b", "a_to_b"])
     def test_limit_eps_unbuildable_curve_exit_2(self, capsys, monkeypatch,
                                                 kind):
@@ -712,9 +726,19 @@ class TestLimits:
                                  "--b", "8", "--c", "8.001"])
         assert code == 0
         rep = json.loads(out)
-        # b1_minus and f_minus converge only logarithmically in c - b
-        for name in ("a_plus", "b_plus", "a_minus", "b_minus", "d_minus"):
+        for name in ("a_plus", "b_plus", "a_minus", "b_minus", "b1_minus",
+                     "d_minus", "f_minus"):
             assert rep["integrals"][name]["rel_err"] < 5e-4, name
+
+    def test_c_to_b_outside_its_limit_exit_2(self, capsys):
+        # the leading-order a_plus of (6, 8, 40) is a negative period
+        code = main(["limits", "--kind", "c_to_b", "--a", "6", "--b", "8",
+                     "--c", "40"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "c - b = 32.0" in lines[0] and "c - b < 10.14" in lines[0]
 
     def test_missing_kind_exit_2(self, capsys):
         code, _ = run(capsys, ["limits"] + BASE)

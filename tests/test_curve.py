@@ -96,7 +96,8 @@ class TestSolutionParamsFields:
         want = {
             "frb_minus": cd.B.frb_minus, "frb_plus": cd.B.frb_plus,
             "kappa1": 4.0 / ell.a_minus, "k": 2.0 / ell.a_plus,
-            "kappa2": 8.0 * lam / ell.a_plus, "delta": cd.delta,
+            "kappa2": 8.0 * lam / ell.a_plus,
+            "delta": ell.b1_minus / ell.a_minus,
             "K0": cd.K0, "K1": -lam, "K2": cd.k2 - 2.0 * lam ** 2,
         }
         for name, value in want.items():

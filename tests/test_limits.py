@@ -1,13 +1,15 @@
 """Unit tests for the degenerate limits and their asymptotic tables."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from thetawave.curve import build_solution_params
+from thetawave.curve import _quotient_constants, build_solution_params
 from thetawave.elliptic import CurveParams, curve_integrals
 from thetawave.limits import (
+    AsymptoticParams,
     LimitCase,
     asymptotic_constants,
     dn_fit,
@@ -121,16 +123,21 @@ class TestAsymptoticTables:
         case = LimitCase("c_to_b", CurveParams(0.0, a, b, b + eps))
         ap = asymptotic_constants(case)
         ell = curve_integrals(case.params)
-        # b1_minus and f_minus approach their leading order only
-        # logarithmically; the rest converge at a power-law rate
-        tols = {"b1_minus": 1e-1, "f_minus": 1e-1}
         for name in ("a_plus", "b_plus", "a_minus", "b_minus", "b1_minus",
                      "d_minus", "f_minus"):
             num = getattr(ell, name)
             asy = getattr(ap.ell, name)
-            assert abs(num - asy) / abs(num) < tols.get(name, 1e-4), name
+            assert abs(num - asy) / abs(num) < 1e-4, name
         sp = build_solution_params(case.params)
-        assert abs(ap.K0 - sp.K0) / abs(sp.K0) < 1e-1
+        assert abs(ap.K0 - sp.K0) / abs(sp.K0) < 1e-4
+
+    @pytest.mark.parametrize("c", [18.2, 40.0])
+    def test_c_to_b_outside_its_limit_refused(self, c):
+        # on (6, 8) the leading-order B1- turns negative beyond
+        # c - b = 8b*k'**2/(1 + k')**2 = 10.14
+        case = LimitCase("c_to_b", CurveParams(0.0, 6.0, 8.0, c))
+        with pytest.raises(ValueError, match=r"c - b = .* c - b < 10\.14"):
+            asymptotic_constants(case)
 
     def test_a_to_b_finite_entries(self):
         b, c, rel_gap = 5.0, 7.0, 1e-5
@@ -154,3 +161,42 @@ class TestAsymptoticTables:
         assert ap.ell.b_minus == math.inf
         assert ap.ell.d_minus == 0.0
         assert ell.d_minus < 1e-3
+
+
+DERIVED = ("frb_minus", "frb_plus", "kappa1", "k", "kappa2", "delta", "K1")
+
+
+class TestSharedMap:
+    """The tables' derived fields are the solution's own map of their
+    integrals, so they approach the solution's as the integrals do."""
+
+    CASES = {"c_to_b": lambda lam, e: CurveParams(lam, 6.0, 8.0, 8.0 + e),
+             "a_to_0": lambda lam, e: CurveParams(lam, e, 8.0, 9.0)}
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_derived_fields_are_the_map(self, kind, lam):
+        ap = asymptotic_constants(LimitCase(kind, self.CASES[kind](lam, 1e-4)))
+        want = _quotient_constants(ap.ell, lam)
+        for name in DERIVED:
+            assert getattr(ap, name) == want[name], name
+
+    def test_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(AsymptoticParams)
+                if f.init] == ["ell", "K0", "K2", "Z", "lambda0"]
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_gap_to_solution_shrinks(self, kind):
+        # c -> b converges linearly in eps, a -> 0 quadratically in a, down
+        # to rounding; every finite field's gap falls about 100-fold
+        gaps = []
+        for eps in (1e-4, 1e-6):
+            curve = self.CASES[kind](0.7, eps)
+            ap = asymptotic_constants(LimitCase(kind, curve))
+            sp = build_solution_params(curve)
+            gaps.append({name: (abs(getattr(ap, name) - getattr(sp, name)),
+                                abs(getattr(sp, name)))
+                         for name in DERIVED + ("K0", "K2")
+                         if math.isfinite(abs(getattr(ap, name)))})
+        for name, (gap, scale) in gaps[1].items():
+            assert gap <= max(gaps[0][name][0] / 50.0, 1e-12 * scale), name

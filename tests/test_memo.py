@@ -103,4 +103,4 @@ def test_shared_data_is_frozen():
     assert build_solution_params(CurveParams(0.9, 6.0, 8.0, 9.0)).ell \
         is record.ell
     with pytest.raises(dataclasses.FrozenInstanceError):
-        record.delta = 1.0
+        record.K0 = 1.0
