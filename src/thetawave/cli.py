@@ -18,17 +18,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
-import os
-import signal
 import sys
-import warnings
 
 import numpy as np
 
-from . import _text
+from . import _fork, _text
 from .curve import (_quotient_constants, build_solution_params,
                     period_lattice, wave_vectors)
 from .elliptic import CurveParams, curve_integrals
@@ -262,90 +260,33 @@ def _write_pgm(path, field):
     _emit_json(side, path + ".json")
 
 
-def _reap(pipes, pids):
-    """Kill and reap the children, then close their pipes; both lists are
-    emptied.  Killed first, a child never sees its pipe closed."""
-    for pid in pids:
-        os.kill(pid, signal.SIGKILL)
-    for pipe in pipes:
-        pipe.close()
-    for pid in pids:
-        os.waitpid(pid, 0)
-    del pipes[:], pids[:]
-
-
 def _in_order(block, starts, cells):
     """block(starts[0]), block(starts[1]), ..., in order: block returns
     ASCII bytes, yielded as text.  With w processes, one per usable CPU and per
-    _FORK_CELLS cells, forked child j writes the blocks with i % w == j,
-    length-prefixed, into its own pipe, and the parent formats i % w == 0
+    _FORK_CELLS cells, forked child j writes the blocks with i % w == j
+    into its own pipe (``_fork``), and the parent formats i % w == 0
     and reads the rest in turn: the pipe buffers are the only queue.  A
     short read is an OSError naming the block's first row; a child that
     raised has printed its traceback.  Every child is reaped on the way
     out, also when the generator is closed early; if a fork fails, the
     parent formats every block."""
     n = len(starts)
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity, as on macOS
-        cpus = os.cpu_count() or 1
-    w = max(1, min(cpus, n, cells // _FORK_CELLS)) \
-        if hasattr(os, "fork") else 1
+    w = _fork.processes(min(n, cells // _FORK_CELLS))
     pipes, pids = [], []
     try:
         try:
             for j in range(1, w):
-                r, wr = os.pipe()
-                pipes.append(open(r, "rb"))
-                with open(wr, "wb") as out, warnings.catch_warnings():
-                    # Python 3.12+ warns of a fork beside BLAS threads; a
-                    # child only formats text and writes it
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    pid = os.fork()
-                    if pid == 0:
-                        _child(block, starts[j::w], out, pipes)
-                pids.append(pid)
+                _fork.fork(functools.partial(map, block, starts[j::w]),
+                           pipes, pids)
         except OSError:  # no process or pipe left for another child
-            _reap(pipes, pids)
+            _fork.reap(pipes, pids)
             w = 1
         for i in range(n):
-            if i % w == 0:
-                yield block(starts[i]).decode()
-                continue
-            head = pipes[i % w - 1].read(8)
-            size = int.from_bytes(head, "little")
-            data = pipes[i % w - 1].read(size)
-            if len(head) < 8 or len(data) < size:
-                raise OSError(f"the process formatting row {starts[i]} "
-                              "ended early")
+            data = block(starts[i]) if i % w == 0 else _fork.read(
+                pipes[i % w - 1], f"formatting row {starts[i]}")
             yield data.decode()
     finally:
-        _reap(pipes, pids)
-
-
-def _child(block, starts, out, pipes):
-    """A forked child of _in_order: writes block(i) for i in starts to
-    ``out`` and exits without returning."""
-    code = 1
-    try:
-        # only the parent keeps a read end, so a child's write fails at
-        # once when the parent stops reading
-        for pipe in pipes:
-            pipe.close()
-        for i in starts:
-            data = block(i)
-            out.write(len(data).to_bytes(8, "little") + data)
-        out.flush()
-        code = 0
-    except Exception:
-        # the cause, as an uncaught exception prints it, on the stderr the
-        # child shares with the parent
-        sys.excepthook(*sys.exc_info())
-        sys.stderr.flush()
-    finally:
-        # no flush of inherited stdout or --out buffers, no atexit code, no
-        # return into the caller
-        os._exit(code)
+        _fork.reap(pipes, pids)
 
 
 def _band_starts(nx, nt):

@@ -7,17 +7,22 @@ field at a later time (second-order Strang steps at two step sizes,
 Richardson-extrapolated to fourth order; the two evolutions advance in one
 loop, as the rows of one array), and a ledger of symmetry, periodicity and
 reality checks.  A frequency-fit variant of the residual pins down the
-plane-wave constant K2 without assuming its value.
+plane-wave constant K2 without assuming its value.  With two or more
+usable CPUs, ``verify_ledger`` evolves its split-step in a forked child
+while it computes the other two instruments, else in process; the bytes
+are the same.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _fork
 from .curve import SolutionParams, build_solution_params, period_lattice
 from .elliptic import CurveParams
 from .limits import (LimitCase, asymptotic_constants, dn_wave_theta,
@@ -199,6 +204,11 @@ def _richardson_split_step(initial, L, t_end, steps):
     if steps % 2:
         raise ValueError(
             f"the Richardson pair needs an even step count, got {steps}")
+    return _richardson_pair(psi, L, t_end, steps)
+
+
+def _richardson_pair(psi, L, t_end, steps):
+    """``_richardson_split_step`` of a checked line and even ``steps``."""
     fine, coarse = _strang_rows(np.array([psi, psi]), L,
                                 (t_end / steps, t_end / (steps // 2)), steps)
     return (4.0 * fine - coarse) / 3.0
@@ -284,7 +294,10 @@ def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
     ``corrupt_k2`` adds 0.1 to K2 and runs the residual alone.  A phase
     Z without a reality witness, and an ``eps`` that leaves no degenerate
     curve or one whose integrals do not converge, are refused before any
-    evaluation."""
+    evaluation.  With two or more usable CPUs the pair runs in a forked
+    child (``_fork.forked``) while the residual and ``symmetry_suite`` run,
+    else in process: the same ledger, errors in the same order; a child
+    that ends early is an OSError naming the split-step."""
     _require_witness(sp)
     curve = sp.curve
     if limit is not None:
@@ -307,33 +320,47 @@ def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
                              "limit") from None
     lat = period_lattice(curve, sp.ell)
     ledger = {}
+    psi = refused = None
+    if curve.lambda0 == 0.0 and not corrupt_k2:
+        L = 2.0 * lat.X
+        try:
+            # the smallest resolved line; at 512 the pair refuses an
+            # unresolved one, raised after the residual as before the fork
+            for n in (128, 256, 512):
+                xs = np.linspace(0.0, L, n, endpoint=False)
+                line = eval_p(xs, 0.0, sp)
+                if _resolved(line):
+                    break
+            psi = _checked_line(line, L, lat.T, 1000)
+        except Exception as exc:
+            refused = exc
 
     if corrupt_k2:
         sp = dataclasses.replace(sp, K2=sp.K2 + 0.1)
     spec = GridSpec(0.0, lat.X, 0.0, lat.T, nx, nt)
-    rep = nls_residual(sp, spec, order=4)
-    ledger["residual"] = {
-        "passed": bool(rep.residual_norm < 1e-6
-                       and 3.3 <= rep.order_estimate <= 4.7),
-        "residual_norm": rep.residual_norm,
-        "order_estimate": rep.order_estimate,
-    }
-
-    if curve.lambda0 == 0.0 and not corrupt_k2:
-        L = 2.0 * lat.X
-        # the smallest resolved line; at 512 the pair refuses an unresolved one
-        for n in (128, 256, 512):
-            xs = np.linspace(0.0, L, n, endpoint=False)
-            line = eval_p(xs, 0.0, sp)
-            if _resolved(line):
-                break
-        evolved = _richardson_split_step(line, L, lat.T, 1000)
-        ref = eval_p(xs, lat.T, sp)
-        err = float(np.linalg.norm(evolved - ref) / np.linalg.norm(ref))
-        ledger["split_step"] = {"passed": err < 1e-5, "l2_error": err}
-
-    if not corrupt_k2:
-        ledger["symmetries"] = symmetry_suite(sp)
+    # the pair evolves in a forked child while the residual and the
+    # symmetries run here
+    evolving = contextlib.nullcontext() if psi is None else _fork.forked(
+        lambda: _richardson_pair(psi, L, lat.T, 1000).tobytes(),
+        "evolving the split-step")
+    with evolving as evolved:
+        rep = nls_residual(sp, spec, order=4)
+        ledger["residual"] = {
+            "passed": bool(rep.residual_norm < 1e-6
+                           and 3.3 <= rep.order_estimate <= 4.7),
+            "residual_norm": rep.residual_norm,
+            "order_estimate": rep.order_estimate,
+        }
+        if refused is not None:
+            raise refused
+        symmetries = None if corrupt_k2 else symmetry_suite(sp)
+        if evolved is not None:
+            ref = eval_p(xs, lat.T, sp)
+            diff = np.frombuffer(evolved(), complex) - ref
+            err = float(np.linalg.norm(diff) / np.linalg.norm(ref))
+            ledger["split_step"] = {"passed": err < 1e-5, "l2_error": err}
+    if symmetries is not None:
+        ledger["symmetries"] = symmetries
 
     if limit is not None:
         xs = np.linspace(-0.2, 0.2, 21)[:, None]

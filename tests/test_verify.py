@@ -5,6 +5,10 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from thetawave.elliptic import CurveParams
 from thetawave.limits import dn_wave_theta, plane_wave_ab, plane_wave_cb
 from thetawave.solution import GridSpec, eval_p
 from thetawave.verify import (
+    _checked_line,
     _resolved,
     _richardson_split_step,
     _stencil_residual,
@@ -28,6 +33,8 @@ from thetawave.verify import (
 )
 
 P689 = CurveParams(0.0, 6.0, 8.0, 9.0)
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(scope="module")
@@ -345,7 +352,9 @@ class TestLineChoice:
     def _record(monkeypatch, sp, extra):
         # lists that fill with the sizes of the lines verify_ledger samples
         # (its 1-D evaluations of 128 samples or more), each with
-        # extra(x, L) added, and with the size that it evolves
+        # extra(x, L) added, and with the size that it evolves: the line
+        # that it checks before the pair starts, in this process whether
+        # or not the pair then runs in a forked child
         L = 2.0 * period_lattice(sp.curve, sp.ell).X
         sampled, evolved = [], []
 
@@ -358,11 +367,10 @@ class TestLineChoice:
 
         def evolving(psi, *args):
             evolved.append(np.size(psi))
-            return _richardson_split_step(psi, *args)
+            return _checked_line(psi, *args)
 
         monkeypatch.setattr("thetawave.verify.eval_p", sampling)
-        monkeypatch.setattr("thetawave.verify._richardson_split_step",
-                            evolving)
+        monkeypatch.setattr("thetawave.verify._checked_line", evolving)
         return sampled, evolved
 
     def test_reference_line_at_128(self, sp, monkeypatch):
@@ -383,6 +391,156 @@ class TestLineChoice:
         with pytest.raises(RuntimeError, match="spectral tail"):
             verify_ledger(sp, 16, 16)
         assert (sampled, evolved) == ([128, 256, 512], [512])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedPair:
+    """At lambda0 = 0 ``verify_ledger`` evolves its split-step pair in a
+    forked child when two CPUs are usable (os.sched_getaffinity patched),
+    and in process on one CPU or when the fork fails."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """cpus(n): report n usable CPUs; returns the list of the pids
+        forked, filled as they are forked."""
+        pids = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        def set_cpus(n):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(n)), raising=False)
+            monkeypatch.setattr(os, "fork", counted_fork)
+            return pids
+
+        return set_cpus
+
+    @staticmethod
+    def assert_all_reaped():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def run(capfd, argv):
+        code = main(["verify"] + argv)
+        return (code, *capfd.readouterr())
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--z-im2", "0.446332530511924"]], ids=["Z0", "half-b-period"])
+    def test_same_bytes_forked_and_in_process(self, capfd, cpus, monkeypatch,
+                                              argv):
+        pids = cpus(2)
+        forked = self.run(capfd, argv)
+        assert len(pids) == 1
+        cpus(1)
+        one_cpu = self.run(capfd, argv)
+
+        def failing_fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        cpus(2)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        no_fork = self.run(capfd, argv)
+        assert len(pids) == 1
+        assert forked == one_cpu == no_fork
+        code, out, err = forked
+        assert (code, err) == (0, "")
+        assert json.loads(out)["split_step"]["passed"]
+        if not argv:
+            assert out == (GOLDEN / "verify.out").read_text()
+        self.assert_all_reaped()
+
+    def test_child_exits_without_returning_or_flushing(self):
+        # the parent waits for the child instead of killing it: a child that
+        # returned into the caller would go on to read a closed pipe and
+        # exit 1, and one that flushed the block-buffered stdout it
+        # inherited would repeat "before"
+        script = ("import os, sys\n"
+                  "from thetawave import _fork\n"
+                  "sys.stdout.write('before\\n')\n"
+                  "pipes, pids = [], []\n"
+                  "_fork.fork(lambda: [b'block'], pipes, pids)\n"
+                  "print(_fork.read(pipes[0], 'writing'))\n"
+                  "status = os.waitpid(pids[0], 0)[1]\n"
+                  "print(os.waitstatus_to_exitcode(status))\n")
+        env = {**{k: v for k, v in os.environ.items()
+                  if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": SRC}
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert (res.returncode, res.stdout, res.stderr) == (
+            0, "before\nb'block'\n0\n", "")
+
+    @pytest.mark.parametrize("target, exc", [
+        ("nls_residual", ArithmeticError), ("symmetry_suite", ArithmeticError),
+        ("symmetry_suite", KeyboardInterrupt)])
+    def test_parent_error_reaps_the_child(self, sp, cpus, monkeypatch, target,
+                                          exc):
+        def failing(*args, **kwargs):
+            raise exc("the parent fails")
+
+        monkeypatch.setattr(f"thetawave.verify.{target}", failing)
+        pids = cpus(2)
+        with pytest.raises(exc, match="the parent fails"):
+            verify_ledger(sp, 16, 16)
+        assert len(pids) == 1
+        self.assert_all_reaped()
+
+    def test_child_that_ends_early_names_the_split_step(self, capfd, cpus,
+                                                        monkeypatch):
+        def failing(*args):
+            raise RuntimeError("the evolution fails")
+
+        # the child runs the module's kernel, patched before the fork
+        monkeypatch.setattr("thetawave.verify._strang_rows", failing)
+        pids = cpus(2)
+        code, out, err = self.run(capfd, [])
+        assert (code, out) == (3, "")
+        # the child's traceback, then the parent's one error line
+        lines = err.splitlines()
+        assert lines[0] == "Traceback (most recent call last):"
+        assert "RuntimeError: the evolution fails" in lines
+        assert lines[-1] == ("i/o error: the process evolving the split-step "
+                             "ended early")
+        assert len(pids) == 1
+        self.assert_all_reaped()
+        # in process, the cause itself
+        cpus(1)
+        assert self.run(capfd, [])[::2] == (
+            2, "error: the evolution fails\n")
+        assert len(pids) == 1
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_errors_in_the_order_of_one_process(self, sp, cpus, monkeypatch,
+                                                n):
+        # a line unresolved at 512 samples is refused before the fork,
+        # but raised after the residual and before the symmetries
+        rng = np.random.default_rng(0)
+
+        def noisy(x, t, params):
+            p = eval_p(x, t, params)
+            if np.ndim(x) == 1 and np.size(x) >= 128:
+                p = p + 1e-6 * rng.normal(size=np.size(x))
+            return p
+
+        def failing(*args, **kwargs):
+            raise ArithmeticError("the residual fails")
+
+        monkeypatch.setattr("thetawave.verify.eval_p", noisy)
+        monkeypatch.setattr("thetawave.verify.symmetry_suite", failing)
+        pids = cpus(n)
+        with pytest.raises(RuntimeError, match="under-resolved"):
+            verify_ledger(sp, 16, 16)
+        monkeypatch.setattr("thetawave.verify.nls_residual", failing)
+        with pytest.raises(ArithmeticError, match="the residual fails"):
+            verify_ledger(sp, 16, 16)
+        # a refused line starts no child
+        assert pids == []
+        self.assert_all_reaped()
 
 
 class TestSplitStepRefusals:
