@@ -5,12 +5,13 @@ as CSV/JSON/PGM), ``scan`` (period and nome scans over a branch point),
 ``verify`` (residual, evolution and symmetry suites), ``limits``
 (asymptotic-versus-numeric comparison for a degenerate regime).
 
-All outputs are deterministic: no timestamps, stable key order, 17
-significant digits for floating-point values.  ``grid`` formats its csv
-and json cells a band of whole x rows at a time, by the array kernel of
-``_text``, byte for byte the text of ``'%.17g' % v`` and ``repr(v)``, on up
-to one process per usable CPU.  Exit codes: 0 success, 1 verification
-failure, 2 invalid parameters, 3 I/O error.
+All outputs are deterministic: no timestamps, stable key order.  CSV
+(``grid``, ``scan``) writes a float as ``'%.17g' % v``, 17 significant
+digits; JSON writes ``repr(v)``, the shortest text that reads back as v.
+``grid`` formats its csv and json cells a band of whole x rows at a time,
+by the array kernel of ``_text``, byte for byte that text, on up to one
+process per usable CPU (``_fork.in_order``).  Exit codes: 0 success,
+1 verification failure, 2 invalid parameters, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -262,31 +263,14 @@ def _write_pgm(path, field):
 
 def _in_order(block, starts, cells):
     """block(starts[0]), block(starts[1]), ..., in order: block returns
-    ASCII bytes, yielded as text.  With w processes, one per usable CPU and per
-    _FORK_CELLS cells, forked child j writes the blocks with i % w == j
-    into its own pipe (``_fork``), and the parent formats i % w == 0
-    and reads the rest in turn: the pipe buffers are the only queue.  A
-    short read is an OSError naming the block's first row; a child that
-    raised has printed its traceback.  Every child is reaped on the way
-    out, also when the generator is closed early; if a fork fails, the
-    parent formats every block."""
-    n = len(starts)
-    w = _fork.processes(min(n, cells // _FORK_CELLS))
-    pipes, pids = [], []
-    try:
-        try:
-            for j in range(1, w):
-                _fork.fork(functools.partial(map, block, starts[j::w]),
-                           pipes, pids)
-        except OSError:  # no process or pipe left for another child
-            _fork.reap(pipes, pids)
-            w = 1
-        for i in range(n):
-            data = block(starts[i]) if i % w == 0 else _fork.read(
-                pipes[i % w - 1], f"formatting row {starts[i]}")
-            yield data.decode()
-    finally:
-        _fork.reap(pipes, pids)
+    ASCII bytes, yielded as text.  ``_fork.in_order`` runs the blocks on
+    one process per usable CPU and per _FORK_CELLS cells; a child that
+    ends early is an OSError naming its block's first row."""
+    w = _fork.processes(min(len(starts), cells // _FORK_CELLS))
+    tasks = [(f"formatting row {i}", functools.partial(block, i))
+             for i in starts]
+    for data in _fork.in_order(tasks, w):
+        yield data.decode()
 
 
 def _band_starts(nx, nt):
@@ -385,7 +369,7 @@ def cmd_grid(cfg, abs_only=False):
         return 0
     blocks = _json_blocks(xs, ts, _abs(field.values)) if fmt == "json" \
         else _csv_blocks(xs, ts, field.values, abs_only)
-    # closed at once on an error, which reaps _in_order's children
+    # closed at once on an error, which reaps _fork.in_order's children
     with contextlib.closing(blocks):
         _emit(blocks, cfg["out"])
     return 0

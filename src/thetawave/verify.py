@@ -9,13 +9,12 @@ loop, as the rows of one array), and a ledger of symmetry, periodicity and
 reality checks.  A frequency-fit variant of the residual pins down the
 plane-wave constant K2 without assuming its value.  With two or more
 usable CPUs, ``verify_ledger`` evolves its split-step in a forked child
-while it computes the other two instruments, else in process; the bytes
-are the same.
+(``_fork.in_order``) while it computes the other two instruments, else in
+process; the bytes are the same.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -27,8 +26,8 @@ from .curve import SolutionParams, build_solution_params, period_lattice
 from .elliptic import CurveParams
 from .limits import (LimitCase, asymptotic_constants, dn_wave_theta,
                      plane_wave_ab, plane_wave_cb)
-from .solution import (GridSpec, _in_bands, _require_witness, eval_amp2,
-                       eval_p)
+from .solution import (GridSpec, _in_bands, _reduced_phase, _require_witness,
+                       eval_amp2, eval_p)
 
 __all__ = [
     "ResidualReport",
@@ -192,23 +191,14 @@ def split_step_evolve(initial, L, dt, steps):
     return _strang_rows(psi[None, :], L, (dt,), steps)[0]
 
 
-def _richardson_split_step(initial, L, t_end, steps):
-    """(4 S(steps) - S(steps/2)) / 3 at t_end, where S(m) is the Strang
-    evolution with m steps of t_end/m, bit for bit ``split_step_evolve``'s.
-    Strang's global error expands in even powers of dt, so the combination
-    is fourth order.  The two evolutions advance together as the rows of
-    one array, S(steps/2) stepping with every second step of S(steps).
-    ``split_step_evolve``'s refusals hold (t_end in dt's place), and an
-    odd ``steps``, whose halves would not be in the ratio 2, is refused."""
-    psi = _checked_line(initial, L, t_end, steps)
-    if steps % 2:
-        raise ValueError(
-            f"the Richardson pair needs an even step count, got {steps}")
-    return _richardson_pair(psi, L, t_end, steps)
-
-
 def _richardson_pair(psi, L, t_end, steps):
-    """``_richardson_split_step`` of a checked line and even ``steps``."""
+    """(4 S(steps) - S(steps/2)) / 3 at t_end for a line ``psi`` that
+    ``_checked_line`` passed and an even ``steps``, where S(m) is the
+    Strang evolution with m steps of t_end/m, bit for bit
+    ``split_step_evolve``'s.  Strang's global error expands in even powers
+    of dt, so the combination is fourth order.  The two evolutions advance
+    together as the rows of one array, S(steps/2) stepping with every
+    second step of S(steps)."""
     fine, coarse = _strang_rows(np.array([psi, psi]), L,
                                 (t_end / steps, t_end / (steps // 2)), steps)
     return (4.0 * fine - coarse) / 3.0
@@ -275,7 +265,10 @@ def symmetry_suite(sp: SolutionParams):
     # has the witness N + (0, 2)
     sp_c = dataclasses.replace(
         sp, Z=sp.Z + np.array([0.0, 0.5j * sp.frb_plus]))
-    sp_r = dataclasses.replace(sp, Z=sp.Z + np.array([0.5, 0.0]))
+    # shifted from the reduced phase: at |Re Z_j| >= 2**52, Re Z + 0.5
+    # rounds back to Re Z
+    sp_r = dataclasses.replace(
+        sp, Z=_reduced_phase(sp.Z) + np.array([0.5, 0.0]))
     err = np.max(np.abs(eval_amp2(xs, ts, sp_c) - eval_amp2(xs, ts, sp_r)))
     ledger["complex_phase_reality"] = _ledger_entry(
         err / np.max(absp) ** 2, 1e-10
@@ -294,10 +287,11 @@ def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
     ``corrupt_k2`` adds 0.1 to K2 and runs the residual alone.  A phase
     Z without a reality witness, and an ``eps`` that leaves no degenerate
     curve or one whose integrals do not converge, are refused before any
-    evaluation.  With two or more usable CPUs the pair runs in a forked
-    child (``_fork.forked``) while the residual and ``symmetry_suite`` run,
-    else in process: the same ledger, errors in the same order; a child
-    that ends early is an OSError naming the split-step."""
+    evaluation.  The residual, a refused split-step line and
+    ``symmetry_suite`` run in this process, in that order, and the pair
+    after them or, with two or more usable CPUs, beside them in a forked
+    child (``_fork.in_order``): the same ledger, errors in the same order;
+    a child that ends early is an OSError naming the split-step."""
     _require_witness(sp)
     curve = sp.curve
     if limit is not None:
@@ -319,7 +313,6 @@ def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
                              "integrals do not converge this close to the "
                              "limit") from None
     lat = period_lattice(curve, sp.ell)
-    ledger = {}
     psi = refused = None
     if curve.lambda0 == 0.0 and not corrupt_k2:
         L = 2.0 * lat.X
@@ -338,27 +331,32 @@ def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
     if corrupt_k2:
         sp = dataclasses.replace(sp, K2=sp.K2 + 0.1)
     spec = GridSpec(0.0, lat.X, 0.0, lat.T, nx, nt)
-    # the pair evolves in a forked child while the residual and the
-    # symmetries run here
-    evolving = contextlib.nullcontext() if psi is None else _fork.forked(
-        lambda: _richardson_pair(psi, L, lat.T, 1000).tobytes(),
-        "evolving the split-step")
-    with evolving as evolved:
+
+    def checks():
         rep = nls_residual(sp, spec, order=4)
-        ledger["residual"] = {
-            "passed": bool(rep.residual_norm < 1e-6
-                           and 3.3 <= rep.order_estimate <= 4.7),
-            "residual_norm": rep.residual_norm,
-            "order_estimate": rep.order_estimate,
-        }
         if refused is not None:
             raise refused
-        symmetries = None if corrupt_k2 else symmetry_suite(sp)
-        if evolved is not None:
-            ref = eval_p(xs, lat.T, sp)
-            diff = np.frombuffer(evolved(), complex) - ref
-            err = float(np.linalg.norm(diff) / np.linalg.norm(ref))
-            ledger["split_step"] = {"passed": err < 1e-5, "l2_error": err}
+        return rep, None if corrupt_k2 else symmetry_suite(sp)
+
+    # the pair evolves in a forked child while the residual and the
+    # symmetries run here
+    tasks = [("checking the residual and the symmetries", checks)]
+    if psi is not None:
+        tasks.append(("evolving the split-step",
+                      lambda: _richardson_pair(psi, L, lat.T, 1000).tobytes()))
+    (rep, symmetries), *evolved = _fork.in_order(
+        tasks, _fork.processes(len(tasks)))
+    ledger = {"residual": {
+        "passed": bool(rep.residual_norm < 1e-6
+                       and 3.3 <= rep.order_estimate <= 4.7),
+        "residual_norm": rep.residual_norm,
+        "order_estimate": rep.order_estimate,
+    }}
+    if evolved:
+        ref = eval_p(xs, lat.T, sp)
+        diff = np.frombuffer(evolved[0], complex) - ref
+        err = float(np.linalg.norm(diff) / np.linalg.norm(ref))
+        ledger["split_step"] = {"passed": err < 1e-5, "l2_error": err}
     if symmetries is not None:
         ledger["symmetries"] = symmetries
 

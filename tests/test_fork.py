@@ -1,0 +1,107 @@
+"""Tests of ``_fork.in_order``: tasks computed in order, on forked children
+and in the parent."""
+
+import functools
+import os
+
+import pytest
+
+from thetawave import _fork
+
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="needs os.fork")
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The list of the children's pids, filled as they are forked."""
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+def assert_all_reaped():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def whose(i):
+    return f"{i} {os.getpid()}".encode()
+
+
+def tasks(n):
+    """n tasks; task i computes b"i pid", pid the process that ran it."""
+    return [(f"computing task {i}", functools.partial(whose, i))
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_results_in_order(forked, w):
+    results = [data.split() for data in _fork.in_order(tasks(7), w)]
+    assert [int(i) for i, _ in results] == list(range(7))
+    # task i ran in the parent for i % w == 0, else in child i % w
+    assert len(forked) == w - 1
+    pids = [os.getpid()] + forked
+    assert [int(pid) for _, pid in results] == [pids[i % w]
+                                                 for i in range(7)]
+    assert_all_reaped()
+
+
+def test_child_that_raises_ends_early(capfd, forked):
+    def failing():
+        raise ValueError("the task fails")
+
+    results = _fork.in_order(tasks(1) + [("computing task 1", failing)], 2)
+    assert next(results) == whose(0)
+    with pytest.raises(OSError) as exc:
+        next(results)
+    assert str(exc.value) == "the process computing task 1 ended early"
+    # the child's traceback, as an uncaught exception prints it
+    err = capfd.readouterr().err.splitlines()
+    assert err[0] == "Traceback (most recent call last):"
+    assert err[-1] == "ValueError: the task fails"
+    assert len(forked) == 1
+    assert_all_reaped()
+
+
+def test_failing_fork_computes_in_parent(forked, monkeypatch):
+    fork = os.fork
+
+    def second_fork_fails():
+        if forked:
+            raise BlockingIOError("Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    assert list(_fork.in_order(tasks(7), 3)) == [whose(i) for i in range(7)]
+    # the first child was forked, then killed and reaped
+    assert len(forked) == 1
+    assert_all_reaped()
+
+
+@pytest.mark.parametrize("way_out", ["raise", "close"])
+def test_no_child_left(forked, way_out):
+    def first():
+        if way_out == "raise":
+            raise ArithmeticError("the parent fails")
+        return b"first"
+
+    # each child's 1 MiB fills its pipe and blocks the child in its write
+    rest = [(f"computing task {i}", lambda: bytes(2**20)) for i in range(6)]
+    results = _fork.in_order([("computing task 0", first)] + rest, 3)
+    if way_out == "raise":
+        with pytest.raises(ArithmeticError, match="the parent fails"):
+            next(results)
+    else:
+        assert next(results) == b"first"
+        results.close()
+    assert len(forked) == 2
+    assert_all_reaped()

@@ -34,6 +34,9 @@ CASES = {
     "limits_a_to_0": (["limits", "--kind", "a_to_0", "--a", "0.001",
                        "--b", "8", "--c", "9"], 0),
     "verify": (["verify"], 0),
+    # the symmetry suite's half real shift, too, is taken from the reduced
+    # phase: at 2**52, Re Z1 + 0.5 rounds back to Re Z1
+    "verify_z_re1": (["verify", "--z-re1", "4503599627370496"], 0, "verify"),
     "verify_corrupt_k2": (["verify", "--corrupt-k2"], 1),
     "verify_limit_a_to_0": (["verify", "--limit", "a_to_0"], 0),
 }

@@ -22,7 +22,7 @@ from thetawave.solution import GridSpec, eval_p
 from thetawave.verify import (
     _checked_line,
     _resolved,
-    _richardson_split_step,
+    _richardson_pair,
     _stencil_residual,
     field_residual,
     nls_residual,
@@ -260,7 +260,8 @@ def _extrapolated_error(sp, steps):
         xs = np.linspace(0.0, L, n, endpoint=False)
         if _resolved(eval_p(xs, 0.0, sp)):
             break
-    out = _richardson_split_step(eval_p(xs, 0.0, sp), L, lat.T, steps)
+    psi = _checked_line(eval_p(xs, 0.0, sp), L, lat.T, steps)
+    out = _richardson_pair(psi, L, lat.T, steps)
     ref = eval_p(xs, lat.T, sp)
     return float(np.linalg.norm(out - ref) / np.linalg.norm(ref))
 
@@ -277,14 +278,8 @@ class TestRichardsonSplitStep:
         psi0 = eval_p(np.linspace(0.0, L, 512, endpoint=False), 0.0, sp_c)
         ref = (4.0 * split_step_evolve(psi0, L, T / steps, steps)
                - split_step_evolve(psi0, L, 2.0 * T / steps, steps // 2)) / 3.0
-        assert np.array_equal(_richardson_split_step(psi0, L, T, steps), ref)
-
-    @pytest.mark.parametrize("steps", [1, 3, 999])
-    def test_odd_steps_refused(self, steps):
-        # S(m) and S((m - 1)/2) have step sizes not in the ratio 2
-        with pytest.raises(ValueError, match="even step count"):
-            _richardson_split_step(np.ones(128, dtype=complex), 1.0, 0.1,
-                                   steps)
+        pair = _richardson_pair(_checked_line(psi0, L, T, steps), L, T, steps)
+        assert np.array_equal(pair, ref)
 
     def test_fourth_order(self, sp):
         # halving every step size divides the error by 2**4
@@ -456,24 +451,27 @@ class TestForkedPair:
         self.assert_all_reaped()
 
     def test_child_exits_without_returning_or_flushing(self):
-        # the parent waits for the child instead of killing it: a child that
-        # returned into the caller would go on to read a closed pipe and
-        # exit 1, and one that flushed the block-buffered stdout it
-        # inherited would repeat "before"
+        # the parent waits for the child to exit before the reap would kill
+        # it: a child that returned into the caller would go on to print
+        # the results itself, and one that flushed the block-buffered
+        # stdout it inherited would repeat "before"
         script = ("import os, sys\n"
                   "from thetawave import _fork\n"
                   "sys.stdout.write('before\\n')\n"
-                  "pipes, pids = [], []\n"
-                  "_fork.fork(lambda: [b'block'], pipes, pids)\n"
-                  "print(_fork.read(pipes[0], 'writing'))\n"
-                  "status = os.waitpid(pids[0], 0)[1]\n"
-                  "print(os.waitstatus_to_exitcode(status))\n")
+                  "tasks = [('computing', lambda: b'here'),\n"
+                  "         ('writing', lambda: b'block')]\n"
+                  "results = _fork.in_order(tasks, 2)\n"
+                  "print(next(results), next(results))\n"
+                  "# the exit status, left for the reap on close\n"
+                  "info = os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)\n"
+                  "print(info.si_code == os.CLD_EXITED, info.si_status)\n"
+                  "results.close()\n")
         env = {**{k: v for k, v in os.environ.items()
                   if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": SRC}
         res = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, timeout=60)
         assert (res.returncode, res.stdout, res.stderr) == (
-            0, "before\nb'block'\n0\n", "")
+            0, "before\nb'here' b'block'\nTrue 0\n", "")
 
     @pytest.mark.parametrize("target, exc", [
         ("nls_residual", ArithmeticError), ("symmetry_suite", ArithmeticError),
@@ -544,9 +542,9 @@ class TestForkedPair:
 
 
 class TestSplitStepRefusals:
-    """``_richardson_split_step(psi, L, t_end, steps)`` refuses what
-    ``split_step_evolve(psi, L, dt, steps)`` refuses, with t_end in dt's
-    place, by the same exception and message."""
+    """``split_step_evolve(psi, L, dt, steps)`` refuses by the exception
+    and message of ``_checked_line``, the check of the line that
+    ``verify_ledger`` hands to its Richardson pair (t_end in dt's place)."""
 
     @pytest.mark.parametrize("psi, L, dt, steps, exc", [
         (np.ones(100, dtype=complex), 1.0, 1e-3, 10, ValueError),
@@ -565,9 +563,9 @@ class TestSplitStepRefusals:
     def test_same_refusal(self, psi, L, dt, steps, exc):
         with pytest.raises(exc) as single:
             split_step_evolve(psi, L, dt, steps)
-        with pytest.raises(exc) as pair:
-            _richardson_split_step(psi, L, dt, steps)
-        assert str(pair.value) == str(single.value)
+        with pytest.raises(exc) as check:
+            _checked_line(psi, L, dt, steps)
+        assert str(check.value) == str(single.value)
 
 
 class TestSymmetrySuite:
