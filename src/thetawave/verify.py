@@ -10,7 +10,7 @@ reality checks.  A frequency-fit variant of the residual pins down the
 plane-wave constant K2 without assuming its value.  With two or more
 usable CPUs, ``verify_ledger`` evolves its split-step in a forked child
 (``_fork.in_order``) while it computes the other two instruments, else in
-process; the bytes are the same.
+process; the same bytes.  An unresolved split-step line is refused first.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .curve import SolutionParams, build_solution_params, period_lattice
 from .elliptic import CurveParams
 from .limits import (LimitCase, asymptotic_constants, dn_wave_theta,
                      plane_wave_ab, plane_wave_cb)
-from .solution import (GridSpec, _in_bands, _reduced_phase, _require_witness,
-                       eval_amp2, eval_p)
+from .solution import (GridSpec, _in_bands, _p_at, _reduced_phase,
+                       _require_witness, eval_amp2, eval_p)
 
 __all__ = [
     "ResidualReport",
@@ -48,11 +48,13 @@ class ResidualReport:
     order_estimate: float
 
 
-def _stencil_residual(field, spec: GridSpec, order):
+def _stencil_residual(at, spec: GridSpec, order):
     """Field values p on the grid interior and i p_t + p_xx + 2|p|**2 p
     there, by fourth-order central differences of the field evaluated once
-    on the grid's nodes (``order`` must be 4).  Both arrays are built in
-    row bands (``solution._in_bands``); p is a view of the node values."""
+    on the grid's nodes (``order`` must be 4).  ``at(t)`` is x -> the field
+    at (x, t), built once for the grid's (1, nt) row of t and called on
+    (rows, 1) columns.  Both arrays are built in row bands
+    (``solution._in_bands``); p is a view of the node values."""
     if order != 4:
         raise ValueError(f"stencil order must be 4, got {order}")
     if min(spec.nx, spec.nt) <= 4:
@@ -62,9 +64,9 @@ def _stencil_residual(field, spec: GridSpec, order):
     xs, ts = spec.axes()
     h = xs[1] - xs[0]
     k = ts[1] - ts[0]
-    P = np.broadcast_to(
-        _in_bands(lambda r: field(xs[r, None], ts[None, :]), spec.nx, spec.nt),
-        (spec.nx, spec.nt))
+    p_at = at(ts[None, :])
+    P = np.broadcast_to(_in_bands(lambda r: p_at(xs[r, None]), spec.nx,
+                                  spec.nt), (spec.nx, spec.nt))
 
     def residual(r):
         # interior rows r, from P's rows r and the 2-row halo on each side
@@ -79,26 +81,33 @@ def _stencil_residual(field, spec: GridSpec, order):
     return P[2:-2, 2:-2], _in_bands(residual, spec.nx - 4, spec.nt - 4)
 
 
+def _residual_norm(at, spec: GridSpec, order):
+    """Max |i p_t + p_xx + 2|p|**2 p| on the interior of the grid of
+    ``_stencil_residual(at, spec, order)``, normalized by max |p|**3."""
+    p, res = _stencil_residual(at, spec, order)
+    scale = float(np.max(np.abs(p))) ** 3
+    return float(np.max(np.abs(res))) / scale
+
+
 def field_residual(field, spec: GridSpec, order=4):
     """Max-norm residual of i p_t + p_xx + 2|p|**2 p on the grid interior,
     normalized by max |p|**3.  ``field(x, t)`` must broadcast; it is
     called on (rows, 1) columns and the (1, nt) row, once per row band
     (once for a grid of at most ``solution._BAND_BYTES``), and so evaluated
     once at every node of the grid."""
-    p, res = _stencil_residual(field, spec, order)
-    scale = float(np.max(np.abs(p))) ** 3
-    return float(np.max(np.abs(res))) / scale
+    return _residual_norm(lambda t: lambda x: field(x, t), spec, order)
 
 
 def nls_residual(sp: SolutionParams, spec: GridSpec, order=4):
     """Residual report for the analytic two-phase field, with the Richardson
-    order estimate from a resolution-doubled grid."""
-    field = lambda x, t: eval_p(x, t, sp)
-    coarse = field_residual(field, spec, order)
+    order estimate from a resolution-doubled grid.  Each grid builds the
+    thetas that depend on t alone once (``solution._p_at``)."""
+    at = lambda t: _p_at(t, sp)
+    coarse = _residual_norm(at, spec, order)
     fine_spec = dataclasses.replace(
         spec, nx=2 * spec.nx - 1, nt=2 * spec.nt - 1
     )
-    fine = field_residual(field, fine_spec, order)
+    fine = _residual_norm(at, fine_spec, order)
     order_est = math.log2(coarse / fine) if fine > 0.0 else math.inf
     return ResidualReport(residual_norm=fine, order_estimate=order_est)
 
@@ -110,7 +119,7 @@ def residual_fit_k2(params: CurveParams, spec: GridSpec, order=4):
     satisfies i F_t + F_xx + 2|F|**2 F = 2 K2 F, so K2 is the least-squares
     frequency Re<F, G> / (2 <F, F>).  Independent of the contour route."""
     sp0 = dataclasses.replace(build_solution_params(params), K2=0.0)
-    F, G = _stencil_residual(lambda x, t: eval_p(x, t, sp0), spec, order)
+    F, G = _stencil_residual(lambda t: _p_at(t, sp0), spec, order)
     return float(np.real(np.vdot(F, G)) / (2.0 * np.real(np.vdot(F, F))))
 
 
@@ -287,11 +296,11 @@ def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
     ``corrupt_k2`` adds 0.1 to K2 and runs the residual alone.  A phase
     Z without a reality witness, and an ``eps`` that leaves no degenerate
     curve or one whose integrals do not converge, are refused before any
-    evaluation.  The residual, a refused split-step line and
-    ``symmetry_suite`` run in this process, in that order, and the pair
-    after them or, with two or more usable CPUs, beside them in a forked
-    child (``_fork.in_order``): the same ledger, errors in the same order;
-    a child that ends early is an OSError naming the split-step."""
+    evaluation, a line unresolved at 512 samples before any instrument.
+    The residual and ``symmetry_suite`` run in this process, in that order,
+    and the pair after them or, with two or more usable CPUs, beside them
+    in a forked child (``_fork.in_order``): the same ledger and errors; a
+    child that ends early is an OSError naming the split-step."""
     _require_witness(sp)
     curve = sp.curve
     if limit is not None:
@@ -313,37 +322,27 @@ def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
                              "integrals do not converge this close to the "
                              "limit") from None
     lat = period_lattice(curve, sp.ell)
-    psi = refused = None
+    pair = []
     if curve.lambda0 == 0.0 and not corrupt_k2:
         L = 2.0 * lat.X
-        try:
-            # the smallest resolved line; at 512 the pair refuses an
-            # unresolved one, raised after the residual as before the fork
-            for n in (128, 256, 512):
-                xs = np.linspace(0.0, L, n, endpoint=False)
-                line = eval_p(xs, 0.0, sp)
-                if _resolved(line):
-                    break
-            psi = _checked_line(line, L, lat.T, 1000)
-        except Exception as exc:
-            refused = exc
+        # the smallest resolved line; one unresolved at 512 is refused
+        for n in (128, 256, 512):
+            xs = np.linspace(0.0, L, n, endpoint=False)
+            line = eval_p(xs, 0.0, sp)
+            if _resolved(line):
+                break
+        psi = _checked_line(line, L, lat.T, 1000)
+        pair = [("evolving the split-step",
+                 lambda: _richardson_pair(psi, L, lat.T, 1000).tobytes())]
 
     if corrupt_k2:
         sp = dataclasses.replace(sp, K2=sp.K2 + 0.1)
     spec = GridSpec(0.0, lat.X, 0.0, lat.T, nx, nt)
-
-    def checks():
-        rep = nls_residual(sp, spec, order=4)
-        if refused is not None:
-            raise refused
-        return rep, None if corrupt_k2 else symmetry_suite(sp)
-
     # the pair evolves in a forked child while the residual and the
     # symmetries run here
-    tasks = [("checking the residual and the symmetries", checks)]
-    if psi is not None:
-        tasks.append(("evolving the split-step",
-                      lambda: _richardson_pair(psi, L, lat.T, 1000).tobytes()))
+    tasks = [("checking the residual and the symmetries",
+              lambda: (nls_residual(sp, spec, order=4),
+                       None if corrupt_k2 else symmetry_suite(sp)))] + pair
     (rep, symmetries), *evolved = _fork.in_order(
         tasks, _fork.processes(len(tasks)))
     ledger = {"residual": {

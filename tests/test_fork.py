@@ -105,3 +105,18 @@ def test_no_child_left(forked, way_out):
         results.close()
     assert len(forked) == 2
     assert_all_reaped()
+
+
+class TestProcesses:
+    """``processes(limit)``: one per usable CPU, within [1, limit]."""
+
+    def test_one_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert _fork.processes(8) == 1
+
+    @pytest.mark.parametrize("count, want", [(3, 3), (16, 8), (None, 1)])
+    def test_cpu_count_without_affinity(self, monkeypatch, count, want):
+        # as on macOS: no sched_getaffinity, and os.cpu_count() may be None
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert _fork.processes(8) == want

@@ -72,6 +72,19 @@ class TestDegenerateFields:
         assert float(np.min(f)) == pytest.approx(c - b, abs=1e-3)
 
 
+class TestDegenerateFieldRefusals:
+    @pytest.mark.parametrize("a", [0.0, -3.0])
+    def test_plane_wave_cb_needs_positive_a(self, a):
+        with pytest.raises(ValueError, match="a > 0"):
+            plane_wave_cb(0.1, 0.0, 0.4, a)
+
+    @pytest.mark.parametrize("field", [plane_wave_ab, dn_wave_theta])
+    @pytest.mark.parametrize("b, c", [(7.0, 7.0), (8.0, 7.0), (0.0, 7.0)])
+    def test_need_b_between_0_and_c(self, field, b, c):
+        with pytest.raises(ValueError, match="0 < b < c"):
+            field(0.1, 0.0, 0.4, b, c)
+
+
 class TestConvergence:
     def test_a_to_0_linear(self):
         b, c = 8.0, 9.0
@@ -115,6 +128,12 @@ class TestDnFit:
         fs = 17.0 * jacobi_dn(17.0 * xs, 0.485)
         with pytest.raises(AssertionError):
             dn_fit(xs, fs, k20=200.0)
+
+
+    @pytest.mark.parametrize("fs", [np.zeros(41), -np.ones(41)])
+    def test_non_positive_profile_refused(self, fs):
+        with pytest.raises(ValueError, match="positive somewhere"):
+            dn_fit(np.linspace(-0.3, 0.3, 41), fs)
 
 
 class TestAsymptoticTables:

@@ -18,7 +18,7 @@ from thetawave.cli import main
 from thetawave.curve import build_solution_params, period_lattice
 from thetawave.elliptic import CurveParams
 from thetawave.limits import dn_wave_theta, plane_wave_ab, plane_wave_cb
-from thetawave.solution import GridSpec, eval_p
+from thetawave.solution import GridSpec, _p_at, eval_p
 from thetawave.verify import (
     _checked_line,
     _resolved,
@@ -103,17 +103,23 @@ class TestNlsResidual:
         assert rep.order_estimate < 1.0
 
     def test_evaluates_each_grid_once(self, sp, cell, monkeypatch):
-        # the coarse grid and the (2n - 1)^2 refinement, one call each
+        # the coarse grid and the (2n - 1)^2 refinement: one field per
+        # grid, built for its row of t and called once on its column of x
         calls = []
 
-        def counting(x, t, params):
-            calls.append(np.broadcast_shapes(np.shape(x), np.shape(t)))
-            return eval_p(x, t, params)
+        def counting(t, params):
+            p = _p_at(t, params)
 
-        monkeypatch.setattr("thetawave.verify.eval_p", counting)
+            def column(x):
+                calls.append((np.shape(x), np.shape(t)))
+                return p(x)
+
+            return column
+
+        monkeypatch.setattr("thetawave.verify._p_at", counting)
         nls_residual(sp, cell, order=4)
-        fine = (2 * cell.nx - 1, 2 * cell.nt - 1)
-        assert calls == [(cell.nx, cell.nt), fine]
+        nx, nt = 2 * cell.nx - 1, 2 * cell.nt - 1
+        assert calls == [((cell.nx, 1), (1, cell.nt)), ((nx, 1), (1, nt))]
 
 
 class TestRowBands:
@@ -151,7 +157,8 @@ class TestRowBands:
         for budget in (1 << 30, 1 << 20, 1 << 17):
             monkeypatch.setattr(solution, "_BAND_BYTES", budget)
             rows.clear()
-            p, res = _stencil_residual(field, spec, 4)
+            p, res = _stencil_residual(lambda t: lambda x: field(x, t),
+                                       spec, 4)
             got[budget] = (rows[:], p, res, field_residual(field, spec),
                            residual_fit_k2(curve, spec))
         assert [g[0] for g in got.values()] == [
@@ -161,6 +168,26 @@ class TestRowBands:
             assert np.array_equal(g[1], ref[1])
             assert np.array_equal(g[2], ref[2])
             assert g[3:] == ref[3:]
+
+    @pytest.mark.parametrize("lambda0", [0.0, 0.7])
+    def test_t_thetas_built_once_per_grid(self, monkeypatch, lambda0):
+        # 300 x 300 takes 2 bands and its 599 x 599 refinement 6; each grid
+        # builds the thetas of t alone, and at lambda0 != 0 the row factors
+        # of _theta_outer, once
+        curve = CurveParams(lambda0, 6.0, 8.0, 9.0)
+        sp_l = build_solution_params(curve)
+        lat = period_lattice(curve, sp_l.ell)
+        spec = GridSpec(0.0, lat.X, 0.0, lat.T, 300, 300)
+        builds = {"_quotient_terms": [], "_theta_outer": []}
+        for name, calls in builds.items():
+            real = getattr(solution, name)
+            monkeypatch.setattr(solution, name, lambda *a, real=real,
+                                calls=calls: calls.append(1) or real(*a))
+        outer = int(lambda0 != 0.0)
+        nls_residual(sp_l, spec)
+        assert [len(c) for c in builds.values()] == [2, 2 * outer]
+        residual_fit_k2(curve, spec)
+        assert [len(c) for c in builds.values()] == [3, 3 * outer]
 
 
 class TestResidualFitK2:
@@ -513,11 +540,12 @@ class TestForkedPair:
         assert len(pids) == 1
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_errors_in_the_order_of_one_process(self, sp, cpus, monkeypatch,
-                                                n):
-        # a line unresolved at 512 samples is refused before the fork,
-        # but raised after the residual and before the symmetries
+    def test_unresolved_line_refused_before_any_instrument(self, sp, cpus,
+                                                           monkeypatch, n):
+        # a line unresolved at 512 samples is refused before the residual,
+        # the symmetries and the fork, on one CPU as on two
         rng = np.random.default_rng(0)
+        ran = []
 
         def noisy(x, t, params):
             p = eval_p(x, t, params)
@@ -525,19 +553,20 @@ class TestForkedPair:
                 p = p + 1e-6 * rng.normal(size=np.size(x))
             return p
 
-        def failing(*args, **kwargs):
-            raise ArithmeticError("the residual fails")
+        def failing(name):
+            def run(*args, **kwargs):
+                ran.append(name)
+                raise ArithmeticError(f"{name} ran")
+            return run
 
         monkeypatch.setattr("thetawave.verify.eval_p", noisy)
-        monkeypatch.setattr("thetawave.verify.symmetry_suite", failing)
+        for name in ("nls_residual", "symmetry_suite"):
+            monkeypatch.setattr(f"thetawave.verify.{name}", failing(name))
+        monkeypatch.setattr("thetawave._fork.in_order", failing("in_order"))
         pids = cpus(n)
         with pytest.raises(RuntimeError, match="under-resolved"):
             verify_ledger(sp, 16, 16)
-        monkeypatch.setattr("thetawave.verify.nls_residual", failing)
-        with pytest.raises(ArithmeticError, match="the residual fails"):
-            verify_ledger(sp, 16, 16)
-        # a refused line starts no child
-        assert pids == []
+        assert (ran, pids) == ([], [])
         self.assert_all_reaped()
 
 
@@ -635,14 +664,12 @@ class TestVerifyLedger:
     @pytest.mark.parametrize("corrupt_k2", [False, True])
     def test_unwitnessed_phase_refused_before_evaluation(self, monkeypatch,
                                                          corrupt_k2):
-        # Im Z2 = 0.1 has no reality witness; the field has a pole there
+        # Im Z2 = 0.1 has no reality witness; the field has a pole there.
+        # Every evaluation of the field builds its quotient's terms
         calls = []
-
-        def counting(x, t, params):
-            calls.append(1)
-            return eval_p(x, t, params)
-
-        monkeypatch.setattr("thetawave.verify.eval_p", counting)
+        real = solution._quotient_terms
+        monkeypatch.setattr(solution, "_quotient_terms",
+                            lambda *a: calls.append(1) or real(*a))
         sp_z = build_solution_params(P689, np.array([0.0, 0.1j]))
         with pytest.raises(ValueError, match="reality condition"):
             verify_ledger(sp_z, 128, 128, corrupt_k2=corrupt_k2)
