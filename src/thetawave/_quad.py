@@ -10,8 +10,8 @@ binary64 accuracy.
 One integrand call evaluates levels 0 to _BLOCK_LEVEL on one table, every
 multiple of 2**-_BLOCK_LEVEL on [-_T_MAX, _T_MAX]: most quadratures stop near
 _BLOCK_LEVEL, and on so few nodes an integrand call costs mostly its fixed
-overhead.  ``_level`` tabulates each later level, one call each.  Tables are
-built once per process, on first use, read-only.
+overhead.  Each later level takes one call on the odd multiples of its step.
+``_nodes`` builds every table, once per process, on first use, read-only.
 """
 
 from __future__ import annotations
@@ -34,9 +34,13 @@ _TOL = 1e-12
 _BLOCK_LEVEL = 4
 
 
-def _nodes(t):
-    """Map trapezoid abscissas t to the read-only rows (u_frac, v_frac,
-    weight_factor)."""
+@functools.lru_cache(maxsize=None)
+def _nodes(level, odd):
+    """Read-only rows (u_frac, v_frac, weight_factor) at t = k*2**-level on
+    [-_T_MAX, _T_MAX], in the order of t: for every k, or for the odd k
+    alone, the nodes that ``level`` adds."""
+    kmax = int(_T_MAX * 2 ** level)
+    t = np.arange(-kmax | odd, kmax + 1, 1 + odd) / 2 ** level
     z = 0.5 * np.pi * np.sinh(t)
     # logistic distances from the two endpoints, written with exp(-2|z|) so
     # that the short side stays a positive subnormal instead of overflowing
@@ -49,23 +53,6 @@ def _nodes(t):
     uvw = np.array([u, v, np.pi * np.cosh(t) * ez / (1.0 + ez) ** 2])
     uvw.setflags(write=False)
     return uvw
-
-
-@functools.lru_cache(maxsize=None)
-def _table():
-    """Read-only _nodes of every multiple of h = 2**-_BLOCK_LEVEL: the nodes
-    of levels 0 to _BLOCK_LEVEL, in the order of t."""
-    kmax = int(_T_MAX * 2 ** _BLOCK_LEVEL)
-    return _nodes(np.arange(-kmax, kmax + 1) / 2 ** _BLOCK_LEVEL)
-
-
-@functools.lru_cache(maxsize=None)
-def _level(level):
-    """Read-only _nodes of what ``level`` > _BLOCK_LEVEL adds: the odd
-    multiples k*h of h = 2**-level in [-_T_MAX, _T_MAX], from k = -kmax | 1."""
-    h = 0.5 ** level
-    kmax = int(_T_MAX / h)
-    return _nodes(h * np.arange(-kmax | 1, kmax + 1, 2))
 
 
 def tanh_sinh(f, length):
@@ -94,7 +81,7 @@ def tanh_sinh(f, length):
             s = 1 << (_BLOCK_LEVEL - level)
             vals = block[::s] if level == 0 else block[s::2 * s]
         else:
-            vals = weighted(_level(level))
+            vals = weighted(_nodes(level, True))
         # non-finite when a value is, or when the sizes overflow, which would
         # make the stop test pass vacuously; checked per level, so that a
         # block level the loop stops before never raises
@@ -107,7 +94,7 @@ def tanh_sinh(f, length):
     # a non-finite value raises in evaluate, and one that overflows to zero
     # stalls convergence; numpy's warnings would only precede that error
     with np.errstate(all="ignore"):
-        block = weighted(_table())
+        block = weighted(_nodes(_BLOCK_LEVEL, False))
         total, size = evaluate(0)
         prev = h * total
         err = np.inf

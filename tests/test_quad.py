@@ -1,6 +1,6 @@
 """The fixed quadrature rules are tabulated once per process: tanh-sinh's
-one table of levels 0 to _BLOCK_LEVEL, its later levels' node tables and the
-Gauss-Legendre rules of the f_minus route.
+node tables (``_quad._nodes``: one block of levels 0 to _BLOCK_LEVEL, then
+one table per later level) and the Gauss-Legendre rules of the f_minus route.
 Tabulating must not change a bit of any result, nor any error."""
 
 import os
@@ -13,30 +13,32 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from thetawave import _quad, elliptic
-from thetawave._quad import _MAX_LEVEL, _T_MAX, _TOL, tanh_sinh
+from thetawave._quad import _BLOCK_LEVEL, _MAX_LEVEL, _TOL, tanh_sinh
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+def _built(level):
+    """The nodes that ``level`` adds, built anew, past the cache: every
+    multiple of h = 1 at level 0, after it the odd multiples of 2**-level."""
+    return _quad._nodes.__wrapped__(level, level > 0)
+
+
 def _uncached(f, length):
-    """tanh_sinh with every level's nodes rebuilt from their abscissas;
-    returns the value and the level it stopped at."""
-    def evaluate(t):
-        u, v, w = _quad._nodes(t)
+    """tanh_sinh with every level's nodes built anew and evaluated on their
+    own; returns the value and the level it stopped at."""
+    def evaluate(level):
+        u, v, w = _built(level)
         vals = f(u * length, v * length) * (w * length)
         return vals.sum(), np.abs(vals).sum()
 
     h = 1.0
     with np.errstate(all="ignore"):
-        total, size = evaluate(h * np.arange(-int(_T_MAX / h),
-                                             int(_T_MAX / h) + 1))
+        total, size = evaluate(0)
         prev = h * total
         for level in range(1, _MAX_LEVEL + 1):
             h *= 0.5
-            kmax = int(_T_MAX / h)
-            if kmax % 2 == 0:
-                kmax -= 1
-            new, new_size = evaluate(h * np.arange(-kmax, kmax + 1, 2))
+            new, new_size = evaluate(level)
             total += new
             size += new_size
             value = h * total
@@ -71,46 +73,52 @@ def test_bit_identical_to_uncached_loop(name):
         assert got.tobytes() == want.tobytes()
 
 
-def test_each_level_built_once(monkeypatch):
-    built = []
-    nodes = _quad._nodes
-
-    def counted(t):
-        built.append(t.size)    # the size tells the tables apart
-        return nodes(t)
-
-    monkeypatch.setattr(_quad, "_nodes", counted)
-    _quad._table.cache_clear()
-    _quad._level.cache_clear()
-    # levels 0 to _BLOCK_LEVEL come from the one table of 193 nodes
+def test_each_level_built_once():
+    _quad._nodes.cache_clear()
+    # levels 0 to _BLOCK_LEVEL come from the one block
     tanh_sinh(INTEGRANDS["endpoint_root"][0], 1.0)
-    assert built == [193]
-    assert _quad._level.cache_info().currsize == 0
-    # levels 5 and 6 add 192 and 384 nodes, each built once
+    info = _quad._nodes.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+    # the first call builds levels 5 and 6; the second stops at level 5 and
+    # reads it, with the block, from the cache
     f = INTEGRANDS["narrow_peak"][0]
     tanh_sinh(f, 1.0)
     tanh_sinh(f, 0.3)
-    assert built == [193, 192, 384]
-    assert _quad._level.cache_info().currsize == 2
+    info = _quad._nodes.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 3, 3)
+    # the three tables built are the block of 193 nodes and the 192 and 384
+    # that levels 5 and 6 add
+    keys = [(_BLOCK_LEVEL, False), (5, True), (6, True)]
+    assert [_quad._nodes(*key).shape for key in keys] \
+        == [(3, 193), (3, 192), (3, 384)]
+    assert _quad._nodes.cache_info().misses == 3
+
+
+def test_block_slices_are_the_levels_it_holds():
+    block = _quad._nodes(_BLOCK_LEVEL, False)
+    assert block[:, ::16].tobytes() == _quad._nodes(0, False).tobytes()
+    for level in range(1, _BLOCK_LEVEL + 1):
+        s = 1 << (_BLOCK_LEVEL - level)
+        assert block[:, s::2 * s].tobytes() \
+            == _quad._nodes(level, True).tobytes()
 
 
 def test_tables_not_built_at_import():
     probe = ("import thetawave\n"
              "from thetawave import _quad, elliptic\n"
-             "print(_quad._level.cache_info().currsize,"
-             " _quad._table.cache_info().currsize,"
+             "print(_quad._nodes.cache_info().currsize,"
              " elliptic._gauss_rule.cache_info().currsize)\n")
     res = subprocess.run([sys.executable, "-c", probe],
                          env={**os.environ, "PYTHONPATH": SRC},
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["0", "0", "0"]
+    assert res.stdout.split() == ["0", "0"]
 
 
 def test_cached_tables_are_read_only():
     tanh_sinh(INTEGRANDS["mixed_sign"][0], 1.0)
     elliptic._f_minus_gauss(6.0, 8.0, 9.0)
-    for table in (*_quad._table(), *_quad._level(5),
+    for table in (*_quad._nodes(_BLOCK_LEVEL, False), *_quad._nodes(5, True),
                   *elliptic._gauss_rule(24)):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.5
@@ -120,11 +128,7 @@ def _nan_at(level, g, length):
     """g, but NaN at the nodes (u, v) that ``level`` adds on (0, length):
     every multiple of h = 1 at level 0, after it the odd multiples of
     h = 2**-level."""
-    h = 0.5 ** level
-    kmax = int(_T_MAX / h)
-    if level and kmax % 2 == 0:
-        kmax -= 1
-    u, v, _ = _quad._nodes(h * np.arange(-kmax, kmax + 1, 2 if level else 1))
+    u, v, _ = _built(level)
     marked = set(zip(u * length, v * length))
 
     def f(u, v):
