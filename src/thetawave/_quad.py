@@ -41,16 +41,23 @@ def _nodes(level, odd):
     alone, the nodes that ``level`` adds."""
     kmax = int(_T_MAX * 2 ** level)
     t = np.arange(-kmax | odd, kmax + 1, 1 + odd) / 2 ** level
-    z = 0.5 * np.pi * np.sinh(t)
+
+    def libm(fn, x):
+        # fn from libm, one abscissa at a time: numpy's own SIMD loops round
+        # differently with and without AVX-512
+        return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+    z = 0.5 * np.pi * libm(math.sinh, t)
     # logistic distances from the two endpoints, written with exp(-2|z|) so
     # that the short side stays a positive subnormal instead of overflowing
-    ez = np.exp(-2.0 * np.abs(z))
-    near = ez / (1.0 + ez)
-    far = 1.0 / (1.0 + ez)
+    ez = libm(math.exp, -2.0 * np.abs(z))
+    d = 1.0 + ez
+    near = ez / d
+    far = 1.0 / d
     pos = z > 0.0
     u = np.where(pos, far, near)
     v = np.where(pos, near, far)
-    uvw = np.array([u, v, np.pi * np.cosh(t) * ez / (1.0 + ez) ** 2])
+    uvw = np.array([u, v, np.pi * libm(math.cosh, t) * ez / (d * d)])
     uvw.setflags(write=False)
     return uvw
 

@@ -15,6 +15,7 @@ combination H of products of theta2/theta3 at doubled arguments;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ __all__ = [
     "theta_reduction_check",
 ]
 
-_LOG_TERM_CUTOFF = 17.0 * np.log(10.0)
+_LOG_TERM_CUTOFF = 17.0 * math.log(10.0)
 _EXP_LIMIT = 700.0
 _BLOCK_TERMS = 1 << 20  # points x box terms riemann_theta2 sums at once
 

@@ -48,6 +48,14 @@ class ResidualReport:
     order_estimate: float
 
 
+def _require_stencil_grid(spec: GridSpec):
+    """Refuse a grid too small for the order-4 stencil, which needs 2 nodes
+    on each side of an interior node."""
+    if min(spec.nx, spec.nt) <= 4:
+        raise ValueError(f"an order-4 stencil needs nx and nt above 4, got "
+                         f"nx={spec.nx}, nt={spec.nt}")
+
+
 def _stencil_residual(at, spec: GridSpec, order):
     """Field values p on the grid interior and i p_t + p_xx + 2|p|**2 p
     there, by fourth-order central differences of the field evaluated once
@@ -57,10 +65,7 @@ def _stencil_residual(at, spec: GridSpec, order):
     (``solution._in_bands``); p is a view of the node values."""
     if order != 4:
         raise ValueError(f"stencil order must be 4, got {order}")
-    if min(spec.nx, spec.nt) <= 4:
-        # the stencil needs 2 nodes on each side of an interior node
-        raise ValueError(f"an order-4 stencil needs nx and nt above 4, got "
-                         f"nx={spec.nx}, nt={spec.nt}")
+    _require_stencil_grid(spec)
     xs, ts = spec.axes()
     h = xs[1] - xs[0]
     k = ts[1] - ts[0]
@@ -295,8 +300,9 @@ def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
     ``symmetry_suite`` and, for ``limit``, the unjudged distance at ``eps``;
     ``corrupt_k2`` adds 0.1 to K2 and runs the residual alone.  A phase
     Z without a reality witness, and an ``eps`` that leaves no degenerate
-    curve or one whose integrals do not converge, are refused before any
-    evaluation, a line unresolved at 512 samples before any instrument.
+    curve or one whose integrals do not converge, and a grid too small for
+    the stencil are refused before any evaluation, a line unresolved at 512
+    samples before any instrument.
     The residual and ``symmetry_suite`` run in this process, in that order,
     and the pair after them or, with two or more usable CPUs, beside them
     in a forked child (``_fork.in_order``): the same ledger and errors; a
@@ -322,6 +328,8 @@ def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
                              "integrals do not converge this close to the "
                              "limit") from None
     lat = period_lattice(curve, sp.ell)
+    spec = GridSpec(0.0, lat.X, 0.0, lat.T, nx, nt)
+    _require_stencil_grid(spec)
     pair = []
     if curve.lambda0 == 0.0 and not corrupt_k2:
         L = 2.0 * lat.X
@@ -337,7 +345,6 @@ def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
 
     if corrupt_k2:
         sp = dataclasses.replace(sp, K2=sp.K2 + 0.1)
-    spec = GridSpec(0.0, lat.X, 0.0, lat.T, nx, nt)
     # the pair evolves in a forked child while the residual and the
     # symmetries run here
     tasks = [("checking the residual and the symmetries",

@@ -1,5 +1,6 @@
 """CLI goldens: the stdout and exit code of representative commands must
-stay byte-identical across refactors.
+stay byte-identical across refactors, and with numpy's AVX-512 loops on or
+off.
 
 Each case's stdout is stored in ``golden/<name>.out``.  Regenerate the files
 only for an intended output change, with ``python tests/test_golden.py``.
@@ -7,13 +8,19 @@ only for an intended output change, with ``python tests/test_golden.py``.
 
 import contextlib
 import io
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from thetawave.cli import main
 
-GOLDEN = Path(__file__).parent / "golden"
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
 
 # name -> (argv, exit code[, the case whose golden file it must print])
 CASES = {
@@ -56,6 +63,51 @@ def test_cli_output_matches_golden(name):
     assert code == want_code
     assert out == (GOLDEN / f"{(golden or [name])[0]}.out").read_text()
 
+
+# numpy's runtime-dispatched targets above AVX2
+_AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+# every case in one process, with the targets of NPY_DISABLE_CPU_FEATURES
+# checked off first; prints JSON: name -> [exit code, stdout]
+_ALL_CASES = (
+    "import json, os, sys\n"
+    "sys.path[:0] = sys.argv[1:]\n"
+    "from test_golden import CASES, _cpu, _run\n"
+    "off = os.environ['NPY_DISABLE_CPU_FEATURES'].split()\n"
+    "on = [name for name in off if _cpu()[0][name]]\n"
+    "assert not on, f'still dispatched: {on}'\n"
+    "print(json.dumps({name: _run(case[0]) for name, case in CASES.items()}))\n"
+)
+
+
+def _cpu():
+    """numpy's (CPU features found at runtime, targets it dispatches)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return umath.__cpu_features__, umath.__cpu_dispatch__
+
+
+def test_same_bytes_without_avx512():
+    features, dispatch = _cpu()
+    if not features.get("AVX512F"):
+        pytest.skip("no AVX512F on this host, so the default run already "
+                    "runs without AVX-512")
+    missing = [name for name in _AVX512 if name not in dispatch]
+    if missing:
+        pytest.skip(f"numpy {np.__version__} does not dispatch {missing} at "
+                    "runtime")
+    res = subprocess.run(
+        [sys.executable, "-c", _ALL_CASES, str(TESTS.parent / "src"),
+         str(TESTS)],
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(_AVX512)},
+        capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    got = json.loads(res.stdout)
+    differ = [name for name, (argv, want_code, *golden) in CASES.items()
+              if got[name] != [want_code, (
+                  GOLDEN / f"{(golden or [name])[0]}.out").read_text()]]
+    assert differ == []
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)

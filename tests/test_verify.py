@@ -675,6 +675,29 @@ class TestVerifyLedger:
             verify_ledger(sp_z, 128, 128, corrupt_k2=corrupt_k2)
         assert calls == []
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("lambda0", [0.0, 0.7])
+    def test_small_grid_refused_before_evaluation(self, monkeypatch, capsys,
+                                                  lambda0):
+        # two usable CPUs, on which a lambda0 = 0 ledger forks its pair
+        forks, calls = [], []
+        fork = os.fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        real = solution._quotient_terms
+        sp_l = build_solution_params(CurveParams(lambda0, 6.0, 8.0, 9.0))
+        monkeypatch.setattr(solution, "_quotient_terms",
+                            lambda *a: calls.append(1) or real(*a))
+        message = "an order-4 stencil needs nx and nt above 4, got nx=4, nt=4"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_ledger(sp_l, 4, 4)
+        assert (forks, calls) == ([], [])
+        code = main(["verify", "--lambda0", str(lambda0), "--nx", "4",
+                     "--nt", "4"])
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+        assert (forks, calls) == ([], [])
+
     @pytest.mark.parametrize("flags, kwargs", [
         ([], {}),
         (["--corrupt-k2"], {"corrupt_k2": True}),

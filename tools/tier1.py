@@ -12,7 +12,8 @@ Exit 0 when the set of failed or errored tests is exactly the documented
 one; exit 1 when a further test fails or a test module does not import
 (either is named), when one of the three starts to pass, or when pytest
 itself breaks.  A skipped test counts as neither passed nor failed, and
-the summary line gives both counts (without scipy, its oracle skips).
+the summary line gives both counts (without scipy, its oracle skips), with
+the node ID and reason of each skipped test under it.
 Needs only the standard library, pytest and hypothesis.
 """
 
@@ -37,18 +38,20 @@ EXPECTED = {
 
 
 class _Recorder:
-    """pytest plugin: the node IDs of the tests run, of the tests skipped,
-    and of the tests and collected modules that failed or errored."""
+    """pytest plugin: the node IDs of the tests run, of the tests skipped
+    (with the reason), and of the tests and collected modules that failed or
+    errored."""
 
     def __init__(self):
-        self.ran, self.skipped, self.bad = set(), set(), set()
+        self.ran, self.skipped, self.bad = set(), {}, set()
 
     def pytest_runtest_logreport(self, report):
         self.ran.add(report.nodeid)
         if report.failed:
             self.bad.add(report.nodeid)
         elif report.skipped:
-            self.skipped.add(report.nodeid)
+            # a skip's longrepr is (path, line number, "Skipped: <reason>")
+            self.skipped[report.nodeid] = report.longrepr[2]
 
     def pytest_collectreport(self, report):
         if report.failed:
@@ -66,8 +69,8 @@ def main(argv):
               file=sys.stderr)
         return 1
     bad = rec.bad
-    skipped = rec.skipped - bad
-    ran = rec.ran - skipped
+    skipped = {n: why for n, why in rec.skipped.items() if n not in bad}
+    ran = rec.ran - skipped.keys()
     problems = [f"tier1: unexpected failure: {n}"
                 for n in sorted(bad - EXPECTED)]
     problems += [f"tier1: documented failure now passes: {n}"
@@ -80,6 +83,8 @@ def main(argv):
         return 1
     print(f"tier1: {len(ran - bad)} passed, {len(skipped)} skipped, and the "
           f"{len(bad)} documented failures failed")
+    for node, why in sorted(skipped.items()):
+        print(f"  skipped {node}: {why}")
     return 0
 
 
