@@ -49,6 +49,12 @@ CASES = {
 }
 
 
+def _want(name):
+    """The exit code and the golden stdout of the case ``name``."""
+    argv, want_code, *golden = CASES[name]
+    return want_code, (GOLDEN / f"{(golden or [name])[0]}.out").read_text()
+
+
 def _run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -58,10 +64,7 @@ def _run(argv):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
-    argv, want_code, *golden = CASES[name]
-    code, out = _run(argv)
-    assert code == want_code
-    assert out == (GOLDEN / f"{(golden or [name])[0]}.out").read_text()
+    assert _run(CASES[name][0]) == _want(name)
 
 
 # numpy's runtime-dispatched targets above AVX2
@@ -75,7 +78,7 @@ _ALL_CASES = (
     "off = os.environ['NPY_DISABLE_CPU_FEATURES'].split()\n"
     "on = [name for name in off if _cpu()[0][name]]\n"
     "assert not on, f'still dispatched: {on}'\n"
-    "print(json.dumps({name: _run(case[0]) for name, case in CASES.items()}))\n"
+    "print(json.dumps({name: _run(CASES[name][0]) for name in CASES}))\n"
 )
 
 
@@ -104,10 +107,7 @@ def test_same_bytes_without_avx512():
         capture_output=True, text=True, timeout=600)
     assert res.returncode == 0, res.stderr
     got = json.loads(res.stdout)
-    differ = [name for name, (argv, want_code, *golden) in CASES.items()
-              if got[name] != [want_code, (
-                  GOLDEN / f"{(golden or [name])[0]}.out").read_text()]]
-    assert differ == []
+    assert [name for name in CASES if tuple(got[name]) != _want(name)] == []
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)

@@ -3,6 +3,7 @@ node tables (``_quad._nodes``: one block of levels 0 to _BLOCK_LEVEL, then
 one table per later level) and the Gauss-Legendre rules of the f_minus route.
 Tabulating must not change a bit of any result, nor any error."""
 
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from thetawave import _quad, elliptic
-from thetawave._quad import _BLOCK_LEVEL, _MAX_LEVEL, _TOL, tanh_sinh
+from thetawave._quad import _BLOCK_LEVEL, _MAX_LEVEL, _T_MAX, _TOL, tanh_sinh
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -96,11 +97,30 @@ def test_each_level_built_once():
 
 def test_block_slices_are_the_levels_it_holds():
     block = _quad._nodes(_BLOCK_LEVEL, False)
-    assert block[:, ::16].tobytes() == _quad._nodes(0, False).tobytes()
+    assert block[:, ::16].tobytes() == _built(0).tobytes()
     for level in range(1, _BLOCK_LEVEL + 1):
         s = 1 << (_BLOCK_LEVEL - level)
-        assert block[:, s::2 * s].tobytes() \
-            == _quad._nodes(level, True).tobytes()
+        assert block[:, s::2 * s].tobytes() == _built(level).tobytes()
+
+
+def _libm_node(t):
+    """(u_frac, v_frac, weight_factor) at the abscissa t, in Python floats
+    with math's sinh, exp and cosh."""
+    z = 0.5 * math.pi * math.sinh(t)
+    ez = math.exp(-2.0 * abs(z))
+    d = 1.0 + ez
+    near, far = ez / d, 1.0 / d
+    u, v = (far, near) if z > 0.0 else (near, far)
+    return u, v, math.pi * math.cosh(t) * ez / (d * d)
+
+
+@pytest.mark.parametrize("level", range(11))
+def test_nodes_are_libm_per_abscissa(level):
+    # the same bits whatever numpy's SIMD dispatch
+    kmax = int(_T_MAX * 2 ** level)
+    ks = range(-kmax, kmax + 1) if level == 0 else range(1 - kmax, kmax, 2)
+    want = np.array([_libm_node(k / 2 ** level) for k in ks]).T
+    assert _built(level).tobytes() == want.tobytes()
 
 
 def test_tables_not_built_at_import():
