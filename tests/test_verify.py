@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thetawave import solution
+from thetawave import solution, verify
 from thetawave.cli import main
 from thetawave.curve import build_solution_params, period_lattice
 from thetawave.elliptic import CurveParams
@@ -631,13 +631,22 @@ class TestSymmetrySuite:
         sp_l = build_solution_params(curve)
         lat = period_lattice(curve, sp_l.ell)
         assert (lat.X1, lat.T1) == (-8.0 * lambda0 * lat.T, 2.0 * lat.T)
-        rng = np.random.default_rng(0)
-        xs = lat.X * rng.uniform(-1.36, 1.36, 40)
-        ts = lat.T * rng.uniform(-1.93, 1.93, 40)
+        xs = lat.X * verify._SAMPLES[0]
+        ts = lat.T * verify._SAMPLES[1]
         absp = np.abs(eval_p(xs, ts, sp_l))
         drift = (np.max(np.abs(np.abs(eval_p(xs + lat.X1, ts + lat.T1, sp_l))
                                - absp)) / np.max(absp))
         assert symmetry_suite(sp_l)["t_periodicity"]["error"] == drift
+
+    def test_samples_cover_the_box(self):
+        # the 40 points (x/X, t/T) lie in |x/X| <= 1.36, |t/T| <= 1.93 and
+        # leave no cell of the box's 4 x 4 split empty
+        xs, ts = verify._SAMPLES
+        assert xs.shape == ts.shape == (40,)
+        assert np.all(np.abs(xs) <= 1.36) and np.all(np.abs(ts) <= 1.93)
+        cells = {(math.floor(2.0 * (x / 1.36 + 1.0)),
+                  math.floor(2.0 * (t / 1.93 + 1.0))) for x, t in zip(xs, ts)}
+        assert cells == {(i, j) for i in range(4) for j in range(4)}
 
     def test_needs_provenance(self, sp):
         # SolutionParams refuses to be built without its curve
