@@ -12,27 +12,6 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="needs os.fork")
 
 
-@pytest.fixture
-def forked(monkeypatch):
-    """The list of the children's pids, filled as they are forked."""
-    pids = []
-    fork = os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return pids
-
-
-def assert_all_reaped():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def whose(i):
     return f"{i} {os.getpid()}".encode()
 
@@ -44,18 +23,18 @@ def tasks(n):
 
 
 @pytest.mark.parametrize("w", [1, 2, 3])
-def test_results_in_order(forked, w):
+def test_results_in_order(forks, w):
     results = [data.split() for data in _fork.in_order(tasks(7), w)]
     assert [int(i) for i, _ in results] == list(range(7))
     # task i ran in the parent for i % w == 0, else in child i % w
-    assert len(forked) == w - 1
-    pids = [os.getpid()] + forked
+    assert len(forks.pids) == w - 1
+    pids = [os.getpid()] + forks.pids
     assert [int(pid) for _, pid in results] == [pids[i % w]
                                                  for i in range(7)]
-    assert_all_reaped()
+    forks.assert_all_reaped()
 
 
-def test_child_that_raises_ends_early(capfd, forked):
+def test_child_that_raises_ends_early(capfd, forks):
     def failing():
         raise ValueError("the task fails")
 
@@ -68,27 +47,20 @@ def test_child_that_raises_ends_early(capfd, forked):
     err = capfd.readouterr().err.splitlines()
     assert err[0] == "Traceback (most recent call last):"
     assert err[-1] == "ValueError: the task fails"
-    assert len(forked) == 1
-    assert_all_reaped()
+    assert len(forks.pids) == 1
+    forks.assert_all_reaped()
 
 
-def test_failing_fork_computes_in_parent(forked, monkeypatch):
-    fork = os.fork
-
-    def second_fork_fails():
-        if forked:
-            raise BlockingIOError("Resource temporarily unavailable")
-        return fork()
-
-    monkeypatch.setattr(os, "fork", second_fork_fails)
+def test_failing_fork_computes_in_parent(forks):
+    forks.fail_from(2)
     assert list(_fork.in_order(tasks(7), 3)) == [whose(i) for i in range(7)]
     # the first child was forked, then killed and reaped
-    assert len(forked) == 1
-    assert_all_reaped()
+    assert len(forks.pids) == 1
+    forks.assert_all_reaped()
 
 
 @pytest.mark.parametrize("way_out", ["raise", "close"])
-def test_no_child_left(forked, way_out):
+def test_no_child_left(forks, way_out):
     def first():
         if way_out == "raise":
             raise ArithmeticError("the parent fails")
@@ -103,8 +75,8 @@ def test_no_child_left(forked, way_out):
     else:
         assert next(results) == b"first"
         results.close()
-    assert len(forked) == 2
-    assert_all_reaped()
+    assert len(forks.pids) == 2
+    forks.assert_all_reaped()
 
 
 class TestProcesses:

@@ -6,18 +6,13 @@ Each case's stdout is stored in ``golden/<name>.out``.  Regenerate the files
 only for an intended output change, with ``python tests/test_golden.py``.
 """
 
-import contextlib
-import io
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-
-from thetawave.cli import main
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
@@ -55,30 +50,30 @@ def _want(name):
     return want_code, (GOLDEN / f"{(golden or [name])[0]}.out").read_text()
 
 
-def _run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    return code, out.getvalue()
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name):
-    assert _run(CASES[name][0]) == _want(name)
+def test_cli_output_matches_golden(run_cli, name):
+    code, out, _ = run_cli(CASES[name][0])
+    assert (code, out) == _want(name)
 
 
 # numpy's runtime-dispatched targets above AVX2
 _AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 # every case in one process, with the targets of NPY_DISABLE_CPU_FEATURES
-# checked off first; prints JSON: name -> [exit code, stdout]
+# checked off first; prints JSON: name -> [exit code, stdout].  Its argument
+# is the directory of this module
 _ALL_CASES = (
-    "import json, os, sys\n"
-    "sys.path[:0] = sys.argv[1:]\n"
-    "from test_golden import CASES, _cpu, _run\n"
-    "off = os.environ['NPY_DISABLE_CPU_FEATURES'].split()\n"
+    "import contextlib, io, json, os, sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from test_golden import CASES, _cpu\n"
+    "from thetawave.cli import main\n"
+    "off = os.environ.get('NPY_DISABLE_CPU_FEATURES', '').split()\n"
     "on = [name for name in off if _cpu()[0][name]]\n"
     "assert not on, f'still dispatched: {on}'\n"
-    "print(json.dumps({name: _run(CASES[name][0]) for name in CASES}))\n"
+    "got = {}\n"
+    "for name, (argv, *_) in CASES.items():\n"
+    "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+    "        got[name] = main(argv), out.getvalue()\n"
+    "print(json.dumps(got))\n"
 )
 
 
@@ -91,7 +86,7 @@ def _cpu():
     return umath.__cpu_features__, umath.__cpu_dispatch__
 
 
-def test_same_bytes_without_avx512():
+def test_same_bytes_without_avx512(python):
     features, dispatch = _cpu()
     if not features.get("AVX512F"):
         pytest.skip("no AVX512F on this host, so the default run already "
@@ -100,21 +95,23 @@ def test_same_bytes_without_avx512():
     if missing:
         pytest.skip(f"numpy {np.__version__} does not dispatch {missing} at "
                     "runtime")
-    res = subprocess.run(
-        [sys.executable, "-c", _ALL_CASES, str(TESTS.parent / "src"),
-         str(TESTS)],
-        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(_AVX512)},
-        capture_output=True, text=True, timeout=600)
+    res = python.run("-c", _ALL_CASES, str(TESTS), timeout=600,
+                     NPY_DISABLE_CPU_FEATURES=" ".join(_AVX512))
     assert res.returncode == 0, res.stderr
     got = json.loads(res.stdout)
     assert [name for name in CASES if tuple(got[name]) != _want(name)] == []
 
+
 if __name__ == "__main__":
+    # thetawave must be importable, as it is when installed
+    res = subprocess.run([sys.executable, "-c", _ALL_CASES, str(TESTS)],
+                         stdout=subprocess.PIPE, text=True, check=True)
+    got = json.loads(res.stdout)
     GOLDEN.mkdir(exist_ok=True)
     for name, (argv, want_code, *golden) in CASES.items():
         if golden:
             continue  # another case writes the file it prints
-        code, out = _run(argv)
+        code, out = got[name]
         if code != want_code:
             raise SystemExit(f"{name}: exit {code}, expected {want_code}")
         (GOLDEN / f"{name}.out").write_text(out)

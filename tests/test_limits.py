@@ -130,6 +130,34 @@ class TestDnFit:
             dn_fit(xs, fs, k20=200.0)
 
 
+    def test_non_converging_fit_refused(self):
+        # a straight line is no dn profile: the damped steps still lower
+        # the residual after 100 iterations
+        xs = np.linspace(-0.3, 0.3, 41)
+        with pytest.raises(RuntimeError,
+                           match="^dn profile fit did not converge$"):
+            dn_fit(xs, 1.0 + xs)
+
+    def test_a_not_b_refused(self):
+        xs = np.linspace(-0.3, 0.3, 401)
+        with pytest.raises(AssertionError,
+                           match="^fit violates A = B: ") as exc:
+            dn_fit(xs, 17.0 * jacobi_dn(20.0 * xs, 0.485), k20=1.0)
+        A, B = map(float, str(exc.value).split(": ")[1].split(" vs "))
+        assert (A, B) == (pytest.approx(17.0), pytest.approx(20.0))
+
+    def test_profile_off_its_ode_refused(self):
+        # A = B and A**2 = 2*k20/(2 - k**2) each hold to 0.9*tol; together
+        # they leave the ODE residual 0.9*tol*(2 + k**2)*A**3 at the peak,
+        # above its bound tol*A**3
+        xs = np.linspace(-0.3, 0.3, 401)
+        A, kt, tol = 17.0, 0.485, 1e-6
+        B = A / (1.0 + 0.9 * tol)
+        k20 = A * A * (2.0 - kt * kt) / (2.0 * (1.0 + 0.9 * tol))
+        with pytest.raises(AssertionError,
+                           match="^fitted profile fails its ODE$"):
+            dn_fit(xs, A * jacobi_dn(B * xs, kt), k20=k20, tol=tol)
+
     @pytest.mark.parametrize("fs", [np.zeros(41), -np.ones(41)])
     def test_non_positive_profile_refused(self, fs):
         with pytest.raises(ValueError, match="positive somewhere"):

@@ -4,10 +4,6 @@ one table per later level) and the Gauss-Legendre rules of the f_minus route.
 Tabulating must not change a bit of any result, nor any error."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +11,6 @@ from numpy.polynomial.legendre import leggauss
 
 from thetawave import _quad, elliptic
 from thetawave._quad import _BLOCK_LEVEL, _MAX_LEVEL, _T_MAX, _TOL, tanh_sinh
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _built(level):
@@ -123,14 +117,12 @@ def test_nodes_are_libm_per_abscissa(level):
     assert _built(level).tobytes() == want.tobytes()
 
 
-def test_tables_not_built_at_import():
+def test_tables_not_built_at_import(python):
     probe = ("import thetawave\n"
              "from thetawave import _quad, elliptic\n"
              "print(_quad._nodes.cache_info().currsize,"
              " elliptic._gauss_rule.cache_info().currsize)\n")
-    res = subprocess.run([sys.executable, "-c", probe],
-                         env={**os.environ, "PYTHONPATH": SRC},
-                         capture_output=True, text=True, timeout=120)
+    res = python.run("-c", probe)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["0", "0"]
 

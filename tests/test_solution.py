@@ -114,6 +114,16 @@ class TestComplexPhase:
         with pytest.raises(ValueError):
             eval_amp2(0.0, 0.0, sp_bad)
 
+    def test_inconsistent_k0_amp2_refused(self, sp):
+        # K0 is derived, so no constructor input reaches the check: a K0
+        # off the imaginary axis, set past the frozen dataclass, makes
+        # K0**2 and so |p|**2 complex
+        sp_bad = dataclasses.replace(sp)
+        object.__setattr__(sp_bad, "K0", sp.K0 * (1.0 + 1.0j))
+        with pytest.raises(ArithmeticError, match="^squared amplitude came "
+                           "out complex; delta or K0 is inconsistent$"):
+            eval_amp2(0.1, 0.01, sp_bad)
+
     @pytest.mark.parametrize("curve", [P689, CurveParams(0.7, 6.0, 8.0, 9.0)])
     @pytest.mark.parametrize("shift", [(0.0, 1e8), (-1e8, 0.0)])
     def test_large_real_phase_keeps_precision(self, curve, shift):
@@ -173,6 +183,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             SampledField(grid=spec, values=np.zeros((4, 5)))
 
+    def test_non_finite_sampled_field_refused(self):
+        values = np.ones((5, 4), dtype=complex)
+        values[2, 1] = complex(1.0, np.nan)
+        with pytest.raises(ValueError, match="^field values must be finite$"):
+            SampledField(grid=GridSpec(0.0, 0.3, 0.0, 0.01, 5, 4),
+                         values=values)
+
 
 class TestGeneralRoute:
     def test_matches_jacobi_route(self, sp):
@@ -185,6 +202,19 @@ class TestGeneralRoute:
         assert np.max(np.abs(np.abs(g) - np.abs(j))) < 1e-10 * np.max(np.abs(j))
         ratio = g / j
         assert np.max(np.abs(ratio - ratio[0])) < 1e-10
+
+    def test_failed_connector_decomposition_refused(self, monkeypatch):
+        # no curve is known to reach the check: the residual that
+        # connector_calibration returns is set above its 1e-8 bound
+        calibration = solution.connector_calibration
+
+        def off_lattice(a, b, c):
+            return (*calibration(a, b, c)[:3], 1e-6)
+
+        monkeypatch.setattr(solution, "connector_calibration", off_lattice)
+        with pytest.raises(ArithmeticError, match=r"^connector vector fails "
+                           r"its lattice decomposition \(1\.000e-06\)$"):
+            general_theta_data(P689)
 
     def test_data_of_another_curve_refused(self):
         # data of one curve next to another used to give the first's field

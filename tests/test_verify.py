@@ -1,20 +1,15 @@
 """Unit tests for the verification instruments."""
 
-import contextlib
 import dataclasses
-import io
 import json
 import math
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from thetawave import solution, verify
-from thetawave.cli import main
 from thetawave.curve import build_solution_params, period_lattice
 from thetawave.elliptic import CurveParams
 from thetawave.limits import dn_wave_theta, plane_wave_ab, plane_wave_cb
@@ -34,7 +29,6 @@ from thetawave.verify import (
 
 P689 = CurveParams(0.0, 6.0, 8.0, 9.0)
 GOLDEN = Path(__file__).resolve().parent / "golden"
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(scope="module")
@@ -332,13 +326,11 @@ class TestRichardsonSplitStep:
         assert ledger["split_step"]["l2_error"] < 1e-6
         assert passed
 
-    def test_odd_half_b_period_phase_cli(self):
+    def test_odd_half_b_period_phase_cli(self, run_cli):
         # Im Z2 = frb+/2 on (0, 6, 8, 9)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(["verify", "--z-im2", "0.446332530511924"])
+        code, out, _ = run_cli(["verify", "--z-im2", "0.446332530511924"])
         assert code == 0
-        assert json.loads(out.getvalue())["split_step"]["passed"]
+        assert json.loads(out)["split_step"]["passed"]
 
 
 def _white_noise(n):
@@ -419,65 +411,32 @@ class TestLineChoice:
 class TestForkedPair:
     """At lambda0 = 0 ``verify_ledger`` evolves its split-step pair in a
     forked child when two CPUs are usable (os.sched_getaffinity patched),
-    and in process on one CPU or when the fork fails."""
-
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        """cpus(n): report n usable CPUs; returns the list of the pids
-        forked, filled as they are forked."""
-        pids = []
-        fork = os.fork
-
-        def counted_fork():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        def set_cpus(n):
-            monkeypatch.setattr(os, "sched_getaffinity",
-                                lambda pid: set(range(n)), raising=False)
-            monkeypatch.setattr(os, "fork", counted_fork)
-            return pids
-
-        return set_cpus
-
-    @staticmethod
-    def assert_all_reaped():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @staticmethod
-    def run(capfd, argv):
-        code = main(["verify"] + argv)
-        return (code, *capfd.readouterr())
+    and in process on one CPU or when the fork fails.  At 300 x 300 the
+    residual takes 2 row bands and its refinement 6."""
 
     @pytest.mark.parametrize("argv", [
-        [], ["--z-im2", "0.446332530511924"]], ids=["Z0", "half-b-period"])
-    def test_same_bytes_forked_and_in_process(self, capfd, cpus, monkeypatch,
-                                              argv):
-        pids = cpus(2)
-        forked = self.run(capfd, argv)
-        assert len(pids) == 1
-        cpus(1)
-        one_cpu = self.run(capfd, argv)
-
-        def failing_fork():
-            raise BlockingIOError("Resource temporarily unavailable")
-
-        cpus(2)
-        monkeypatch.setattr(os, "fork", failing_fork)
-        no_fork = self.run(capfd, argv)
-        assert len(pids) == 1
+        [], ["--z-im2", "0.446332530511924"], ["--nx", "300", "--nt", "300"]],
+        ids=["Z0", "half-b-period", "300"])
+    def test_same_bytes_forked_and_in_process(self, run_cli, forks, argv):
+        argv = ["verify"] + argv
+        forks.cpus(2)
+        forked = run_cli(argv)
+        assert len(forks.pids) == 1
+        forks.cpus(1)
+        one_cpu = run_cli(argv)
+        forks.cpus(2)
+        forks.fail_from(1)
+        no_fork = run_cli(argv)
+        assert len(forks.pids) == 1
         assert forked == one_cpu == no_fork
         code, out, err = forked
         assert (code, err) == (0, "")
         assert json.loads(out)["split_step"]["passed"]
-        if not argv:
+        if argv == ["verify"]:
             assert out == (GOLDEN / "verify.out").read_text()
-        self.assert_all_reaped()
+        forks.assert_all_reaped()
 
-    def test_child_exits_without_returning_or_flushing(self):
+    def test_child_exits_without_returning_or_flushing(self, python):
         # the parent waits for the child to exit before the reap would kill
         # it: a child that returned into the caller would go on to print
         # the results itself, and one that flushed the block-buffered
@@ -493,37 +452,34 @@ class TestForkedPair:
                   "info = os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)\n"
                   "print(info.si_code == os.CLD_EXITED, info.si_status)\n"
                   "results.close()\n")
-        env = {**{k: v for k, v in os.environ.items()
-                  if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": SRC}
-        res = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=60)
+        res = python.run("-c", script, buffered=True, timeout=60)
         assert (res.returncode, res.stdout, res.stderr) == (
             0, "before\nb'here' b'block'\nTrue 0\n", "")
 
     @pytest.mark.parametrize("target, exc", [
         ("nls_residual", ArithmeticError), ("symmetry_suite", ArithmeticError),
         ("symmetry_suite", KeyboardInterrupt)])
-    def test_parent_error_reaps_the_child(self, sp, cpus, monkeypatch, target,
-                                          exc):
+    def test_parent_error_reaps_the_child(self, sp, forks, monkeypatch,
+                                          target, exc):
         def failing(*args, **kwargs):
             raise exc("the parent fails")
 
         monkeypatch.setattr(f"thetawave.verify.{target}", failing)
-        pids = cpus(2)
+        forks.cpus(2)
         with pytest.raises(exc, match="the parent fails"):
             verify_ledger(sp, 16, 16)
-        assert len(pids) == 1
-        self.assert_all_reaped()
+        assert len(forks.pids) == 1
+        forks.assert_all_reaped()
 
-    def test_child_that_ends_early_names_the_split_step(self, capfd, cpus,
+    def test_child_that_ends_early_names_the_split_step(self, run_cli, forks,
                                                         monkeypatch):
         def failing(*args):
             raise RuntimeError("the evolution fails")
 
         # the child runs the module's kernel, patched before the fork
         monkeypatch.setattr("thetawave.verify._strang_rows", failing)
-        pids = cpus(2)
-        code, out, err = self.run(capfd, [])
+        forks.cpus(2)
+        code, out, err = run_cli(["verify"])
         assert (code, out) == (3, "")
         # the child's traceback, then the parent's one error line
         lines = err.splitlines()
@@ -531,16 +487,16 @@ class TestForkedPair:
         assert "RuntimeError: the evolution fails" in lines
         assert lines[-1] == ("i/o error: the process evolving the split-step "
                              "ended early")
-        assert len(pids) == 1
-        self.assert_all_reaped()
+        assert len(forks.pids) == 1
+        forks.assert_all_reaped()
         # in process, the cause itself
-        cpus(1)
-        assert self.run(capfd, [])[::2] == (
+        forks.cpus(1)
+        assert run_cli(["verify"])[::2] == (
             2, "error: the evolution fails\n")
-        assert len(pids) == 1
+        assert len(forks.pids) == 1
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_unresolved_line_refused_before_any_instrument(self, sp, cpus,
+    def test_unresolved_line_refused_before_any_instrument(self, sp, forks,
                                                            monkeypatch, n):
         # a line unresolved at 512 samples is refused before the residual,
         # the symmetries and the fork, on one CPU as on two
@@ -563,11 +519,11 @@ class TestForkedPair:
         for name in ("nls_residual", "symmetry_suite"):
             monkeypatch.setattr(f"thetawave.verify.{name}", failing(name))
         monkeypatch.setattr("thetawave._fork.in_order", failing("in_order"))
-        pids = cpus(n)
+        forks.cpus(n)
         with pytest.raises(RuntimeError, match="under-resolved"):
             verify_ledger(sp, 16, 16)
-        assert (ran, pids) == ([], [])
-        self.assert_all_reaped()
+        assert (ran, forks.pids) == ([], [])
+        forks.assert_all_reaped()
 
 
 class TestSplitStepRefusals:
@@ -686,14 +642,11 @@ class TestVerifyLedger:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.parametrize("lambda0", [0.0, 0.7])
-    def test_small_grid_refused_before_evaluation(self, monkeypatch, capsys,
-                                                  lambda0):
+    def test_small_grid_refused_before_evaluation(self, monkeypatch, run_cli,
+                                                  forks, lambda0):
         # two usable CPUs, on which a lambda0 = 0 ledger forks its pair
-        forks, calls = [], []
-        fork = os.fork
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        calls = []
+        forks.cpus(2)
         real = solution._quotient_terms
         sp_l = build_solution_params(CurveParams(lambda0, 6.0, 8.0, 9.0))
         monkeypatch.setattr(solution, "_quotient_terms",
@@ -701,11 +654,11 @@ class TestVerifyLedger:
         message = "an order-4 stencil needs nx and nt above 4, got nx=4, nt=4"
         with pytest.raises(ValueError, match=f"^{message}$"):
             verify_ledger(sp_l, 4, 4)
-        assert (forks, calls) == ([], [])
-        code = main(["verify", "--lambda0", str(lambda0), "--nx", "4",
-                     "--nt", "4"])
-        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
-        assert (forks, calls) == ([], [])
+        assert (forks.pids, calls) == ([], [])
+        code, _, err = run_cli(["verify", "--lambda0", str(lambda0), "--nx",
+                                "4", "--nt", "4"])
+        assert (code, err) == (2, f"error: {message}\n")
+        assert (forks.pids, calls) == ([], [])
 
     @pytest.mark.parametrize("flags, kwargs", [
         ([], {}),
@@ -713,15 +666,13 @@ class TestVerifyLedger:
         (["--limit", "a_to_0"], {"limit": "a_to_0"}),
         (["--lambda0", "0.6"], {}),
     ])
-    def test_matches_cli(self, flags, kwargs):
+    def test_matches_cli(self, run_cli, flags, kwargs):
         # the CLI prints the library's ledger and exits 1 on its verdict
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(["verify"] + flags)
+        code, out, _ = run_cli(["verify"] + flags)
         lambda0 = 0.6 if "--lambda0" in flags else 0.0
         sp_l = build_solution_params(CurveParams(lambda0, 6.0, 8.0, 9.0))
         ledger, passed = verify_ledger(sp_l, 128, 128, **kwargs)
-        assert ledger == json.loads(out.getvalue())
+        assert ledger == json.loads(out)
         assert passed == (code == 0)
 
     @pytest.mark.parametrize("kind, Z", [
