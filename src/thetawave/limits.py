@@ -189,7 +189,13 @@ def dn_fit(xs, fs, k20=None, tol=1e-6):
         h[2] *= -1.0 if p[2] > 0.5 else 1.0  # the ktilde step stays in [0, 1)
         jac = (np.array([residual(p + dp) for dp in np.diag(h)]) - r).T / h
         jtj = jac.T @ jac
-        step = np.linalg.solve(jtj + mu * np.diag(np.diag(jtj)), -jac.T @ r)
+        try:
+            step = np.linalg.solve(jtj + mu * np.diag(np.diag(jtj)),
+                                   -jac.T @ r)
+        except np.linalg.LinAlgError:
+            # a parameter that moves no sample: no dn profile fits here
+            raise RuntimeError("dn profile fit has a singular step: the "
+                               "profile is not dn-shaped") from None
         trial = np.clip(p + step, [0.0, 0.0, 0.0, -np.inf],
                         [np.inf, np.inf, 1.0 - 1e-9, np.inf])
         rt = residual(trial)

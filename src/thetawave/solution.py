@@ -14,11 +14,13 @@ agree with |p|**2; the genus-2 Riemann-theta form (``eval_p_general``)
 provides a third, structurally independent route that must agree up to one
 global phase.
 
-Full grids (``sample_grid`` and the stencils of :mod:`thetawave.verify`) are
-evaluated in row bands of at most ``_BAND_BYTES`` (1 MiB) of complex values
-into one preallocated array, and the thetas that depend on t alone once per
-grid; a grid that fits one band (verify's default 128**2 and 255**2) is one
-call.  Bands bound the peak memory of a large grid without slowing it.
+Full grids are evaluated in row bands (``_row_slices``), the thetas that
+depend on t alone once per grid.  ``sample_grid`` writes bands of at most
+``_BAND_BYTES`` (1 MiB) of complex values into one preallocated array; a
+grid that fits one band is one call.  The stencils of
+:mod:`thetawave.verify` take bands of an eighth of that and reduce each
+band as it comes, so they never hold a grid.  Bands bound the peak memory
+of a large grid without slowing it.
 """
 
 from __future__ import annotations
@@ -194,20 +196,25 @@ def eval_amp2(x, t, sp: SolutionParams):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _row_slices(n, rows):
+    """The fewest slices of at most ``rows`` rows that split n rows evenly,
+    in order.  None is a single row while ``rows`` is three or more and n
+    above one: numpy takes a one-row matrix product as a vector product,
+    whose rounding differs."""
+    k = -(-n // rows)
+    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
 def _in_bands(band, n, m):
-    """The (n, m) complex array whose rows r hold ``band(r)``, for row
-    slices r of at most ``_BAND_BYTES`` of values each.  An array that fits
-    one band is ``band(slice(0, n))`` itself: no preallocation, no copy.
-    Bands split the rows evenly, so none is a single row while a band holds
-    three or more: numpy takes a one-row matrix product as a vector
-    product, whose rounding differs."""
+    """The (n, m) complex array whose rows r hold ``band(r)``, for the row
+    slices r of ``_row_slices`` with at most ``_BAND_BYTES`` of values
+    each.  An array that fits one band is ``band(slice(0, n))`` itself: no
+    preallocation, no copy."""
     rows = max(1, _BAND_BYTES // (16 * m))
     if n <= rows:
         return band(slice(0, n))
-    k = -(-n // rows)
     out = np.empty((n, m), dtype=complex)
-    for i in range(k):
-        r = slice(i * n // k, (i + 1) * n // k)
+    for r in _row_slices(n, rows):
         out[r] = band(r)
     return out
 

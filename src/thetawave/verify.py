@@ -21,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _fork
+from . import _fork, solution
 from .curve import SolutionParams, build_solution_params, period_lattice
 from .elliptic import CurveParams
 from .limits import (LimitCase, asymptotic_constants, dn_wave_theta,
                      plane_wave_ab, plane_wave_cb)
-from .solution import (GridSpec, _in_bands, _p_at, _reduced_phase,
-                       _require_witness, eval_amp2, eval_p)
+from .solution import (GridSpec, _p_at, _reduced_phase, _require_witness,
+                       eval_amp2, eval_p)
 
 __all__ = [
     "ResidualReport",
@@ -56,13 +56,17 @@ def _require_stencil_grid(spec: GridSpec):
                          f"nx={spec.nx}, nt={spec.nt}")
 
 
-def _stencil_residual(at, spec: GridSpec, order):
-    """Field values p on the grid interior and i p_t + p_xx + 2|p|**2 p
-    there, by fourth-order central differences of the field evaluated once
-    on the grid's nodes (``order`` must be 4).  ``at(t)`` is x -> the field
+def _stencil_bands(at, spec: GridSpec, order):
+    """(r, p, res) for row bands r of the grid interior: the field values p
+    on those rows and i p_t + p_xx + 2|p|**2 p there, by fourth-order
+    central differences (``order`` must be 4).  ``at(t)`` is x -> the field
     at (x, t), built once for the grid's (1, nt) row of t and called on
-    (rows, 1) columns.  Both arrays are built in row bands
-    (``solution._in_bands``); p is a view of the node values."""
+    (rows, 1) columns: each x row once, in order, in the bands of
+    ``solution._row_slices``.  A band holds about 8 arrays of its size at
+    once, so it gets an eighth of ``solution._BAND_BYTES`` of field rows,
+    and at least 3 so that no band is a single row.  Its new rows go below
+    the previous band's last 4 (its halo) in one preallocated buffer; p is
+    a view of that buffer, valid until the next band."""
     if order != 4:
         raise ValueError(f"stencil order must be 4, got {order}")
     _require_stencil_grid(spec)
@@ -70,36 +74,56 @@ def _stencil_residual(at, spec: GridSpec, order):
     h = xs[1] - xs[0]
     k = ts[1] - ts[0]
     p_at = at(ts[None, :])
-    P = np.broadcast_to(_in_bands(lambda r: p_at(xs[r, None]), spec.nx,
-                                  spec.nt), (spec.nx, spec.nt))
 
-    def residual(r):
-        # interior rows r, from P's rows r and the 2-row halo on each side
-        Q = P[r.start:r.stop + 4]
-        p = Q[2:-2, 2:-2]
-        pxx = (-Q[4:, 2:-2] + 16.0 * Q[3:-1, 2:-2] - 30.0 * p
-               + 16.0 * Q[1:-3, 2:-2] - Q[:-4, 2:-2]) / (12.0 * h ** 2)
-        pt = (-Q[2:-2, 4:] + 8.0 * Q[2:-2, 3:-1]
-              - 8.0 * Q[2:-2, 1:-3] + Q[2:-2, :-4]) / (12.0 * k)
-        return 1j * pt + pxx + 2.0 * np.abs(p) ** 2 * p
+    def residual(B):
+        # the interior of the rows B, with B's first and last 2 as halo
+        p = B[2:-2, 2:-2]
+        pxx = (-B[4:, 2:-2] + 16.0 * B[3:-1, 2:-2] - 30.0 * p
+               + 16.0 * B[1:-3, 2:-2] - B[:-4, 2:-2]) / (12.0 * h ** 2)
+        pt = (-B[2:-2, 4:] + 8.0 * B[2:-2, 3:-1]
+              - 8.0 * B[2:-2, 1:-3] + B[2:-2, :-4]) / (12.0 * k)
+        return p, 1j * pt + pxx + 2.0 * np.abs(p) ** 2 * p
 
-    return P[2:-2, 2:-2], _in_bands(residual, spec.nx - 4, spec.nt - 4)
+    rows = max(3, solution._BAND_BYTES // 8 // (16 * spec.nt))
+    Q = np.empty((rows + 4, spec.nt), dtype=complex)
+    top = held = 0  # Q[:held] holds the grid rows from row top on
+    for r in solution._row_slices(spec.nx, rows):
+        halo = min(4, held)
+        Q[:halo] = Q[held - halo:held]
+        top += held - halo
+        held = halo + r.stop - r.start
+        Q[halo:held] = p_at(xs[r, None])
+        if held > 4:
+            yield (slice(top, top + held - 4), *residual(Q[:held]))
+
+
+def _stencil_residual(at, spec: GridSpec, order):
+    """The interior arrays of field values and residuals that
+    ``_stencil_bands(at, spec, order)`` yields band by band."""
+    shape = (spec.nx - 4, spec.nt - 4)
+    p, res = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    for r, p_r, res_r in _stencil_bands(at, spec, order):
+        p[r], res[r] = p_r, res_r
+    return p, res
 
 
 def _residual_norm(at, spec: GridSpec, order):
-    """Max |i p_t + p_xx + 2|p|**2 p| on the interior of the grid of
-    ``_stencil_residual(at, spec, order)``, normalized by max |p|**3."""
-    p, res = _stencil_residual(at, spec, order)
-    scale = float(np.max(np.abs(p))) ** 3
-    return float(np.max(np.abs(res))) / scale
+    """Max |i p_t + p_xx + 2|p|**2 p| on the interior of the grid, reduced
+    band by band from ``_stencil_bands(at, spec, order)``, normalized by
+    max |p|**3."""
+    peaks = np.array([(np.max(np.abs(p)), np.max(np.abs(res)))
+                      for _, p, res in _stencil_bands(at, spec, order)])
+    scale = float(np.max(peaks[:, 0])) ** 3
+    return float(np.max(peaks[:, 1])) / scale
 
 
 def field_residual(field, spec: GridSpec, order=4):
     """Max-norm residual of i p_t + p_xx + 2|p|**2 p on the grid interior,
     normalized by max |p|**3.  ``field(x, t)`` must broadcast; it is
-    called on (rows, 1) columns and the (1, nt) row, once per row band
-    (once for a grid of at most ``solution._BAND_BYTES``), and so evaluated
-    once at every node of the grid."""
+    called on (rows, 1) columns and the (1, nt) row, once per row band of
+    ``_stencil_bands`` (once for a grid of at most an eighth of
+    ``solution._BAND_BYTES``), and so evaluated once at every node of the
+    grid."""
     return _residual_norm(lambda t: lambda x: field(x, t), spec, order)
 
 

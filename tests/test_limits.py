@@ -158,6 +158,24 @@ class TestDnFit:
                            match="^fitted profile fails its ODE$"):
             dn_fit(xs, A * jacobi_dn(B * xs, kt), k20=k20, tol=tol)
 
+    @pytest.mark.parametrize("profile", [
+        lambda x: np.abs(x) + 1e-3,
+        lambda x: (x > 0.0) * 1.0,
+        lambda x: np.random.default_rng(0).uniform(size=x.size),
+        lambda x: 2.0 + np.cos(40.0 * x),
+        lambda x: np.exp(-(x / 0.01) ** 2),
+        lambda x: (np.exp(-((x - 0.15) / 0.05) ** 2)
+                   + np.exp(-((x + 0.15) / 0.05) ** 2)),
+    ], ids=["abs", "step", "noise", "cos40", "narrow-gaussian",
+            "two-peaks"])
+    def test_singular_step_refused(self, profile):
+        # a profile that is not dn-shaped leaves a parameter that moves no
+        # sample, so the damped normal equations are singular
+        xs = np.linspace(-0.3, 0.3, 41)
+        with pytest.raises(RuntimeError,
+                           match="^dn profile fit has a singular step: "):
+            dn_fit(xs, profile(xs))
+
     @pytest.mark.parametrize("fs", [np.zeros(41), -np.ones(41)])
     def test_non_positive_profile_refused(self, fs):
         with pytest.raises(ValueError, match="positive somewhere"):

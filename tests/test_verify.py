@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -96,43 +97,89 @@ class TestNlsResidual:
         assert rep.residual_norm > 1e-4
         assert rep.order_estimate < 1.0
 
-    def test_evaluates_each_grid_once(self, sp, cell, monkeypatch):
+    def test_each_grid_built_once_and_its_rows_called_once(self, sp, cell,
+                                                           monkeypatch):
         # the coarse grid and the (2n - 1)^2 refinement: one field per
-        # grid, built for its row of t and called once on its column of x
-        calls = []
+        # grid, built for its row of t and called on its x rows in bands
+        # that cover each row once, in order, none a single row
+        builds = []
 
         def counting(t, params):
             p = _p_at(t, params)
+            columns = []
+            builds.append((np.shape(t), columns))
 
             def column(x):
-                calls.append((np.shape(x), np.shape(t)))
+                columns.append(np.array(x))
                 return p(x)
 
             return column
 
         monkeypatch.setattr("thetawave.verify._p_at", counting)
+        # 1/16 MiB bands: 8 rows of the coarse grid, 4 of the fine one
+        monkeypatch.setattr(solution, "_BAND_BYTES", 1 << 16)
         nls_residual(sp, cell, order=4)
-        nx, nt = 2 * cell.nx - 1, 2 * cell.nt - 1
-        assert calls == [((cell.nx, 1), (1, cell.nt)), ((nx, 1), (1, nt))]
+        fine = dataclasses.replace(cell, nx=2 * cell.nx - 1,
+                                   nt=2 * cell.nt - 1)
+        assert [b[0] for b in builds] == [(1, cell.nt), (1, fine.nt)]
+        for spec, (_, columns) in zip((cell, fine), builds):
+            rows = (1 << 16) // 8 // (16 * spec.nt)
+            sizes = [np.shape(x) for x in columns]
+            assert len(sizes) == -(-spec.nx // rows) > 1
+            assert all(s[1] == 1 and 2 <= s[0] <= rows for s in sizes)
+            assert np.array_equal(np.concatenate(columns)[:, 0],
+                                  spec.axes()[0])
 
 
 class TestRowBands:
-    """The stencil evaluates its grid and its residual in row bands of at
-    most ``solution._BAND_BYTES`` (the residual with a 2-row halo); the
-    bands give the one-call values bit for bit."""
+    """The stencil evaluates its grid in row bands of at most an eighth of
+    ``solution._BAND_BYTES`` and reduces its residual band by band, with a
+    4-row halo; the bands give the one-band values bit for bit."""
 
     @pytest.mark.parametrize("n", [128, 255])
-    def test_default_grids_fit_one_band(self, sp, n):
-        # verify's 128 x 128 grid and its 255 x 255 refinement: one call
+    def test_default_grids_band_layout(self, sp, n):
+        # verify's 128 x 128 grid and its 255 x 255 refinement: the fewest
+        # bands of at most 128 KiB of field rows, each of 2 rows or more,
+        # that call each x row once and in order
         lat = period_lattice(P689, sp.ell)
-        shapes = []
+        spec = GridSpec(0.0, lat.X, 0.0, lat.T, n, n)
+        columns = []
 
         def field(x, t):
-            shapes.append((np.shape(x), np.shape(t)))
+            assert np.shape(t) == (1, n)
+            columns.append(np.array(x))
             return eval_p(x, t, sp)
 
-        field_residual(field, GridSpec(0.0, lat.X, 0.0, lat.T, n, n))
-        assert shapes == [((n, 1), (1, n))]
+        field_residual(field, spec)
+        rows = solution._BAND_BYTES // 8 // (16 * n)
+        assert rows == {128: 64, 255: 32}[n]
+        sizes = [len(x) for x in columns]
+        assert len(sizes) == -(-n // rows)
+        assert max(sizes) <= rows and min(sizes) >= 2
+        assert np.array_equal(np.concatenate(columns)[:, 0], spec.axes()[0])
+
+    @pytest.mark.parametrize("lambda0", [0.0, 0.7])
+    def test_residual_memory_does_not_grow_with_the_grid(self, lambda0):
+        # nls_residual on 128^2, 255^2 and 509^2 (fine grids 255^2, 509^2
+        # and 1017^2): a full grid of complex values would be 1, 4 and
+        # 16 MiB, and the banded stencil holds a few bands at once
+        curve = CurveParams(lambda0, 6.0, 8.0, 9.0)
+        sp_l = build_solution_params(curve)
+        lat = period_lattice(curve, sp_l.ell)
+        nls_residual(sp_l, GridSpec(0.0, lat.X, 0.0, lat.T, 8, 8))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n in (128, 255, 509):
+                spec = GridSpec(0.0, lat.X, 0.0, lat.T, n, n)
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                nls_residual(sp_l, spec)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 3 << 20, peaks
+        assert peaks[-1] < 1.5 * peaks[0], peaks
 
     @pytest.mark.parametrize("lambda0", [0.0, 0.7])
     def test_banded_residuals_are_bit_identical(self, monkeypatch, lambda0):
@@ -147,7 +194,8 @@ class TestRowBands:
             return eval_p(x, t, sp_l)
 
         got = {}
-        # one band, then 2 bands of 150 rows (the default 1 MiB), then 10
+        # one band, then 10 bands of 30 rows (the default 1 MiB), then 100
+        # of 3
         for budget in (1 << 30, 1 << 20, 1 << 17):
             monkeypatch.setattr(solution, "_BAND_BYTES", budget)
             rows.clear()
@@ -156,7 +204,7 @@ class TestRowBands:
             got[budget] = (rows[:], p, res, field_residual(field, spec),
                            residual_fit_k2(curve, spec))
         assert [g[0] for g in got.values()] == [
-            [300], [150, 150], [30] * 10]
+            [300], [30] * 10, [3] * 100]
         ref = got[1 << 30]
         for g in got.values():
             assert np.array_equal(g[1], ref[1])
