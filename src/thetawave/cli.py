@@ -31,7 +31,7 @@ from . import _fork, _text
 from .curve import (_quotient_constants, build_solution_params,
                     period_lattice, wave_vectors)
 from .elliptic import CurveParams, curve_integrals
-from .limits import _KINDS, LimitCase, asymptotic_constants
+from .limits import _KINDS, asymptotic_constants, limit_distance
 from .solution import GridSpec, sample_grid
 from .verify import verify_ledger
 
@@ -409,9 +409,11 @@ def cmd_verify(cfg, corrupt_k2=False, limit=None, eps=None):
     if not eps > 0.0:
         raise ValueError(f"--eps must be positive, got {eps}")
     sp = _real_solution(cfg)
-    ledger, passed = verify_ledger(sp, *_grid_size(cfg), corrupt_k2=corrupt_k2,
-                                   limit=limit, eps=eps)
-    _emit_json(ledger, cfg["out"])
+    nx, nt = _grid_size(cfg)
+    # every eps refusal comes before the ledger evaluates anything
+    entry = {"limit": limit_distance(limit, sp.curve, eps)} if limit else {}
+    ledger, passed = verify_ledger(sp, nx, nt, corrupt_k2=corrupt_k2)
+    _emit_json({**ledger, **entry}, cfg["out"])
     return 0 if passed else 1
 
 
@@ -419,8 +421,7 @@ def cmd_limits(cfg, kind):
     if kind is None:
         raise ValueError("limits needs --kind")
     curve = _curve(cfg)
-    case = LimitCase(kind, curve)
-    ap = asymptotic_constants(case)
+    ap = asymptotic_constants(kind, curve)
     table = {}
     for name, num in dataclasses.asdict(curve_integrals(curve)).items():
         asy = getattr(ap.ell, name)
@@ -429,7 +430,7 @@ def cmd_limits(cfg, kind):
         table[name] = {"numeric": num, "asymptotic": asy, "rel_err": rel}
     report = {
         "kind": kind,
-        "small_parameter": case.small,
+        "small_parameter": _KINDS[kind][0](curve),
         "integrals": table,
         "derived": {**_solution_constants(ap), "Z": list(ap.Z)},
     }

@@ -2,9 +2,10 @@
 
 Three confluences of branch points collapse the solution to elementary
 fields: c -> b and a -> b produce plane waves, a -> 0 a one-phase dn-type
-traveling wave.  ``asymptotic_constants`` sets the leading-order curve
-integrals, K0 and K2 of each regime, and the solution's own map the rest;
-the degenerate fields serve as convergence oracles for the full solution.
+traveling wave, each defined once in ``_KINDS``.  ``asymptotic_constants``
+sets the leading-order curve integrals, K0 and K2 of each regime, and the
+solution's own map the rest; ``limit_distance`` takes the degenerate fields
+as convergence oracles for the full solution.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import _quotient_constants
+from .curve import _quotient_constants, build_solution_params
 from .elliptic import CurveParams, EllipticConstants, legendre_K
+from .solution import eval_p
 from .theta import jacobi_theta
 
 __all__ = [
-    "LimitCase",
     "AsymptoticParams",
     "plane_wave_cb",
     "plane_wave_ab",
@@ -27,31 +28,11 @@ __all__ = [
     "dn_fit",
     "jacobi_dn",
     "asymptotic_constants",
+    "limit_distance",
 ]
 
-_KINDS = ("c_to_b", "a_to_b", "a_to_0")
-
-
-@dataclass(frozen=True)
-class LimitCase:
-    """A near-degenerate family member tagged with which gap collapses."""
-
-    kind: str
-    params: CurveParams
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}")
-
-    @property
-    def small(self):
-        """The collapsing gap (relative for a_to_b, absolute otherwise)."""
-        p = self.params
-        if self.kind == "c_to_b":
-            return p.c - p.b
-        if self.kind == "a_to_b":
-            return (p.b - p.a) / p.b
-        return p.a
+# a fit's largest max |A*dn - f| / max |f|: 150 x |dn_wave_theta|'s 6.8e-8
+_FIT_RTOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -83,7 +64,7 @@ class AsymptoticParams:
 
 def plane_wave_cb(x, t, lambda0, a):
     """The c -> b plane-wave limit: amplitude a."""
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError("need a > 0")
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -163,13 +144,18 @@ def jacobi_dn(u, k):
 def dn_fit(xs, fs, k20=None, tol=1e-6):
     """Fit f(x) = A*dn(B*(x - x0); ktilde) to a sampled real profile.
 
-    Returns (A, B, ktilde, x0).  When ``k20`` (the frequency constant of the
-    reduced traveling-wave equation) is supplied, the derived parameter
-    relations A = B, A**2 = 2*k20/(2 - ktilde**2) and the profile equation
-    f'' = 2*k20*f - 2*f**3 are asserted to ``tol``.
+    Returns (A, B, ktilde, x0), refusing a fit that does not converge or
+    misses f by more than _FIT_RTOL of max |f|.  When ``k20`` (the frequency
+    constant of the reduced traveling-wave equation) is supplied, the
+    derived parameter relations A = B, A**2 = 2*k20/(2 - ktilde**2) and the
+    profile equation f'' = 2*k20*f - 2*f**3 are asserted to ``tol``.
     """
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
+    if not (xs.ndim == 1 and xs.shape == fs.shape and xs.size >= 5
+            and np.isfinite([xs, fs]).all()):
+        raise ValueError("dn_fit needs xs and fs finite, 1-D, of one length "
+                         "and at least 5 samples")
     fmax, fmin = float(np.max(fs)), float(np.min(fs))
     if fmax <= 0.0:
         raise ValueError("profile must be positive somewhere")
@@ -193,9 +179,9 @@ def dn_fit(xs, fs, k20=None, tol=1e-6):
             step = np.linalg.solve(jtj + mu * np.diag(np.diag(jtj)),
                                    -jac.T @ r)
         except np.linalg.LinAlgError:
-            # a parameter that moves no sample: no dn profile fits here
-            raise RuntimeError("dn profile fit has a singular step: the "
-                               "profile is not dn-shaped") from None
+            # a parameter that moves no sample from this iterate
+            raise RuntimeError("dn profile fit has a singular step: a fit "
+                               "parameter moves no sample") from None
         trial = np.clip(p + step, [0.0, 0.0, 0.0, -np.inf],
                         [np.inf, np.inf, 1.0 - 1e-9, np.inf])
         rt = residual(trial)
@@ -209,6 +195,9 @@ def dn_fit(xs, fs, k20=None, tol=1e-6):
             mu *= 10.0
     else:
         raise RuntimeError("dn profile fit did not converge")
+    miss = float(np.max(np.abs(r)) / np.max(np.abs(fs)))
+    if miss > _FIT_RTOL:
+        raise RuntimeError(f"dn profile fit misses f by {miss:.3g} of max |f|")
     A, B, kt, x0 = (float(v) for v in p)
     if k20 is not None:
         if abs(A - B) > tol * abs(A):
@@ -228,47 +217,94 @@ def dn_fit(xs, fs, k20=None, tol=1e-6):
     return A, B, kt, x0
 
 
-def asymptotic_constants(case: LimitCase):
-    """Leading-order values of all constants in the given limit regime.  A
-    c -> b curve whose leading-order periods are not all positive is a
-    ValueError."""
-    p = case.params
-    lam = p.lambda0
+def _c_to_b(p):
+    b, lam, eps = p.b, p.lambda0, p.c - p.b
+    ka = p.a / b
+    kap = math.sqrt((1.0 - ka) * (1.0 + ka))
+    s = 8.0 * b * kap * kap
+    # the smallest c - b at which A+, B- or B1- stops being positive
+    bound = s / (1.0 + kap) ** 2
+    if not eps < bound:
+        raise ValueError(f"c - b = {eps} lies outside the c_to_b limit: "
+                         f"its leading-order periods need c - b < {bound}")
+    b1_minus = -math.log((1.0 + kap) ** 2 * eps / s) / (b * b * kap)
+    ell = EllipticConstants(
+        -math.log(eps / s) / (b * kap), math.pi / (b * kap),
+        math.pi / (b * b * kap),
+        -math.log(ka * ka * eps / s) / (b * b * kap), b1_minus,
+        math.pi * (1.0 - kap) / (2.0 * kap),
+        math.log(2.0 / (1.0 + kap)) + 0.5 * b * b * b1_minus)
+    # i*b*(1 + k')**2/(2*k_a) * exp(-pi*frb-/2) at the table's frb-; the
+    # factor b restores the scale of the printed dimensionless coefficient
+    K0 = 0.5j * (1.0 + kap) ** 2 / kap * math.sqrt(b * eps / 8.0)
+    return AsymptoticParams(ell, K0, -2.0 * lam * lam + p.a ** 2
+                            + 2.0 * b * b * kap, (0.0, 0.25), lam)
 
-    if case.kind == "c_to_b":
-        b = p.b
-        ka = p.a / p.b
-        eps = p.c - p.b
-        kap = math.sqrt((1.0 - ka) * (1.0 + ka))
-        s = 8.0 * b * kap * kap
-        # the smallest c - b at which A+, B- or B1- stops being positive
-        bound = s / (1.0 + kap) ** 2
-        if not eps < bound:
-            raise ValueError(f"c - b = {eps} lies outside the c_to_b limit: "
-                             f"its leading-order periods need c - b < "
-                             f"{bound}")
-        b1_minus = -math.log((1.0 + kap) ** 2 * eps / s) / (b * b * kap)
-        ell = EllipticConstants(
-            -math.log(eps / s) / (b * kap), math.pi / (b * kap),
-            math.pi / (b * b * kap),
-            -math.log(ka * ka * eps / s) / (b * b * kap), b1_minus,
-            math.pi * (1.0 - kap) / (2.0 * kap),
-            math.log(2.0 / (1.0 + kap)) + 0.5 * b * b * b1_minus)
-        # i*b*(1 + k')**2/(2*k_a) * exp(-pi*frb-/2) at the table's frb-; the
-        # factor b restores the scale of the printed dimensionless coefficient
-        K0 = 0.5j * (1.0 + kap) ** 2 / kap * math.sqrt(b * eps / 8.0)
-        return AsymptoticParams(ell, K0, -2.0 * lam * lam + p.a ** 2
-                                + 2.0 * b * b * kap, (0.0, 0.25), lam)
 
-    if case.kind == "a_to_b":
-        b, c = p.b, p.c
-        rcb = math.sqrt((c - b) * (c + b))
-        b1_minus = math.acos((c * c - 2.0 * b * b) / (c * c)) / (b * rcb)
-        ell = EllipticConstants(math.pi / rcb, math.inf, math.inf,
-                                math.pi / (b * rcb), b1_minus, math.inf,
-                                math.log(2.0) + 0.5 * b * b * b1_minus)
-        # K0 explicit: the record's c*exp(d- * delta - f-) is inf * 0 here
-        return AsymptoticParams(ell, 0.5j * c, -2.0 * lam * lam + c * c,
-                                (0.25, 0.0), lam)
+def _a_to_b(p):
+    b, c, lam = p.b, p.c, p.lambda0
+    rcb = math.sqrt((c - b) * (c + b))
+    b1_minus = math.acos((c * c - 2.0 * b * b) / (c * c)) / (b * rcb)
+    ell = EllipticConstants(math.pi / rcb, math.inf, math.inf,
+                            math.pi / (b * rcb), b1_minus, math.inf,
+                            math.log(2.0) + 0.5 * b * b * b1_minus)
+    # K0 explicit: the record's c*exp(d- * delta - f-) is inf * 0 here
+    return AsymptoticParams(ell, 0.5j * c, -2.0 * lam * lam + c * c,
+                            (0.25, 0.0), lam)
 
-    return _a_to_0(lam, p.b, p.c)
+
+# kind -> (the collapsing gap of a curve, relative for a_to_b; the (a, b, c)
+# of its family's member at gap eps; the limiting field at (x, t); the table)
+_KINDS = {
+    "c_to_b": (lambda p: p.c - p.b,
+               lambda p, eps: (p.a, p.b, p.b + eps),
+               lambda x, t, p: plane_wave_cb(x, t, p.lambda0, p.a),
+               _c_to_b),
+    "a_to_b": (lambda p: (p.b - p.a) / p.b,
+               lambda p, eps: (p.b * (1.0 - eps), p.b, p.c),
+               lambda x, t, p: plane_wave_ab(x, t, p.lambda0, p.b, p.c),
+               _a_to_b),
+    "a_to_0": (lambda p: p.a,
+               lambda p, eps: (eps, p.b, p.c),
+               lambda x, t, p: dn_wave_theta(x, t, p.lambda0, p.b, p.c),
+               lambda p: _a_to_0(p.lambda0, p.b, p.c)),
+}
+
+
+def _kind(kind):
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {tuple(_KINDS)}")
+    return _KINDS[kind]
+
+
+def asymptotic_constants(kind, params: CurveParams):
+    """The leading-order constants of ``params`` in the regime ``kind``; an
+    unknown kind, or a c_to_b curve off its table, is a ValueError."""
+    return _kind(kind)[3](params)
+
+
+def limit_distance(kind, curve: CurveParams, eps):
+    """{"kind", "eps", "sup_distance"}, no verdict: the sup distance on a
+    21 x 5 (x, t) window from ``curve``'s limiting field to the solution on
+    its family's member at gap ``eps`` and table Z.  An eps that leaves no
+    member, lies outside the c_to_b table or gives integrals that do not
+    converge is refused before any evaluation."""
+    _, at, limit, _ = _kind(kind)
+    try:
+        member = CurveParams(curve.lambda0, *at(curve, eps))
+    except ValueError:
+        raise ValueError(f"no valid {kind} curve at eps={eps}") from None
+    try:
+        Z = np.array(asymptotic_constants(kind, member).Z)
+    except ValueError as exc:  # a c_to_b curve outside its table
+        raise ValueError(f"--eps {eps}: {exc}") from None
+    try:
+        sp = build_solution_params(member, Z)
+    except RuntimeError:  # a quadrature that does not converge
+        raise ValueError(f"no {kind} curve at --eps {eps} builds: its "
+                         "integrals do not converge this close to the "
+                         "limit") from None
+    xs = np.linspace(-0.2, 0.2, 21)[:, None]
+    ts = np.linspace(-0.01, 0.01, 5)[None, :]
+    sup = float(np.max(np.abs(eval_p(xs, ts, sp) - limit(xs, ts, curve))))
+    return {"kind": kind, "eps": eps, "sup_distance": sup}

@@ -24,8 +24,6 @@ import numpy as np
 from . import _fork, solution
 from .curve import SolutionParams, build_solution_params, period_lattice
 from .elliptic import CurveParams
-from .limits import (LimitCase, asymptotic_constants, dn_wave_theta,
-                     plane_wave_ab, plane_wave_cb)
 from .solution import (GridSpec, _p_at, _reduced_phase, _require_witness,
                        eval_amp2, eval_p)
 
@@ -324,17 +322,14 @@ def symmetry_suite(sp: SolutionParams):
     return ledger
 
 
-def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
-                  eps=1e-4):
+def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False):
     """The ``verify`` ledger and its verdict, as (ledger, passed): the FD
     residual on an (nx, nt) period cell, the split-step (lambda0 = 0 only:
     the fewest of 128, 256 or 512 samples over one x period that resolve
     the field, evolved to T by Strang split-steps, 1,000 and 500 of them
-    in one loop, Richardson-extrapolated, l2 gate 1e-5),
-    ``symmetry_suite`` and, for ``limit``, the unjudged distance at ``eps``;
-    ``corrupt_k2`` adds 0.1 to K2 and runs the residual alone.  A phase
-    Z without a reality witness, and an ``eps`` that leaves no degenerate
-    curve or one whose integrals do not converge, and a grid too small for
+    in one loop, Richardson-extrapolated, l2 gate 1e-5) and
+    ``symmetry_suite``; ``corrupt_k2`` adds 0.1 to K2 and runs the residual
+    alone.  A phase Z without a reality witness and a grid too small for
     the stencil are refused before any evaluation, a line unresolved at 512
     samples before any instrument.
     The residual and ``symmetry_suite`` run in this process, in that order,
@@ -343,24 +338,6 @@ def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
     child that ends early is an OSError naming the split-step."""
     _require_witness(sp)
     curve = sp.curve
-    if limit is not None:
-        # the degenerate member first, at the Z where its field is the limit
-        lam0, a, b, c = curve.lambda0, curve.a, curve.b, curve.c
-        abc = {"c_to_b": (a, b, b + eps), "a_to_b": (b * (1.0 - eps), b, c)}
-        try:
-            deg = CurveParams(lam0, *abc.get(limit, (eps, b, c)))
-        except ValueError:
-            raise ValueError(f"no valid {limit} curve at eps={eps}") from None
-        try:
-            Z = np.array(asymptotic_constants(LimitCase(limit, deg)).Z)
-        except ValueError as exc:  # a c_to_b curve outside its table
-            raise ValueError(f"--eps {eps}: {exc}") from None
-        try:
-            spd = build_solution_params(deg, Z)
-        except RuntimeError:  # a quadrature that does not converge
-            raise ValueError(f"no {limit} curve at --eps {eps} builds: its "
-                             "integrals do not converge this close to the "
-                             "limit") from None
     lat = period_lattice(curve, sp.ell)
     spec = GridSpec(0.0, lat.X, 0.0, lat.T, nx, nt)
     _require_stencil_grid(spec)
@@ -397,23 +374,8 @@ def verify_ledger(sp: SolutionParams, nx, nt, corrupt_k2=False, limit=None,
         diff = np.frombuffer(evolved[0], complex) - ref
         err = float(np.linalg.norm(diff) / np.linalg.norm(ref))
         ledger["split_step"] = {"passed": err < 1e-5, "l2_error": err}
+    verdicts = list(ledger.values())
     if symmetries is not None:
         ledger["symmetries"] = symmetries
-
-    if limit is not None:
-        xs = np.linspace(-0.2, 0.2, 21)[:, None]
-        ts = np.linspace(-0.01, 0.01, 5)[None, :]
-        if limit == "c_to_b":
-            ref = plane_wave_cb(xs, ts, lam0, a)
-        elif limit == "a_to_b":
-            ref = plane_wave_ab(xs, ts, lam0, b, c)
-        else:
-            ref = dn_wave_theta(xs, ts, lam0, b, c)
-        sup = float(np.max(np.abs(eval_p(xs, ts, spd) - ref)))
-        ledger["limit"] = {"kind": limit, "eps": eps, "sup_distance": sup}
-
-    # the limit entry carries no verdict and the symmetry verdicts sit one
-    # level down
-    verdicts = [e for e in ledger.values() if "passed" in e]
-    verdicts += ledger.get("symmetries", {}).values()
+        verdicts += symmetries.values()
     return ledger, all(e["passed"] for e in verdicts)

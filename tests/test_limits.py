@@ -1,6 +1,7 @@
 """Unit tests for the degenerate limits and their asymptotic tables."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,26 +10,38 @@ import pytest
 from thetawave.curve import _quotient_constants, build_solution_params
 from thetawave.elliptic import CurveParams, curve_integrals
 from thetawave.limits import (
+    _FIT_RTOL,
     AsymptoticParams,
-    LimitCase,
     asymptotic_constants,
     dn_fit,
     dn_wave_theta,
     jacobi_dn,
+    limit_distance,
     plane_wave_ab,
     plane_wave_cb,
 )
 from thetawave.solution import eval_p
 
 
-class TestLimitCase:
-    def test_small_parameter(self):
-        case = LimitCase("c_to_b", CurveParams(0.0, 3.0, 5.0, 5.01))
-        assert case.small == pytest.approx(0.01)
+class TestKinds:
+    def test_small_parameter(self, run_cli):
+        # each kind's collapsing gap: c - b, (b - a)/b and a
+        for kind, curve in (("c_to_b", ["3", "5", "5.01"]),
+                            ("a_to_b", ["4.95", "5", "9"]),
+                            ("a_to_0", ["0.01", "8", "9"])):
+            code, out, _ = run_cli(["limits", "--kind", kind, "--a", curve[0],
+                                    "--b", curve[1], "--c", curve[2]])
+            assert code == 0
+            rep = json.loads(out)
+            assert rep["small_parameter"] == pytest.approx(0.01), kind
 
     def test_invalid_kind(self):
-        with pytest.raises(ValueError):
-            LimitCase("b_to_c", CurveParams(0.0, 1.0, 2.0, 3.0))
+        curve = CurveParams(0.0, 1.0, 2.0, 3.0)
+        message = r"^kind must be one of \('c_to_b', 'a_to_b', 'a_to_0'\)$"
+        with pytest.raises(ValueError, match=message):
+            asymptotic_constants("b_to_c", curve)
+        with pytest.raises(ValueError, match=message):
+            limit_distance("b_to_c", curve, 1e-3)
 
 
 class TestJacobiDn:
@@ -83,6 +96,26 @@ class TestDegenerateFieldRefusals:
     def test_need_b_between_0_and_c(self, field, b, c):
         with pytest.raises(ValueError, match="0 < b < c"):
             field(0.1, 0.0, 0.4, b, c)
+
+    XS = np.linspace(-0.3, 0.3, 41)
+    FS = 17.0 * jacobi_dn(17.0 * XS, 0.485)
+    DN_FIT = "^dn_fit needs xs and fs finite, 1-D, of one length and at "
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda xs, fs: dn_fit(xs, np.where(xs > 0.1, np.nan, fs)), DN_FIT),
+        (lambda xs, fs: dn_fit(xs, np.where(xs > 0.1, np.inf, fs)), DN_FIT),
+        (lambda xs, fs: dn_fit(np.where(xs > 0.1, -np.inf, xs), fs), DN_FIT),
+        (lambda xs, fs: dn_fit(xs[:3], fs[:3]), DN_FIT),
+        (lambda xs, fs: dn_fit(xs, fs[:-1]), DN_FIT),
+        (lambda xs, fs: dn_fit(xs[:, None], fs[:, None]), DN_FIT),
+        (lambda xs, fs: plane_wave_cb(0.1, 0.0, 0.4, math.nan), "a > 0"),
+    ], ids=["nan-f", "inf-f", "inf-x", "3-samples", "mismatched", "2-d",
+            "nan-a"])
+    def test_malformed_input_refused(self, call, match):
+        # refused naming dn_fit's input, not by a nan, a fit of its 4
+        # parameters to 3 samples or a message of numpy or jacobi_dn
+        with pytest.raises(ValueError, match=match):
+            call(self.XS, self.FS)
 
 
 class TestConvergence:
@@ -176,6 +209,31 @@ class TestDnFit:
                            match="^dn profile fit has a singular step: "):
             dn_fit(xs, profile(xs))
 
+    @pytest.mark.parametrize("kt, A, B, fits", [
+        (0.1, 17, 3, False), (0.1, 17, 40, False), (0.3, 17, 3, False),
+        (0.5, 17, 3, False), (0.5, 17, 40, False), (0.7, 5, 17, False),
+        (0.9, 17, 40, False),
+        (0.5, 17, 17, True), (0.9, 5, 10, True), (0.999, 17, 10, True)])
+    def test_returns_only_a_fit_that_fits(self, kt, A, B, fits):
+        # the first seven end their iteration 2e-3 to 0.35 of max f away
+        # from f, so they are refused; the last three fit to rounding
+        xs = np.linspace(-0.3, 0.3, 401)
+        fs = A * jacobi_dn(B * (xs - 0.01), kt)
+        if not fits:
+            with pytest.raises(RuntimeError,
+                               match="^dn profile fit misses f by "):
+                dn_fit(xs, fs)
+            return
+        Af, Bf, ktf, x0f = dn_fit(xs, fs)
+        miss = np.max(np.abs(Af * jacobi_dn(Bf * (xs - x0f), ktf) - fs))
+        assert miss <= _FIT_RTOL * np.max(fs)
+
+    def test_step_profile_refused(self):
+        # a 1 -> 2 step is no dn profile: the best fit misses it by 0.25
+        xs = np.linspace(-0.3, 0.3, 41)
+        with pytest.raises(RuntimeError, match="^dn profile fit misses f by "):
+            dn_fit(xs, np.where(xs < 0.0, 1.0, 2.0))
+
     @pytest.mark.parametrize("fs", [np.zeros(41), -np.ones(41)])
     def test_non_positive_profile_refused(self, fs):
         with pytest.raises(ValueError, match="positive somewhere"):
@@ -185,30 +243,29 @@ class TestDnFit:
 class TestAsymptoticTables:
     def test_c_to_b_power_entries(self):
         a, b, eps = 3.0, 5.0, 1e-6
-        case = LimitCase("c_to_b", CurveParams(0.0, a, b, b + eps))
-        ap = asymptotic_constants(case)
-        ell = curve_integrals(case.params)
+        curve = CurveParams(0.0, a, b, b + eps)
+        ap = asymptotic_constants("c_to_b", curve)
+        ell = curve_integrals(curve)
         for name in ("a_plus", "b_plus", "a_minus", "b_minus", "b1_minus",
                      "d_minus", "f_minus"):
             num = getattr(ell, name)
             asy = getattr(ap.ell, name)
             assert abs(num - asy) / abs(num) < 1e-4, name
-        sp = build_solution_params(case.params)
+        sp = build_solution_params(curve)
         assert abs(ap.K0 - sp.K0) / abs(sp.K0) < 1e-4
 
     @pytest.mark.parametrize("c", [18.2, 40.0])
     def test_c_to_b_outside_its_limit_refused(self, c):
         # on (6, 8) the leading-order B1- turns negative beyond
         # c - b = 8b*k'**2/(1 + k')**2 = 10.14
-        case = LimitCase("c_to_b", CurveParams(0.0, 6.0, 8.0, c))
         with pytest.raises(ValueError, match=r"c - b = .* c - b < 10\.14"):
-            asymptotic_constants(case)
+            asymptotic_constants("c_to_b", CurveParams(0.0, 6.0, 8.0, c))
 
     def test_a_to_b_finite_entries(self):
         b, c, rel_gap = 5.0, 7.0, 1e-5
-        case = LimitCase("a_to_b", CurveParams(0.0, b * (1 - rel_gap), b, c))
-        ap = asymptotic_constants(case)
-        ell = curve_integrals(case.params)
+        curve = CurveParams(0.0, b * (1 - rel_gap), b, c)
+        ap = asymptotic_constants("a_to_b", curve)
+        ell = curve_integrals(curve)
         for name in ("a_plus", "b_minus", "b1_minus", "f_minus"):
             num = getattr(ell, name)
             assert abs(num - getattr(ap.ell, name)) / abs(num) < 1e-3, name
@@ -217,9 +274,9 @@ class TestAsymptoticTables:
 
     def test_a_to_0_entries(self):
         b, c, a = 8.0, 9.0, 1e-4
-        case = LimitCase("a_to_0", CurveParams(0.0, a, b, c))
-        ap = asymptotic_constants(case)
-        ell = curve_integrals(case.params)
+        curve = CurveParams(0.0, a, b, c)
+        ap = asymptotic_constants("a_to_0", curve)
+        ell = curve_integrals(curve)
         for name in ("a_plus", "b_plus", "a_minus", "b1_minus", "f_minus"):
             num = getattr(ell, name)
             assert abs(num - getattr(ap.ell, name)) / abs(num) < 1e-6, name
@@ -241,7 +298,7 @@ class TestSharedMap:
     @pytest.mark.parametrize("lam", [0.0, 0.7])
     @pytest.mark.parametrize("kind", sorted(CASES))
     def test_derived_fields_are_the_map(self, kind, lam):
-        ap = asymptotic_constants(LimitCase(kind, self.CASES[kind](lam, 1e-4)))
+        ap = asymptotic_constants(kind, self.CASES[kind](lam, 1e-4))
         want = _quotient_constants(ap.ell, lam)
         for name in DERIVED:
             assert getattr(ap, name) == want[name], name
@@ -257,7 +314,7 @@ class TestSharedMap:
         gaps = []
         for eps in (1e-4, 1e-6):
             curve = self.CASES[kind](0.7, eps)
-            ap = asymptotic_constants(LimitCase(kind, curve))
+            ap = asymptotic_constants(kind, curve)
             sp = build_solution_params(curve)
             gaps.append({name: (abs(getattr(ap, name) - getattr(sp, name)),
                                 abs(getattr(sp, name)))

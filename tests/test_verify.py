@@ -13,7 +13,8 @@ import pytest
 from thetawave import solution, verify
 from thetawave.curve import build_solution_params, period_lattice
 from thetawave.elliptic import CurveParams
-from thetawave.limits import dn_wave_theta, plane_wave_ab, plane_wave_cb
+from thetawave.limits import (dn_wave_theta, limit_distance, plane_wave_ab,
+                              plane_wave_cb)
 from thetawave.solution import GridSpec, _p_at, eval_p
 from thetawave.verify import (
     _checked_line,
@@ -715,23 +716,27 @@ class TestVerifyLedger:
         (["--lambda0", "0.6"], {}),
     ])
     def test_matches_cli(self, run_cli, flags, kwargs):
-        # the CLI prints the library's ledger and exits 1 on its verdict
+        # the CLI prints the library's ledger, with --limit and limits'
+        # entry appended, and exits 1 on its verdict
         code, out, _ = run_cli(["verify"] + flags)
         lambda0 = 0.6 if "--lambda0" in flags else 0.0
         sp_l = build_solution_params(CurveParams(lambda0, 6.0, 8.0, 9.0))
+        kwargs = dict(kwargs)
+        limit = kwargs.pop("limit", None)
         ledger, passed = verify_ledger(sp_l, 128, 128, **kwargs)
-        assert ledger == json.loads(out)
+        if limit is not None:
+            ledger["limit"] = limit_distance(limit, sp_l.curve, 1e-4)
+        assert json.dumps(ledger) == json.dumps(json.loads(out))
         assert passed == (code == 0)
 
     @pytest.mark.parametrize("kind, Z", [
         ("c_to_b", [0.0, 0.25]), ("a_to_b", [0.25, 0.0]),
         ("a_to_0", [0.0, 0.0])])
     def test_limit_distance_at_asymptotic_phase(self, sp, kind, Z):
-        # the ledger evaluates the degenerate curve at the phase Z that
-        # limits.asymptotic_constants gives; those phases are pinned here
-        ledger, _ = verify_ledger(sp, 5, 5, corrupt_k2=True, limit=kind,
-                                  eps=1e-3)
+        # verify --limit's entry evaluates the degenerate curve at the phase
+        # Z that limits.asymptotic_constants gives; those phases are pinned
         eps = 1e-3
+        entry = limit_distance(kind, sp.curve, eps)
         deg = {"c_to_b": CurveParams(0.0, 6.0, 8.0, 8.0 + eps),
                "a_to_b": CurveParams(0.0, 8.0 * (1.0 - eps), 8.0, 9.0),
                "a_to_0": CurveParams(0.0, eps, 8.0, 9.0)}[kind]
@@ -742,4 +747,4 @@ class TestVerifyLedger:
         ts = np.linspace(-0.01, 0.01, 5)[None, :]
         field = eval_p(xs, ts, build_solution_params(deg, np.array(Z)))
         sup = float(np.max(np.abs(field - ref[kind](xs, ts))))
-        assert ledger["limit"]["sup_distance"] == sup
+        assert entry == {"kind": kind, "eps": eps, "sup_distance": sup}
