@@ -6,9 +6,11 @@ The working formula is the Jacobi-theta quotient
               * exp{2i K1 x + 2i K2 t},
     u1 = kappa1*t + 2*Z1,   u2 = k*x + kappa2*t + 2*Z2,
 
-with H the two-factor combination from :mod:`thetawave.theta`.  theta3 has
-period 1 and theta2 changes sign under u2 -> u2 + 1, so the numerators read
-the denominator's u2 pair with theta2 negated: one u2 theta per evaluation.
+with H the two-factor combination from :mod:`thetawave.theta` in its
+factored form.  theta3 has period 1 and theta2 changes sign under
+u2 -> u2 + 1, so the numerators read the denominator's u2 pair, their u1
+differences negated: one u2 theta per evaluation.  The plane wave is a
+column of x times a row of t.
 The squared amplitude has its own closed form (``eval_amp2``), which must
 agree with |p|**2; the genus-2 Riemann-theta form (``eval_p_general``)
 provides a third, structurally independent route that must agree up to one
@@ -108,7 +110,9 @@ def _quotient_terms(t, sp: SolutionParams, signs):
     zero, and the numerators H(u1 + s*i*delta, u2 + 1) for s in ``signs``,
     where u1 = kappa1*t + 2*Z1 and u2 = k*x + kappa2*t + 2*Z2, from one u2
     pair.  What depends on t alone is computed here once, so row bands of a
-    grid that share one row t compute it once.
+    grid that share one row t compute it once: the u1 sums and differences
+    theta3 +- theta2 of ``_H``, and the u1 factor of the zero test
+    |den| < 1e-13 (|theta3| + |theta2|)(u1) (|theta3| + |theta2|)(u2).
 
     At kappa2 = 0, u2 is formed on x's shape alone and broadcasting against
     u1 forms the grid, so the u2 theta runs on n points instead of n**2.
@@ -122,7 +126,11 @@ def _quotient_terms(t, sp: SolutionParams, signs):
     u1 = sp.kappa1 * t + 2.0 * z[0]
     c = 2.0 * z[1]
     t31, t21 = jacobi_theta(tau1, u1)
-    shifted = [jacobi_theta(tau1, u1 + s * 1j * sp.delta) for s in signs]
+    plus, minus = t31 + t21, t31 - t21
+    bound = _DENOM_RTOL * (np.abs(t31) + np.abs(t21))
+    # theta2(u2 + 1) = -theta2(u2) negates each numerator's u1 difference
+    shifted = [(a3 + a2, a2 - a3) for a3, a2 in
+               (jacobi_theta(tau1, u1 + s * 1j * sp.delta) for s in signs)]
     row = sp.kappa2 != 0.0 and t.ndim == 2 and t.shape[0] == 1
     if row:
         outer = _theta_outer(sp.kappa2 * t, c, tau2)
@@ -134,15 +142,12 @@ def _quotient_terms(t, sp: SolutionParams, signs):
         else:
             t32, t22 = jacobi_theta(tau2, sp.k * x + c if sp.kappa2 == 0.0
                                     else sp.k * x + sp.kappa2 * t + c)
-        den = _H(t31, t21, t32, t22)
-        scale = (np.abs(t31) + np.abs(t21)) * (np.abs(t32) + np.abs(t22))
-        if np.any(np.abs(den) < _DENOM_RTOL * scale):
+        den = _H(plus, minus, t32, t22)
+        if np.any(np.abs(den) < bound * (np.abs(t32) + np.abs(t22))):
             raise ArithmeticError(
                 "theta denominator vanishes; the solution parameters do not "
                 "describe a smooth real solution"
             )
-        del scale  # grid-sized; free it before the numerators
-        t22 = -t22  # theta2(u2 + 1)
         return den, [_H(*a, t32, t22) for a in shifted]
 
     return terms
@@ -155,12 +160,13 @@ def _p_at(t, sp: SolutionParams):
     # theta(u + n*tau1) = exp(-i*pi*n^2*tau1 - 2*pi*i*n*u) theta(u), so the
     # numerator's extra i*delta leaves exp(2*pi*n*delta) in the quotient
     n = sp.Z[0].imag / sp.frb_minus
+    # -2i K0 exp(2i (K1 x + K2 t) - 2 pi n delta) as a t row times x columns
+    row = -2j * sp.K0 * np.exp(2j * sp.K2 * np.asarray(t)
+                               - 2.0 * np.pi * n * sp.delta)
 
     def p(x):
         den, (num,) = terms(x)
-        phase = np.exp(2j * (sp.K1 * np.asarray(x) + sp.K2 * np.asarray(t))
-                       - 2.0 * np.pi * n * sp.delta)
-        out = -2j * sp.K0 * num / den * phase
+        out = num / den * np.exp(2j * sp.K1 * np.asarray(x)) * row
         return complex(out) if np.ndim(out) == 0 else out
 
     return p

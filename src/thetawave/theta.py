@@ -160,9 +160,12 @@ def _theta_outer(bt, c, tau):
     return on_columns
 
 
-def _H(t31, t21, t32, t22):
-    """H from theta_3, theta_2 at u1 (modulus 2i*frb-) and u2 (2i*frb+)."""
-    return t31 * t32 + t21 * t32 + t31 * t22 - t21 * t22
+def _H(plus, minus, t32, t22):
+    """H(v, w) = (theta3 + theta2)(v) theta3(w) + (theta3 - theta2)(v)
+    theta2(w), the exact factored form of theta3 theta3 + theta2 theta3
+    + theta3 theta2 - theta2 theta2: from ``plus`` and ``minus`` at v
+    (modulus 2i*frb-) and the pair at w (2i*frb+)."""
+    return plus * t32 + minus * t22
 
 
 def riemann_theta2(u, B: PeriodMatrix):
@@ -213,6 +216,6 @@ def theta_reduction_check(u, frb_minus, frb_plus):
     u = np.asarray(u, dtype=complex)
     B = PeriodMatrix(frb_minus, frb_plus)
     lhs = riemann_theta2(u, B)
-    rhs = _H(*jacobi_theta(2j * frb_minus, 2.0 * u[0]),
-             *jacobi_theta(2j * frb_plus, 2.0 * u[1]))
+    t31, t21 = jacobi_theta(2j * frb_minus, 2.0 * u[0])
+    rhs = _H(t31 + t21, t31 - t21, *jacobi_theta(2j * frb_plus, 2.0 * u[1]))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))

@@ -75,6 +75,170 @@ class TestEvalP:
         assert np.max(np.abs(np.abs(shifted) - np.abs(direct))) < 1e-10
 
 
+# 30-digit references for p from mpmath 1.3.0 at mp.dps = 40, generated
+# offline: -2i K0 H(u1 + i delta, u2 + 1) / H(u1, u2)
+# * exp(2i (K1 x + K2 t) - 2 pi n delta), n = Im Z1 / frb_minus, with
+# u1 = kappa1 t + 2 Z1, u2 = k x + kappa2 t + 2 Z2 and H(v, w) =
+# theta3(v) theta3(w) + theta2(v) theta3(w) + theta3(v) theta2(w)
+# - theta2(v) theta2(w) through mpmath.jtheta (theta_j(u | tau) =
+# jtheta(j, pi u, exp(i pi tau)), tau = 2i frb_minus for v, 2i frb_plus for
+# w), the numerator at u2 + 1 itself.  The record's binary64 constants, Z,
+# x and t are taken as exact, so the references check the evaluation, not
+# the constants.  Keys: (lambda0, m) on (lambda0, 6, 8, 9) with
+# Z = (0, i m frb_plus / 2).  First list: nodes (i, j) of the 64 x 64
+# sample_grid over (2X, 2T), with their x and t; second: scattered eval_p
+# points.
+P_REFS = {
+    (0.0, 0): (
+        [
+            ((0, 0), 0.0, 0.0,
+             "6.99999999999999711275021897851",
+             "0.0"),
+            ((3, 50), 0.028030062814450626, 0.024637879516012613,
+             "-0.345734084395380080845116981006",
+             "6.43679181463622325559916684277"),
+            ((9, 17), 0.08409018844335188, 0.008376879035444288,
+             "3.40890245510638930380842794619",
+             "5.18619880364011049328942974412"),
+            ((20, 30), 0.18686708542967084, 0.014782727709607566,
+             "-1.60747188136920259929845961888",
+             "0.00131530884789939555194154619416"),
+            ((27, 63), 0.25227056533005565, 0.03104372819017589,
+             "-7.32495427430475302723013866194",
+             "7.74172875394943157773561821289"),
+            ((36, 8), 0.3363607537734075, 0.003942060722562018,
+             "7.70172787174177246238102308284",
+             "7.90372553054438106632571041952"),
+            ((44, 41), 0.41110758794527585, 0.02020306120313034,
+             "5.83301837313935388865955032077",
+             "2.81107076233606755428951871713"),
+            ((58, 25), 0.5419145477460454, 0.012318939758006306,
+             "2.22704497139229732014308072156",
+             "4.65413888861664287911399565343"),
+            ((63, 57), 0.5886313191034631, 0.028087182648254376,
+             "-2.81153859461189396824103227916",
+             "6.26987981748398659676392405575"),
+        ], [
+            (-1.3, 0.0, "7.96428248654887699901340286623",
+             "0.0"),
+            (-0.47, -0.083, "4.75592235285844290153862765859",
+             "3.1979267034025518165329368601"),
+            (0.0, 0.0211, "1.2261260566109727072517659527",
+             "5.58707981279054646500650071238"),
+            (0.129, 0.0457, "-2.81681017544565217761033876632",
+             "-1.58057547656102702841579914368"),
+            (0.58, -0.0312, "-4.90469361336651519929925215764",
+             "-5.00015301568978420135652773099"),
+            (0.9, 0.07, "13.2497041550840214396669296112",
+             "1.22515847063597538409498070817"),
+            (1.2345, -0.0064, "4.84825728846152927935480089372",
+             "-4.4049142599306257863559790337"),
+            (2.75, 0.119, "-4.69176075946003576790871567198",
+             "8.05521130797793644441885602411"),
+            (4.1, -0.2, "-4.17090463993039289211486595834",
+             "-2.86375284417134885617372218165"),
+        ]),
+    (0.7, 0): (
+        [
+            ((0, 0), 0.0, 0.0,
+             "6.99999999999999711275021897851",
+             "0.0"),
+            ((3, 50), 0.028030062814450626, 0.024637879516012613,
+             "1.04437270735454287713604300419",
+             "6.77799314327909498060076933207"),
+            ((9, 17), 0.08409018844335188, 0.008376879035444288,
+             "3.76074448063085400766935660195",
+             "5.15603301991042155700553704361"),
+            ((20, 30), 0.18686708542967084, 0.014782727709607566,
+             "-7.05856983974236601951306678118",
+             "-3.37649636329494046999747065353"),
+            ((27, 63), 0.25227056533005565, 0.03104372819017589,
+             "-3.57646631422242673379988848007",
+             "9.99218207428518335269079700758"),
+            ((36, 8), 0.3363607537734075, 0.003942060722562018,
+             "10.2680093005259841872050736788",
+             "3.26019609354430931075699142379"),
+            ((44, 41), 0.41110758794527585, 0.02020306120313034,
+             "5.04494466300278893712794097215",
+             "1.84966453337444679601276185985"),
+            ((58, 25), 0.5419145477460454, 0.012318939758006306,
+             "5.01728192672240460933406612726",
+             "1.6027013427855650705281426715"),
+            ((63, 57), 0.5886313191034631, 0.028087182648254376,
+             "3.44432854089357232846686284784",
+             "6.36659991810464463659923370723"),
+        ], [
+            (-1.3, 0.0, "-1.9642493869018779247357864818",
+             "7.7182588626972573068646473866"),
+            (-0.47, -0.083, "1.05904690813916063583709331253",
+             "5.60414767203782794498465227751"),
+            (0.0, 0.0211, "1.8102345776917698373317975676",
+             "5.40158100083834742249142239254"),
+            (0.129, 0.0457, "14.6756276998644389878408476461",
+             "-4.93790088216690420608461286796"),
+            (0.58, -0.0312, "-7.57122484860642667576336014831",
+             "-0.312636257259117635978365520232"),
+            (0.9, 0.07, "-3.11364790566628262153408231463",
+             "-5.50541207308892623257578501712"),
+            (1.2345, -0.0064, "-4.90380434970176002469215800729",
+             "-4.231924417074340475725070148"),
+            (2.75, 0.119, "-2.0435404076900518153759444615",
+             "-7.561394438570690210145213259"),
+            (4.1, -0.2, "-0.155082105185745771768372191796",
+             "-5.08278112520147530620566841328"),
+        ]),
+    (0.0, 1): (
+        [
+            ((0, 0), 0.0, 0.0,
+             "4.99999999999999865872820369506",
+             "2.06703210982639826915931611179e-42"),
+            ((3, 50), 0.028030062814450626, 0.024637879516012613,
+             "-2.96028783696168835296446605824",
+             "5.09734152614244815183481602513"),
+            ((9, 17), 0.08409018844335188, 0.008376879035444288,
+             "6.2681651687584065824773142028",
+             "1.90397895814295438641240854893"),
+            ((20, 30), 0.18686708542967084, 0.014782727709607566,
+             "4.73771980754245947793478913682",
+             "7.96910061756616588728713308813"),
+            ((27, 63), 0.25227056533005565, 0.03104372819017589,
+             "9.67500149726285079806644868784",
+             "-10.2254887171937850089961624513"),
+            ((36, 8), 0.3363607537734075, 0.003942060722562018,
+             "0.785092416440466429457619881494",
+             "-13.892843526121263131748140963"),
+            ((44, 41), 0.41110758794527585, 0.02020306120313034,
+             "-3.43314774515782979352779356726",
+             "8.17978867572969859942358743018"),
+            ((58, 25), 0.5419145477460454, 0.012318939758006306,
+             "4.92767980296762351444349236999",
+             "4.93398801169646455984057762325"),
+            ((63, 57), 0.5886313191034631, 0.028087182648254376,
+             "-3.34053019837459317086369613996",
+             "4.03313185708775896553269965645"),
+        ], [
+            (-1.3, 0.0, "3.32744056457262677524079890095",
+             "1.44252630459478463828200867698e-40"),
+            (-0.47, -0.083, "7.0705572446142108091071518032",
+             "-2.13332400805115941308380919672"),
+            (0.0, 0.0211, "-1.34563041416552945008061122079",
+             "6.41232511864356896390644081137"),
+            (0.129, 0.0457, "-7.85828179620609133777506769019",
+             "-1.78431989469782184857179416768"),
+            (0.58, -0.0312, "-3.44165598097062703090288601862",
+             "-3.61932671682995604320651991122"),
+            (0.9, 0.07, "-6.67711557032061540011137504816",
+             "-11.2646127308895259557571143576"),
+            (1.2345, -0.0064, "5.81217721637579914646952381871",
+             "-1.09016927672647924722439226139"),
+            (2.75, 0.119, "-6.12822993555811343418113448012",
+             "-4.73958334865408691652472343634"),
+            (4.1, -0.2, "-4.96752519491270249862705272452",
+             "-4.89995476524469290546423766922"),
+        ]),
+}
+
+
 class TestComplexPhase:
     def test_half_b_period_amp2_real(self, sp):
         z = np.array([0.0, 0.5j * sp.frb_plus])
@@ -162,6 +326,31 @@ class TestComplexPhase:
             assert np.max(np.abs(np.abs(route) - ref) / ref) <= 1e-12
         amp = eval_amp2(xs, ts, sp_c)
         assert np.max(np.abs(amp - np.abs(p) ** 2) / amp) <= 1e-10
+
+
+class TestMpmathReferences:
+    @pytest.mark.parametrize("lambda0, m", sorted(P_REFS))
+    def test_grid_and_points(self, lambda0, m):
+        # within 2e-15 of max|p|, the grid through its row-by-column
+        # products (at lambda0 != 0, _theta_outer's), the points one by one
+        curve = CurveParams(lambda0, 6.0, 8.0, 9.0)
+        frb_plus = build_solution_params(curve).frb_plus
+        sp_z = build_solution_params(curve, np.array([0.0,
+                                                      0.5j * m * frb_plus]))
+        lat = period_lattice(curve, sp_z.ell)
+        spec = GridSpec(0.0, 2.0 * lat.X, 0.0, 2.0 * lat.T, 64, 64)
+        xs, ts = spec.axes()
+        values = sample_grid(spec, sp_z).values
+        nodes, points = P_REFS[lambda0, m]
+        assert [(xs[i], ts[j]) for (i, j), x, t, *_ in nodes] \
+            == [(x, t) for _, x, t, *_ in nodes]
+        x, t = np.array([row[:2] for row in points]).T
+        got = np.concatenate([[values[ij] for ij, *_ in nodes],
+                              eval_p(x, t, sp_z)])
+        want = np.array([complex(float(re), float(im))
+                         for *_, re, im in nodes + points])
+        assert np.max(np.abs(got - want)) \
+            <= 2e-15 * np.max(np.abs(values))
 
 
 class TestGrid:
