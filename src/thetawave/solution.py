@@ -251,8 +251,9 @@ def general_theta_data(params: CurveParams, Z=None):
     # moving D by the lattice vector m + B n multiplies the theta quotient
     # by exp(-2*pi*i*n.(Ux + Vt + Z)) plus a constant; fold the linear part
     # into the plane-wave constants
-    K1g = sp.K1 - math.pi * float(n @ wv.U)
-    K2g = sp.K2 - math.pi * float(n @ wv.V)
+    # two-term sums, not a BLAS dot product
+    K1g = sp.K1 - math.pi * float(n[0] * wv.U[0] + n[1] * wv.U[1])
+    K2g = sp.K2 - math.pi * float(n[0] * wv.V[0] + n[1] * wv.V[1])
     return sp, B, wv, D, K1g, K2g
 
 
@@ -276,7 +277,8 @@ def eval_p_general(x, t, params: CurveParams, data):
     # Im z = Im(B) M moves v by B M off a real point; theta(v + B M)
     # = exp(-i*pi*M.B.M - 2*pi*i*M.v) theta(v), so the shift by -D leaves
     # exp(2*pi*i*M.D) in the quotient
-    quasi = 2j * np.pi * (B.b_coordinates(z) @ D)
+    M = B.b_coordinates(z)
+    quasi = 2j * np.pi * (M[0] * D[0] + M[1] * D[1])
     # U and V are real, so Im v = Im z at every point: one lattice box
     v = x[..., None] * wv.U + t[..., None] * wv.V + z
     out = (-2j * sp.K0 * riemann_theta2(v - D, B) / riemann_theta2(v, B)

@@ -742,7 +742,8 @@ def test_runtime_imports_no_scipy(python):
     # scipy is a test-only dependency; importing it would add about 0.3 s
     # to every CLI call.  numpy.random (numpy 2.x loads it on first use) adds
     # 10-14 ms and about 6 MiB resident; it may load only where a bare
-    # import numpy already does (numpy 1.x)
+    # import numpy already does (numpy 1.x).  numpy.polynomial (0.74 MiB,
+    # about 3.6 ms) loads on no CLI path: the Gauss rules are built in place
     probe = """
 import contextlib, io, json, sys
 import numpy
@@ -755,13 +756,15 @@ for argv in (["params"], ["grid", "--format", "json"],
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
 print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
-                  eager, "numpy.random" in sys.modules]))
+                  eager, "numpy.random" in sys.modules,
+                  "numpy.polynomial" in sys.modules]))
 """
     res = python.run("-c", probe)
     assert res.returncode == 0, res.stderr
-    scipy, eager, random = json.loads(res.stdout)
+    scipy, eager, random, polynomial = json.loads(res.stdout)
     assert scipy == []
     assert eager or not random
+    assert not polynomial
 
 
 CURVE = {"--lambda0", "--a", "--b", "--c", "--out"}
