@@ -412,7 +412,10 @@ def cmd_verify(cfg, corrupt_k2=False, limit=None, eps=None):
     nx, nt = _grid_size(cfg)
     # every eps refusal comes before the ledger evaluates anything
     entry = {"limit": limit_distance(limit, sp.curve, eps)} if limit else {}
-    ledger, passed = verify_ledger(sp, nx, nt, corrupt_k2=corrupt_k2)
+    if corrupt_k2:
+        # the negative control: a wrong plane-wave frequency
+        sp = dataclasses.replace(sp, K2=sp.K2 + 0.1)
+    ledger, passed = verify_ledger(sp, nx, nt)
     _emit_json({**ledger, **entry}, cfg["out"])
     return 0 if passed else 1
 

@@ -527,6 +527,19 @@ class TestVerify:
         assert not ledger["residual"]["passed"]
         assert ledger["residual"]["residual_norm"] > 1e-4
 
+    def test_corruption_faces_every_instrument(self, run_cli):
+        # K2 + 0.1 goes through the whole ledger: the residual, the
+        # split-step against the K2 + 0.1 field at T and the scaling
+        # check, whose rescaled curve is built afresh, fail
+        code, out, _ = run_cli(["verify", "--corrupt-k2"])
+        assert code == 1
+        ledger = json.loads(out)
+        assert list(ledger) == ["residual", "split_step", "symmetries"]
+        assert not ledger["residual"]["passed"]
+        assert not ledger["split_step"]["passed"]
+        assert [name for name, e in ledger["symmetries"].items()
+                if not e["passed"]] == ["scaling"]
+
     def test_passes_at_first_slot_imaginary_shift(self, run_cli):
         # Z1 = i*frb_minus/2 has the reality witness N = (2, 0)
         code, out, _ = run_cli(["verify", "--z-im1", "0.6691876313837515"])
@@ -624,15 +637,15 @@ class TestVerify:
     @pytest.mark.parametrize("kind", ["c_to_b", "a_to_b", "a_to_0"])
     def test_limit_converges_at_lambda0(self, run_cli, kind):
         # the degenerate curve and its reference field both carry --lambda0;
-        # --corrupt-k2 on a 5 x 5 grid leaves out the split-step and
-        # symmetry stages, which the limit entry does not read
+        # a 5 x 5 grid keeps the residual, which the limit entry does not
+        # read, cheap
         sups = {}
         for lambda0 in ("0", "0.7"):
             sups[lambda0] = []
             for eps in ("1e-2", "1e-3", "1e-4"):
-                _, out, _ = run_cli(["verify", "--corrupt-k2", "--nx", "5",
-                                     "--nt", "5", "--limit", kind, "--eps",
-                                     eps, "--lambda0", lambda0])
+                _, out, _ = run_cli(["verify", "--nx", "5", "--nt", "5",
+                                     "--limit", kind, "--eps", eps,
+                                     "--lambda0", lambda0])
                 sups[lambda0].append(
                     json.loads(out)["limit"]["sup_distance"])
             first, mid, last = sups[lambda0]

@@ -1,6 +1,7 @@
 """Unit tests for the verification instruments."""
 
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -675,6 +676,11 @@ class TestScaledCurves:
 
 
 class TestVerifyLedger:
+    def test_checks_the_params_it_is_given(self):
+        # verify --corrupt-k2 perturbs its input; the ledger has no mode
+        assert list(inspect.signature(verify_ledger).parameters) == [
+            "sp", "nx", "nt"]
+
     @pytest.mark.parametrize("corrupt_k2", [False, True])
     def test_unwitnessed_phase_refused_before_evaluation(self, monkeypatch,
                                                          corrupt_k2):
@@ -685,8 +691,10 @@ class TestVerifyLedger:
         monkeypatch.setattr(solution, "_quotient_terms",
                             lambda *a: calls.append(1) or real(*a))
         sp_z = build_solution_params(P689, np.array([0.0, 0.1j]))
+        if corrupt_k2:
+            sp_z = dataclasses.replace(sp_z, K2=sp_z.K2 + 0.1)
         with pytest.raises(ValueError, match="reality condition"):
-            verify_ledger(sp_z, 128, 128, corrupt_k2=corrupt_k2)
+            verify_ledger(sp_z, 128, 128)
         assert calls == []
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -711,19 +719,21 @@ class TestVerifyLedger:
 
     @pytest.mark.parametrize("flags, kwargs", [
         ([], {}),
-        (["--corrupt-k2"], {"corrupt_k2": True}),
+        (["--corrupt-k2"], {"dK2": 0.1}),
         (["--limit", "a_to_0"], {"limit": "a_to_0"}),
         (["--lambda0", "0.6"], {}),
     ])
     def test_matches_cli(self, run_cli, flags, kwargs):
-        # the CLI prints the library's ledger, with --limit and limits'
-        # entry appended, and exits 1 on its verdict
+        # the CLI prints the library's ledger of its params, K2 + 0.1 with
+        # --corrupt-k2, with --limit and limits' entry appended, and exits
+        # 1 on its verdict
         code, out, _ = run_cli(["verify"] + flags)
         lambda0 = 0.6 if "--lambda0" in flags else 0.0
         sp_l = build_solution_params(CurveParams(lambda0, 6.0, 8.0, 9.0))
-        kwargs = dict(kwargs)
-        limit = kwargs.pop("limit", None)
-        ledger, passed = verify_ledger(sp_l, 128, 128, **kwargs)
+        if "dK2" in kwargs:
+            sp_l = dataclasses.replace(sp_l, K2=sp_l.K2 + kwargs["dK2"])
+        limit = kwargs.get("limit")
+        ledger, passed = verify_ledger(sp_l, 128, 128)
         if limit is not None:
             ledger["limit"] = limit_distance(limit, sp_l.curve, 1e-4)
         assert json.dumps(ledger) == json.dumps(json.loads(out))
