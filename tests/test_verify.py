@@ -758,3 +758,100 @@ class TestVerifyLedger:
         field = eval_p(xs, ts, build_solution_params(deg, np.array(Z)))
         sup = float(np.max(np.abs(field - ref[kind](xs, ts))))
         assert entry == {"kind": kind, "eps": eps, "sup_distance": sup}
+
+
+class TestResidualLadder:
+    """A residual that fails its 1e-6 gate while its order estimate is in
+    3.3-4.7 is recomputed on its fine grid, 2n - 1 per side, at most twice
+    and never to a fine grid above 1017 per side; the entry records the
+    fine grid it read."""
+
+    # CHANGES.md's first FOUND curve: the residual alone fails at 128^2
+    FOUND = CurveParams(0.6042821382556394, 3.0167782833424237,
+                        3.4500506964534954, 3.9506482596589896)
+
+    @staticmethod
+    def _ledger(curve, n=128):
+        return verify_ledger(build_solution_params(curve), n, n)
+
+    def test_found_curve_passes_at_509(self, run_cli):
+        sp_f = build_solution_params(self.FOUND)
+        lat = period_lattice(self.FOUND, sp_f.ell)
+        rep = nls_residual(sp_f, GridSpec(0.0, lat.X, 0.0, lat.T, 128, 128))
+        assert rep.residual_norm == pytest.approx(1.3166e-6, rel=1e-4)
+        assert 3.3 <= rep.order_estimate <= 4.7
+        ledger, passed = self._ledger(self.FOUND)
+        entry = ledger["residual"]
+        assert entry["passed"] and passed
+        assert entry["grid"] == [509, 509]
+        assert entry["residual_norm"] == pytest.approx(8.276e-8, rel=1e-3)
+        argv = ["verify", "--lambda0", repr(self.FOUND.lambda0), "--a",
+                repr(self.FOUND.a), "--b", repr(self.FOUND.b), "--c",
+                repr(self.FOUND.c)]
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        assert json.loads(out) == ledger
+
+    @pytest.mark.parametrize("c, grid", [(80.0, 509), (160.0, 1017)])
+    def test_wide_curves_pass_refined(self, c, grid):
+        # the residual entry only: these curves still fail their split-step
+        entry = self._ledger(CurveParams(0.0, 6.0, 8.0, c))[0]["residual"]
+        assert entry["passed"]
+        assert entry["grid"] == [grid, grid]
+        assert entry["residual_norm"] == pytest.approx(1.19e-7, rel=1e-2)
+
+    def test_reference_and_negative_control_stay_at_255(self, run_cli):
+        # the reference curve's entry keeps its bits; K2 + 0.1 reads order
+        # -0.014, outside the range, so it is not refined either
+        assert self._ledger(P689)[0]["residual"] == {
+            "passed": True, "residual_norm": 6.079502733528271e-07,
+            "order_estimate": 3.8828537379890053, "grid": [255, 255]}
+        code, out, _ = run_cli(["verify", "--corrupt-k2"])
+        assert code == 1
+        assert json.loads(out)["residual"] == {
+            "passed": False, "residual_norm": 0.00037898930371190083,
+            "order_estimate": -0.014379709219817806, "grid": [255, 255]}
+
+    def test_600_not_refined(self, run_cli, monkeypatch):
+        # its first fine grid, 1199, is above 1017 already
+        grids = []
+        real = verify.nls_residual
+
+        def counting(sp, spec, order=4):
+            grids.append((spec.nx, spec.nt))
+            return real(sp, spec, order)
+
+        monkeypatch.setattr(verify, "nls_residual", counting)
+        code, out, _ = run_cli(["verify", "--lambda0", "0.7", "--nx", "600",
+                                "--nt", "600"])
+        assert code == 0
+        assert grids == [(600, 600)]
+        assert json.loads(out)["residual"]["grid"] == [1199, 1199]
+
+    @pytest.mark.parametrize("nx, nt, report, grids", [
+        # converging but failing: refined twice from 128, once from 255
+        (128, 128, (2e-6, 4.0), [(128, 128), (255, 255), (509, 509)]),
+        (255, 255, (2e-6, 4.0), [(255, 255), (509, 509)]),
+        # at most twice, however small the grid
+        (5, 5, (2e-6, 4.0), [(5, 5), (9, 9), (17, 17)]),
+        # the larger side sets the cap
+        (128, 300, (2e-6, 4.0), [(128, 300)]),
+        (300, 300, (2e-6, 4.0), [(300, 300)]),
+        # the order outside 3.3-4.7, or a passing residual
+        (128, 128, (2e-6, 3.2), [(128, 128)]),
+        (128, 128, (2e-6, 4.8), [(128, 128)]),
+        (128, 128, (9e-7, 4.0), [(128, 128)]),
+    ])
+    def test_calls_counted(self, monkeypatch, nx, nt, report, grids):
+        calls = []
+
+        def fixed(sp, spec, order=4):
+            calls.append((spec.nx, spec.nt))
+            return verify.ResidualReport(*report)
+
+        monkeypatch.setattr(verify, "nls_residual", fixed)
+        sp07 = build_solution_params(CurveParams(0.7, 6.0, 8.0, 9.0))
+        entry = verify_ledger(sp07, nx, nt)[0]["residual"]
+        assert calls == grids
+        assert entry["grid"] == [2 * n - 1 for n in calls[-1]]
+        assert entry["residual_norm"] == report[0]
