@@ -20,7 +20,6 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import sys
@@ -194,9 +193,7 @@ def _emit(chunks, out):
 
 
 def _emit_json(obj, out):
-    # streamed: one json.dumps string of a 512**2 grid holds tens of MiB
-    chunks = json.JSONEncoder(indent=2).iterencode(obj)
-    _emit(itertools.chain(chunks, ["\n"]), out)
+    _emit([json.dumps(obj, indent=2), "\n"], out)
 
 
 def _solution_constants(s):
