@@ -836,7 +836,6 @@ class TestResidualLadder:
         (5, 5, (2e-6, 4.0), [(5, 5), (9, 9), (17, 17)]),
         # the larger side sets the cap
         (128, 300, (2e-6, 4.0), [(128, 300)]),
-        (300, 300, (2e-6, 4.0), [(300, 300)]),
         # the order outside 3.3-4.7, or a passing residual
         (128, 128, (2e-6, 3.2), [(128, 128)]),
         (128, 128, (2e-6, 4.8), [(128, 128)]),
