@@ -354,10 +354,10 @@ def verify_ledger(sp: SolutionParams, nx, nt):
     before any evaluation, a line unresolved at 512 samples before any
     instrument.
     The residual (``_residual_entry``, which refines an unresolved one)
-    and ``symmetry_suite`` run in this process, in that order,
-    and the pair after them or, with two or more usable CPUs, beside them
-    in a forked child (``_fork.in_order``): the same ledger and errors; a
-    child that ends early is an OSError naming the split-step."""
+    and ``symmetry_suite`` run in this process, in that order, and the
+    pair after them or, with two or more usable CPUs, beside them in a
+    forked child (``_fork.in_order``): the same ledger and errors; a child
+    that ends early is an OSError naming the split-step."""
     _require_witness(sp)
     curve = sp.curve
     lat = period_lattice(curve, sp.ell)
