@@ -125,18 +125,25 @@ def field_residual(field, spec: GridSpec, order=4):
     return _residual_norm(lambda t: lambda x: field(x, t), spec, order)
 
 
-def nls_residual(sp: SolutionParams, spec: GridSpec, order=4):
-    """Residual report for the analytic two-phase field, with the Richardson
-    order estimate from a resolution-doubled grid.  Each grid builds the
-    thetas that depend on t alone once (``solution._p_at``)."""
+def _residual_pairs(sp: SolutionParams, spec: GridSpec, order):
+    """(fine grid, ResidualReport) for the two-phase field on the grid pairs
+    (spec, its 2n - 1 grid), (that grid, its 2n - 1 grid), ...: each grid
+    evaluated (``solution._p_at``) and reduced once."""
     at = lambda t: _p_at(t, sp)
     coarse = _residual_norm(at, spec, order)
-    fine_spec = dataclasses.replace(
-        spec, nx=2 * spec.nx - 1, nt=2 * spec.nt - 1
-    )
-    fine = _residual_norm(at, fine_spec, order)
-    order_est = math.log2(coarse / fine) if fine > 0.0 else math.inf
-    return ResidualReport(residual_norm=fine, order_estimate=order_est)
+    while True:
+        spec = dataclasses.replace(spec, nx=2 * spec.nx - 1,
+                                   nt=2 * spec.nt - 1)
+        fine = _residual_norm(at, spec, order)
+        order_est = math.log2(coarse / fine) if fine > 0.0 else math.inf
+        yield spec, ResidualReport(fine, order_est)
+        coarse = fine
+
+
+def nls_residual(sp: SolutionParams, spec: GridSpec, order=4):
+    """Residual report for the analytic two-phase field, with the Richardson
+    order estimate from a resolution-doubled grid (``_residual_pairs``)."""
+    return next(_residual_pairs(sp, spec, order))[1]
 
 
 def residual_fit_k2(params: CurveParams, spec: GridSpec, order=4):
@@ -323,21 +330,19 @@ def symmetry_suite(sp: SolutionParams):
 
 
 def _residual_entry(sp: SolutionParams, spec: GridSpec):
-    """The ledger's residual entry: ``nls_residual`` on ``spec``, gate 1e-6
-    with an order estimate in 3.3-4.7.  A residual that fails its gate
-    while its order is in that range converges but is not yet resolved, so
-    it is recomputed on its fine grid, 2n - 1 per side: at most twice, and
-    never to a fine grid of more than 1017 per side (128 -> 255, 509, 1017
+    """The ledger's residual entry: the first pair of ``_residual_pairs``
+    from ``spec``, gate 1e-6 with an order estimate in 3.3-4.7.  A residual
+    that fails its gate while its order is in that range converges but is
+    not yet resolved, so the next pair is read: at most three pairs, and
+    never a fine grid of more than 1017 per side (128 -> 255, 509, 1017
     from the default grid).  The entry records the fine grid it read."""
+    pairs = _residual_pairs(sp, spec, order=4)
     for _ in range(3):
-        rep = nls_residual(sp, spec, order=4)
-        fine = dataclasses.replace(spec, nx=2 * spec.nx - 1,
-                                   nt=2 * spec.nt - 1)
+        fine, rep = next(pairs)
         converging = 3.3 <= rep.order_estimate <= 4.7
         passed = rep.residual_norm < 1e-6 and converging
         if passed or not converging or 2 * max(fine.nx, fine.nt) - 1 > 1017:
             break
-        spec = fine
     return {"passed": bool(passed), "residual_norm": rep.residual_norm,
             "order_estimate": rep.order_estimate,
             "grid": [fine.nx, fine.nt]}

@@ -577,7 +577,7 @@ class TestVerify:
         # eps is read only by --limit; without it the flag used to be
         # silently ignored.  Refused before any evaluation
         calls = []
-        monkeypatch.setattr(verify, "nls_residual",
+        monkeypatch.setattr(verify, "_residual_pairs",
                             lambda *a, **k: calls.append(a))
         code, out, err = run_cli(["verify", "--eps", eps])
         assert (code, out, calls) == (2, "", [])
@@ -591,7 +591,7 @@ class TestVerify:
         # b + 1e-300 == b, b*(1 - eps) <= 0 and a = eps >= b leave no
         # degenerate curve; refused before the ledger is evaluated
         calls = []
-        monkeypatch.setattr(verify, "nls_residual",
+        monkeypatch.setattr(verify, "_residual_pairs",
                             lambda *a, **k: calls.append(a))
         code, out, err = run_cli(["verify", "--limit", kind, "--eps", eps])
         assert (code, out, calls) == (2, "", [])
@@ -604,7 +604,7 @@ class TestVerify:
         # (6, 8, 19) is a valid curve, but c - b = 11 exceeds the c_to_b
         # table's bound 10.14; refused naming --eps, before the ledger
         calls = []
-        monkeypatch.setattr(verify, "nls_residual",
+        monkeypatch.setattr(verify, "_residual_pairs",
                             lambda *a, **k: calls.append(a))
         code, out, err = run_cli(["verify", "--limit", "c_to_b", "--eps",
                                   "11"])
@@ -619,7 +619,7 @@ class TestVerify:
         # a valid degenerate curve whose quadratures do not converge is
         # refused naming --eps, not the curve, before the ledger
         calls = []
-        monkeypatch.setattr(verify, "nls_residual",
+        monkeypatch.setattr(verify, "_residual_pairs",
                             lambda *a, **k: calls.append(a))
         code, out, err = run_cli(["verify", "--limit", kind, "--eps", "1e-9"])
         assert (code, out, calls) == (2, "", [])

@@ -507,7 +507,8 @@ class TestForkedPair:
             0, "before\nb'here' b'block'\nTrue 0\n", "")
 
     @pytest.mark.parametrize("target, exc", [
-        ("nls_residual", ArithmeticError), ("symmetry_suite", ArithmeticError),
+        ("_residual_pairs", ArithmeticError),
+        ("symmetry_suite", ArithmeticError),
         ("symmetry_suite", KeyboardInterrupt)])
     def test_parent_error_reaps_the_child(self, sp, forks, monkeypatch,
                                           target, exc):
@@ -566,7 +567,7 @@ class TestForkedPair:
             return run
 
         monkeypatch.setattr("thetawave.verify.eval_p", noisy)
-        for name in ("nls_residual", "symmetry_suite"):
+        for name in ("_residual_pairs", "symmetry_suite"):
             monkeypatch.setattr(f"thetawave.verify.{name}", failing(name))
         monkeypatch.setattr("thetawave._fork.in_order", failing("in_order"))
         forks.cpus(n)
@@ -762,9 +763,10 @@ class TestVerifyLedger:
 
 class TestResidualLadder:
     """A residual that fails its 1e-6 gate while its order estimate is in
-    3.3-4.7 is recomputed on its fine grid, 2n - 1 per side, at most twice
-    and never to a fine grid above 1017 per side; the entry records the
-    fine grid it read."""
+    3.3-4.7 reads the next pair of ``_residual_pairs``, whose fine grid is
+    2n - 1 per side: at most three pairs, never a fine grid above 1017 per
+    side, and each grid reduced once; the entry records the fine grid it
+    read."""
 
     # CHANGES.md's first FOUND curve: the residual alone fails at 128^2
     FOUND = CurveParams(0.6042821382556394, 3.0167782833424237,
@@ -812,20 +814,36 @@ class TestResidualLadder:
             "passed": False, "residual_norm": 0.00037898930371190083,
             "order_estimate": -0.014379709219817806, "grid": [255, 255]}
 
+    @staticmethod
+    def _reduced(monkeypatch):
+        # the grids _residual_norm reduces, in order
+        grids = []
+        real = verify._residual_norm
+
+        def counting(at, spec, order):
+            grids.append((spec.nx, spec.nt))
+            return real(at, spec, order)
+
+        monkeypatch.setattr(verify, "_residual_norm", counting)
+        return grids
+
+    def test_each_grid_reduced_once(self, monkeypatch):
+        # three pairs from 128^2 on four grids, not six
+        sp_w = build_solution_params(CurveParams(0.0, 6.0, 8.0, 160.0))
+        lat = period_lattice(sp_w.curve, sp_w.ell)
+        grids = self._reduced(monkeypatch)
+        entry = verify._residual_entry(
+            sp_w, GridSpec(0.0, lat.X, 0.0, lat.T, 128, 128))
+        assert entry["passed"] and entry["grid"] == [1017, 1017]
+        assert grids == [(128, 128), (255, 255), (509, 509), (1017, 1017)]
+
     def test_600_not_refined(self, run_cli, monkeypatch):
         # its first fine grid, 1199, is above 1017 already
-        grids = []
-        real = verify.nls_residual
-
-        def counting(sp, spec, order=4):
-            grids.append((spec.nx, spec.nt))
-            return real(sp, spec, order)
-
-        monkeypatch.setattr(verify, "nls_residual", counting)
+        grids = self._reduced(monkeypatch)
         code, out, _ = run_cli(["verify", "--lambda0", "0.7", "--nx", "600",
                                 "--nt", "600"])
         assert code == 0
-        assert grids == [(600, 600)]
+        assert grids == [(600, 600), (1199, 1199)]
         assert json.loads(out)["residual"]["grid"] == [1199, 1199]
 
     @pytest.mark.parametrize("nx, nt, report, grids", [
@@ -842,13 +860,17 @@ class TestResidualLadder:
         (128, 128, (9e-7, 4.0), [(128, 128)]),
     ])
     def test_calls_counted(self, monkeypatch, nx, nt, report, grids):
+        # the coarse grid of each pair read
         calls = []
 
-        def fixed(sp, spec, order=4):
-            calls.append((spec.nx, spec.nt))
-            return verify.ResidualReport(*report)
+        def fixed(sp, spec, order):
+            while True:
+                calls.append((spec.nx, spec.nt))
+                spec = dataclasses.replace(spec, nx=2 * spec.nx - 1,
+                                           nt=2 * spec.nt - 1)
+                yield spec, verify.ResidualReport(*report)
 
-        monkeypatch.setattr(verify, "nls_residual", fixed)
+        monkeypatch.setattr(verify, "_residual_pairs", fixed)
         sp07 = build_solution_params(CurveParams(0.7, 6.0, 8.0, 9.0))
         entry = verify_ledger(sp07, nx, nt)[0]["residual"]
         assert calls == grids
