@@ -40,6 +40,7 @@ CASES = {
     # phase: at 2**52, Re Z1 + 0.5 rounds back to Re Z1
     "verify_z_re1": (["verify", "--z-re1", "4503599627370496"], 0, "verify"),
     "verify_corrupt_k2": (["verify", "--corrupt-k2"], 1),
+    "verify_lambda0": (["verify", "--lambda0", "0.7"], 0),
     "verify_limit_a_to_0": (["verify", "--limit", "a_to_0"], 0),
 }
 
