@@ -55,16 +55,15 @@ def _require_stencil_grid(spec: GridSpec):
 
 
 def _stencil_bands(at, spec: GridSpec, order):
-    """(r, p, res) for row bands r of the grid interior: the field values p
-    on those rows and i p_t + p_xx + 2|p|**2 p there, by fourth-order
-    central differences (``order`` must be 4).  ``at(t)`` is x -> the field
-    at (x, t), built once for the grid's (1, nt) row of t and called on
+    """(p, res) for row bands of the grid interior: the field values p on
+    those rows and i p_t + p_xx + 2|p|**2 p there, by fourth-order central
+    differences (``order`` must be 4).  ``at(t)`` is x -> the field at
+    (x, t), built once for the grid's (1, nt) row of t and called on
     (rows, 1) columns: each x row once, in order, in the bands of
     ``solution._row_slices``.  A band holds about 8 arrays of its size at
     once, so it gets an eighth of ``solution._BAND_BYTES`` of field rows,
-    and at least 3 so that no band is a single row.  Its new rows go below
-    the previous band's last 4 (its halo) in one preallocated buffer; p is
-    a view of that buffer, valid until the next band."""
+    and at least 3 so that no band is a single row.  Each band is a fresh
+    array: the previous band's last 4 rows (its halo), then its new rows."""
     if order != 4:
         raise ValueError(f"stencil order must be 4, got {order}")
     _require_stencil_grid(spec)
@@ -83,26 +82,11 @@ def _stencil_bands(at, spec: GridSpec, order):
         return p, 1j * pt + pxx + 2.0 * np.abs(p) ** 2 * p
 
     rows = max(3, solution._BAND_BYTES // 8 // (16 * spec.nt))
-    Q = np.empty((rows + 4, spec.nt), dtype=complex)
-    top = held = 0  # Q[:held] holds the grid rows from row top on
+    B = np.empty((0, spec.nt), dtype=complex)
     for r in solution._row_slices(spec.nx, rows):
-        halo = min(4, held)
-        Q[:halo] = Q[held - halo:held]
-        top += held - halo
-        held = halo + r.stop - r.start
-        Q[halo:held] = p_at(xs[r, None])
-        if held > 4:
-            yield (slice(top, top + held - 4), *residual(Q[:held]))
-
-
-def _stencil_residual(at, spec: GridSpec, order):
-    """The interior arrays of field values and residuals that
-    ``_stencil_bands(at, spec, order)`` yields band by band."""
-    shape = (spec.nx - 4, spec.nt - 4)
-    p, res = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    for r, p_r, res_r in _stencil_bands(at, spec, order):
-        p[r], res[r] = p_r, res_r
-    return p, res
+        B = np.concatenate([B[-4:], p_at(xs[r, None])])
+        if len(B) > 4:
+            yield residual(B)
 
 
 def _residual_norm(at, spec: GridSpec, order):
@@ -110,7 +94,7 @@ def _residual_norm(at, spec: GridSpec, order):
     band by band from ``_stencil_bands(at, spec, order)``, normalized by
     max |p|**3."""
     peaks = np.array([(np.max(np.abs(p)), np.max(np.abs(res)))
-                      for _, p, res in _stencil_bands(at, spec, order)])
+                      for p, res in _stencil_bands(at, spec, order)])
     scale = float(np.max(peaks[:, 0])) ** 3
     return float(np.max(peaks[:, 1])) / scale
 
@@ -122,7 +106,8 @@ def field_residual(field, spec: GridSpec, order=4):
     ``_stencil_bands`` (once for a grid of at most an eighth of
     ``solution._BAND_BYTES``), and so evaluated once at every node of the
     grid."""
-    return _residual_norm(lambda t: lambda x: field(x, t), spec, order)
+    at = lambda t: lambda x: np.broadcast_to(field(x, t), (x.size, t.size))
+    return _residual_norm(at, spec, order)
 
 
 def _residual_pairs(sp: SolutionParams, spec: GridSpec, order):
@@ -151,10 +136,15 @@ def residual_fit_k2(params: CurveParams, spec: GridSpec, order=4):
 
     With the plane-wave frequency removed (K2 set to zero) the field F
     satisfies i F_t + F_xx + 2|F|**2 F = 2 K2 F, so K2 is the least-squares
-    frequency Re<F, G> / (2 <F, F>).  Independent of the contour route."""
+    frequency Re<F, G> / (2 <F, F>), in row sums as the bands come: the
+    same bits for any band size.  Independent of the contour route."""
     sp0 = dataclasses.replace(build_solution_params(params), K2=0.0)
-    F, G = _stencil_residual(lambda t: _p_at(t, sp0), spec, order)
-    return float(np.real(np.vdot(F, G)) / (2.0 * np.real(np.vdot(F, F))))
+    fg, ff = np.sum(np.concatenate(
+        [[np.sum(F.real * G.real + F.imag * G.imag, axis=1),
+          np.sum(F.real * F.real + F.imag * F.imag, axis=1)]
+         for F, G in _stencil_bands(lambda t: _p_at(t, sp0), spec, order)],
+        axis=1), axis=1)
+    return float(fg / (2.0 * ff))
 
 
 def _resolved(psi):

@@ -21,7 +21,7 @@ from thetawave.verify import (
     _checked_line,
     _resolved,
     _richardson_pair,
-    _stencil_residual,
+    _stencil_bands,
     field_residual,
     nls_residual,
     residual_fit_k2,
@@ -53,6 +53,9 @@ class TestFieldResidual:
             np.asarray(x) + np.asarray(t))
         spec = GridSpec(0.0, 1.0, 0.0, 0.02, 32, 64)
         assert field_residual(field, spec, order=4) < 1e-8
+        # a field of t alone, a (1, nt) row, broadcasts over the x rows
+        row = lambda x, t: a * np.exp(2j * a * a * t)
+        assert field_residual(row, spec, order=4) < 1e-8
 
     def test_travelling_plane_wave(self):
         # a exp(i(kx + w t)) solves the equation at w = 2a^2 - k^2; at
@@ -163,25 +166,28 @@ class TestRowBands:
     @pytest.mark.parametrize("lambda0", [0.0, 0.7])
     def test_residual_memory_does_not_grow_with_the_grid(self, lambda0):
         # nls_residual on 128^2, 255^2 and 509^2 (fine grids 255^2, 509^2
-        # and 1017^2): a full grid of complex values would be 1, 4 and
-        # 16 MiB, and the banded stencil holds a few bands at once
+        # and 1017^2) and residual_fit_k2 on those three: a full grid of
+        # complex values would be 1, 4 and 16 MiB (1/4, 1 and 4 MiB for
+        # residual_fit_k2), and the banded stencil holds a few bands at once
         curve = CurveParams(lambda0, 6.0, 8.0, 9.0)
         sp_l = build_solution_params(curve)
         lat = period_lattice(curve, sp_l.ell)
-        nls_residual(sp_l, GridSpec(0.0, lat.X, 0.0, lat.T, 8, 8))
-        peaks = []
-        tracemalloc.start()
-        try:
-            for n in (128, 255, 509):
-                spec = GridSpec(0.0, lat.X, 0.0, lat.T, n, n)
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                nls_residual(sp_l, spec)
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        finally:
-            tracemalloc.stop()
-        assert max(peaks) < 3 << 20, peaks
-        assert peaks[-1] < 1.5 * peaks[0], peaks
+        for run in (lambda spec: nls_residual(sp_l, spec),
+                    lambda spec: residual_fit_k2(curve, spec)):
+            run(GridSpec(0.0, lat.X, 0.0, lat.T, 8, 8))
+            peaks = []
+            tracemalloc.start()
+            try:
+                for n in (128, 255, 509):
+                    spec = GridSpec(0.0, lat.X, 0.0, lat.T, n, n)
+                    tracemalloc.reset_peak()
+                    base = tracemalloc.get_traced_memory()[0]
+                    run(spec)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            assert max(peaks) < 3 << 20, peaks
+            assert peaks[-1] < 1.5 * peaks[0], peaks
 
     @pytest.mark.parametrize("lambda0", [0.0, 0.7])
     def test_banded_residuals_are_bit_identical(self, monkeypatch, lambda0):
@@ -201,13 +207,14 @@ class TestRowBands:
         for budget in (1 << 30, 1 << 20, 1 << 17):
             monkeypatch.setattr(solution, "_BAND_BYTES", budget)
             rows.clear()
-            p, res = _stencil_residual(lambda t: lambda x: field(x, t),
-                                       spec, 4)
+            p, res = map(np.concatenate, zip(*_stencil_bands(
+                lambda t: lambda x: field(x, t), spec, 4)))
             got[budget] = (rows[:], p, res, field_residual(field, spec),
                            residual_fit_k2(curve, spec))
         assert [g[0] for g in got.values()] == [
             [300], [30] * 10, [3] * 100]
         ref = got[1 << 30]
+        assert ref[1].shape == ref[2].shape == (296, 256)
         for g in got.values():
             assert np.array_equal(g[1], ref[1])
             assert np.array_equal(g[2], ref[2])
