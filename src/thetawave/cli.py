@@ -385,10 +385,7 @@ def cmd_scan(cfg, vary, start, stop, num):
         raise ValueError(f"--num must be at most {_MAX_NODES}, got {num}")
     lines = ["value,X,T,h_minus,h_plus\n"]
     for val in np.linspace(start, stop, num):
-        if vary == "a":
-            curve = CurveParams(cfg["lambda0"], float(val), cfg["b"], cfg["c"])
-        else:
-            curve = CurveParams(cfg["lambda0"], cfg["a"], cfg["b"], float(val))
+        curve = _curve({**cfg, vary: float(val)})
         ell = curve_integrals(curve)
         lat = period_lattice(curve, ell)
         qc = _quotient_constants(ell, curve.lambda0)

@@ -159,8 +159,15 @@ def dn_fit(xs, fs, k20=None, tol=1e-6):
     fmax, fmin = float(np.max(fs)), float(np.min(fs))
     if fmax <= 0.0:
         raise ValueError("profile must be positive somewhere")
-    k0 = math.sqrt(max(0.0, 1.0 - (fmin / fmax) ** 2))
-    x00 = float(xs[int(np.argmax(fs))])
+    k0 = min(max(math.sqrt(max(0.0, 1.0 - (fmin / fmax) ** 2)), 1e-6),
+             1.0 - 1e-9)
+    # B0 from the peak curvature -A*B**2*k**2 of A*dn(B*u; k): the
+    # three-point second difference on unequal spacing at an interior node
+    i = int(np.argmax(fs))
+    j = min(max(i, 1), xs.size - 2)
+    (h1, h2), (fl, fc, fr) = np.diff(xs[j - 1:j + 2]), fs[j - 1:j + 2]
+    fpp = 2.0 * (fl / h1 - fc * (h1 + h2) / (h1 * h2) + fr / h2) / (h1 + h2)
+    B0 = math.sqrt(-fpp / (fmax * k0 * k0)) if fpp < 0.0 else fmax
 
     def residual(p):
         A, B, kt, x0 = p
@@ -168,7 +175,7 @@ def dn_fit(xs, fs, k20=None, tol=1e-6):
 
     # Levenberg-Marquardt on a forward-difference Jacobian, each trial
     # clipped to the bounds A, B >= 0, 0 <= ktilde < 1
-    p = np.array([fmax, fmax, min(max(k0, 1e-6), 1.0 - 1e-9), x00])
+    p = np.array([fmax, B0, k0, xs[i]])
     r, mu = residual(p), 1e-3
     for _ in range(100):
         h = 1e-8 * np.maximum(1.0, np.abs(p))

@@ -19,10 +19,10 @@ global phase.
 Full grids are evaluated in row bands (``_row_slices``), the thetas that
 depend on t alone once per grid.  ``sample_grid`` writes bands of at most
 ``_BAND_BYTES`` (1 MiB) of complex values into one preallocated array; a
-grid that fits one band is one call.  The stencils of
-:mod:`thetawave.verify` take bands of an eighth of that and reduce each
-band as it comes, so they never hold a grid.  Bands bound the peak memory
-of a large grid without slowing it.
+grid that fits one band is one call.  The stencil of
+:mod:`thetawave.verify` takes bands of an eighth of that with a 4-row
+halo, and its consumers reduce each band as it comes: none holds a grid.
+Bands bound the peak memory of a large grid without slowing it.
 """
 
 from __future__ import annotations

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from thetawave.curve import _quotient_constants, build_solution_params
-from thetawave.elliptic import CurveParams, curve_integrals
+from thetawave.elliptic import CurveParams, curve_integrals, legendre_K
 from thetawave.limits import (
-    _FIT_RTOL,
     AsymptoticParams,
     asymptotic_constants,
     dn_fit,
@@ -145,6 +144,9 @@ class TestConvergence:
         assert sups[0] > sups[1] > sups[2]
 
 
+_SINGULAR = "has a singular step: a fit parameter moves no sample"
+
+
 class TestDnFit:
     def test_recovers_known_profile(self):
         A, B, kt, x0 = 17.0, 17.0, 0.485, 0.03
@@ -191,42 +193,41 @@ class TestDnFit:
                            match="^fitted profile fails its ODE$"):
             dn_fit(xs, A * jacobi_dn(B * xs, kt), k20=k20, tol=tol)
 
-    @pytest.mark.parametrize("profile", [
-        lambda x: np.abs(x) + 1e-3,
-        lambda x: (x > 0.0) * 1.0,
-        lambda x: np.random.default_rng(0).uniform(size=x.size),
-        lambda x: 2.0 + np.cos(40.0 * x),
-        lambda x: np.exp(-(x / 0.01) ** 2),
-        lambda x: (np.exp(-((x - 0.15) / 0.05) ** 2)
-                   + np.exp(-((x + 0.15) / 0.05) ** 2)),
+    @pytest.mark.parametrize("profile, refusal", [
+        (lambda x: np.abs(x) + 1e-3, _SINGULAR),
+        (lambda x: (x > 0.0) * 1.0, _SINGULAR),
+        (lambda x: np.random.default_rng(0).uniform(size=x.size), _SINGULAR),
+        (lambda x: 2.0 + np.cos(40.0 * x), "misses f by 0.338 of max |f|"),
+        (lambda x: np.exp(-(x / 0.01) ** 2), "did not converge"),
+        (lambda x: (np.exp(-((x - 0.15) / 0.05) ** 2)
+                    + np.exp(-((x + 0.15) / 0.05) ** 2)),
+         "misses f by 1 of max |f|"),
     ], ids=["abs", "step", "noise", "cos40", "narrow-gaussian",
             "two-peaks"])
-    def test_singular_step_refused(self, profile):
-        # a profile that is not dn-shaped leaves a parameter that moves no
-        # sample, so the damped normal equations are singular
+    def test_singular_step_refused(self, profile, refusal):
+        # a profile that is not dn-shaped is refused; the first three leave
+        # a parameter that moves no sample, so the damped normal equations
+        # are singular
         xs = np.linspace(-0.3, 0.3, 41)
-        with pytest.raises(RuntimeError,
-                           match="^dn profile fit has a singular step: "):
+        with pytest.raises(RuntimeError) as exc:
             dn_fit(xs, profile(xs))
+        assert str(exc.value) == "dn profile fit " + refusal
 
-    @pytest.mark.parametrize("kt, A, B, fits", [
-        (0.1, 17, 3, False), (0.1, 17, 40, False), (0.3, 17, 3, False),
-        (0.5, 17, 3, False), (0.5, 17, 40, False), (0.7, 5, 17, False),
-        (0.9, 17, 40, False),
-        (0.5, 17, 17, True), (0.9, 5, 10, True), (0.999, 17, 10, True)])
-    def test_returns_only_a_fit_that_fits(self, kt, A, B, fits):
-        # the first seven end their iteration 2e-3 to 0.35 of max f away
-        # from f, so they are refused; the last three fit to rounding
+    @pytest.mark.parametrize("kt, A, B, near", [
+        (kt, A, B, 0.5 <= B / A <= 2.0)
+        for kt in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999)
+        for A in (1, 5, 17) for B in (3, 10, 17, 40)])
+    def test_returns_only_a_fit_that_fits(self, kt, A, B, near):
+        # B from A/6 to 40A; ``near`` marks a B within a factor 2 of the
+        # start A = max f, and B's start from the peak curvature fits the
+        # far ones as well: A, B and kt to 1e-10, and x0 up to the x period
+        # 2K(kt)/B of the profile's peaks
         xs = np.linspace(-0.3, 0.3, 401)
-        fs = A * jacobi_dn(B * (xs - 0.01), kt)
-        if not fits:
-            with pytest.raises(RuntimeError,
-                               match="^dn profile fit misses f by "):
-                dn_fit(xs, fs)
-            return
-        Af, Bf, ktf, x0f = dn_fit(xs, fs)
-        miss = np.max(np.abs(Af * jacobi_dn(Bf * (xs - x0f), ktf) - fs))
-        assert miss <= _FIT_RTOL * np.max(fs)
+        Af, Bf, ktf, x0f = dn_fit(xs, A * jacobi_dn(B * (xs - 0.01), kt))
+        period = 2.0 * legendre_K(kt) / B
+        x0f -= period * round((x0f - 0.01) / period)
+        assert (Af, Bf, ktf, x0f) == pytest.approx((A, B, kt, 0.01),
+                                                   rel=1e-10)
 
     def test_step_profile_refused(self):
         # a 1 -> 2 step is no dn profile: the best fit misses it by 0.25
